@@ -51,6 +51,7 @@ from .problems import (
     ValidationError,
     cnf_objective,
     coloring_objective,
+    is_json_number,
     maxcut_objective,
     parse_cnf,
     parse_custom_table,
@@ -61,6 +62,8 @@ from .simulator import BETA_MAX, GAMMA_MAX, depth_sweep, monte_carlo_stats
 
 #: Residual bound for the invariant-subspace verdicts.
 TOL_INVARIANT = 1e-8
+
+_THREADS_HELP = "accepted and ignored: the Monte Carlo always runs in one thread"
 
 _SWEEP_COLUMNS = (
     "p",
@@ -118,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--depth", type=int, default=32)
     simulate.add_argument("--samples", type=int, default=4096)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--threads", type=int, default=1)
+    simulate.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     simulate.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo statistics across depths")
@@ -126,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--depths", metavar="a,b,c", required=True)
     sweep.add_argument("--samples", type=int, default=4096)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -176,12 +179,10 @@ def _load_init(args, table):
         raise ValidationError("amplitude file must hold a JSON array")
     amps = []
     for entry in payload:
-        if isinstance(entry, (int, float)):
-            amps.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            amps.append(complex(entry[0], entry[1]))
-        else:
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        if not all(is_json_number(v) for v in parts):
             raise ValidationError("amplitudes must be numbers or [re, im] pairs")
+        amps.append(complex(*parts))
     if len(amps) != table.size:
         raise ValidationError(f"expected {table.size} amplitudes, got {len(amps)}")
     return InitialState(np.asarray(amps, dtype=complex)), hashlib.sha256(data).hexdigest()
@@ -455,9 +456,7 @@ def cmd_simulate(args) -> int:
     report = _base_report("simulate", args, descriptor, problem_digest, init_digest, table)
     sections, _, _, _, _, stats = _analysis_sections(table, state, args.tol_zero)
     report.update(sections)
-    mc = monte_carlo_stats(
-        state, table, p=args.depth, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    mc = monte_carlo_stats(state, table, p=args.depth, samples=args.samples, seed=args.seed)
     report["monte_carlo"] = {
         "depth": mc.p,
         "samples": mc.samples,
@@ -517,9 +516,7 @@ def cmd_sweep(args) -> int:
     table, descriptor, problem_digest = _load_problem(args)
     state, init_digest = _load_init(args, table)
     sections, _, _, _, _, stats = _analysis_sections(table, state, args.tol_zero)
-    reports = depth_sweep(
-        state, table, depths, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    reports = depth_sweep(state, table, depths, samples=args.samples, seed=args.seed)
     rows = [
         [
             mc.p, mc.samples, mc.seed, mc.mean, mc.variance,
@@ -549,7 +546,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, ComplexOverlapError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,17 @@ class ComplexOverlapError(ValueError):
     """
 
 
+def dense_size(n: int, q: int) -> int:
+    """q**n for q >= 2, or SizeLimitError above the dense-table limit.
+
+    Since q >= 2, n alone already rules out a too-large table, so a huge n
+    is refused before q**n is formed.
+    """
+    if n >= DENSE_SIZE_LIMIT.bit_length() or q**n > DENSE_SIZE_LIMIT:
+        raise SizeLimitError(f"q**n = {q}**{n} exceeds the dense-table limit {DENSE_SIZE_LIMIT}")
+    return q**n
+
+
 @dataclass(frozen=True)
 class ObjectiveTable:
     """Dense real-valued objective over all q-ary strings on n sites."""
@@ -50,11 +61,7 @@ class ObjectiveTable:
             raise ValueError("site count n must be at least 1")
         if self.q < 2:
             raise ValueError("alphabet size q must be at least 2")
-        size = self.q**self.n
-        if size > DENSE_SIZE_LIMIT:
-            raise SizeLimitError(
-                f"q**n = {size} exceeds the dense-table limit {DENSE_SIZE_LIMIT}"
-            )
+        size = dense_size(self.n, self.q)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (size,):
             raise ValueError(f"values must have length q**n = {size}, got {vals.shape}")
@@ -118,7 +125,7 @@ class InitialState:
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-d array")
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > TOL_NORM:
+        if not abs(nrm - 1.0) <= TOL_NORM:  # also refuses a NaN norm
             raise ValueError(f"state norm {nrm!r} differs from 1 beyond {TOL_NORM}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -209,11 +216,7 @@ def uniform_state(n: int, q: int) -> InitialState:
     """Equal-amplitude superposition of all q**n strings."""
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")
-    size = q**n
-    if size > DENSE_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"q**n = {size} exceeds the dense-table limit {DENSE_SIZE_LIMIT}"
-        )
+    size = dense_size(n, q)
     return InitialState(np.full(size, 1.0 / np.sqrt(size), dtype=complex))
 
 

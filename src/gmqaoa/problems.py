@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DENSE_SIZE_LIMIT, ObjectiveTable, SizeLimitError
+from .core import ObjectiveTable, SizeLimitError, dense_size
 
 
 class ParseError(ValueError):
@@ -103,10 +103,9 @@ def maxcut_objective(graph: Graph) -> ObjectiveTable:
     Vertex i corresponds to bit i-1 of the string index.
     """
     n = graph.vertex_count
-    if n > 20:
-        raise SizeLimitError(f"2**{n} exceeds the dense-table limit")
-    idx = np.arange(1 << n)
-    values = np.zeros(1 << n)
+    size = dense_size(n, 2)
+    idx = np.arange(size)
+    values = np.zeros(size)
     for u, v in graph.edges:
         bu = (idx >> (u - 1)) & 1
         bv = (idx >> (v - 1)) & 1
@@ -122,9 +121,7 @@ def coloring_objective(graph: Graph, q: int) -> ObjectiveTable:
     if q < 2:
         raise ValueError("need at least 2 colors")
     n = graph.vertex_count
-    size = q**n
-    if size > DENSE_SIZE_LIMIT:
-        raise SizeLimitError(f"{q}**{n} exceeds the dense-table limit")
+    size = dense_size(n, q)
     idx = np.arange(size)
     digits = [(idx // q**site) % q for site in range(n)]
     values = np.zeros(size)
@@ -140,12 +137,11 @@ def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
     when its bit is 1.
     """
     n = formula.variable_count
-    if n > 20:
-        raise SizeLimitError(f"2**{n} exceeds the dense-table limit")
-    idx = np.arange(1 << n)
-    values = np.zeros(1 << n)
+    size = dense_size(n, 2)
+    idx = np.arange(size)
+    values = np.zeros(size)
     for clause in formula.clauses:
-        violated = np.ones(1 << n, dtype=bool)
+        violated = np.ones(size, dtype=bool)
         for lit in clause:
             bit = (idx >> (abs(lit) - 1)) & 1
             lit_true = bit == 1 if lit > 0 else bit == 0
@@ -246,6 +242,12 @@ def parse_cnf(text: str) -> CnfFormula:
     return CnfFormula(nvars, tuple(clauses))
 
 
+def is_json_number(value) -> bool:
+    """True for a parsed JSON number.  JSON booleans parse to ``bool``, a
+    subclass of ``int``, and are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_custom_table(text: str) -> ObjectiveTable:
     """Parse a JSON objective table {"q": int, "n": int, "values": [...]}.
 
@@ -261,9 +263,9 @@ def parse_custom_table(text: str) -> ObjectiveTable:
         if key not in payload:
             raise ValidationError(f"missing key {key!r}")
     q, n, values = payload["q"], payload["n"], payload["values"]
-    if not isinstance(q, int) or not isinstance(n, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (q, n)):
         raise ValidationError("q and n must be integers")
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, list) or not all(is_json_number(v) for v in values):
         raise ValidationError("values must be a list of numbers")
     try:
         return ObjectiveTable(n=n, q=q, values=np.asarray(values, dtype=float))

@@ -1,15 +1,23 @@
-"""Dense statevector evolution and Monte Carlo loss statistics.
+"""Statevector evolution and Monte Carlo loss statistics.
 
-The mixer is applied through its rank-one closed form (two passes over
-the amplitude list), never through a dense exponential, so every layer
-costs O(q**n) and is exact up to rounding.
+The Monte Carlo runs in W0, the span of the d level components
+u_j = P_j xi / ||P_j xi|| of the initial state.  Both layers leave W0
+invariant, so a state there is a coefficient vector a over the u_j,
+starting at the level weights w_j = ||P_j xi||: the phase layer scales
+a_j by exp(-i gamma lambda_j), the Grover mixer adds
+(e^{i beta} - 1)(w.a) w, and the loss is sum_j lambda_j |a_j|^2.  Each
+layer-sample costs O(d) instead of O(q**n).
+
+The dense path (``run_circuit``, ``apply_*``, ``loss``) moves the full
+q**n state, applying the mixer through its rank-one closed form, never
+through a dense exponential.  It is kept as the oracle the reduced path
+is tested against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +27,10 @@ BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
 
 _MASK64 = (1 << 64) - 1
+
+#: Coefficient entries (samples x d) evolved at once; bounds the memory
+#: of the Monte Carlo for any sample count.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ def _stream_seed(seed: int, index: int) -> int:
     0x9e3779b97f4a7c15 and mixes with two xor-multiply rounds
     (0xbf58476d1ce4e5b9, 0x94d049bb133111eb).  Making every sample's
     stream a pure function of (seed, index) keeps results identical for
-    any parallel schedule.
+    any block split of the samples.
     """
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -111,40 +123,55 @@ def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
     )
 
 
-def monte_carlo_stats(
-    xi: InitialState,
-    objective: ObjectiveTable,
-    p: int,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-) -> McReport:
-    """Estimate mean and variance of the loss over random parameters.
+def _level_weights(xi: InitialState, objective: ObjectiveTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct objective values lambda_j and level weights w_j = ||P_j xi||.
 
-    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``,
-    and the reductions run over the sample-ordered array, so the report is
-    bit-identical for any thread count.  The variance is the unbiased
-    sample variance; its standard error uses the plug-in fourth-central-
-    moment formula sqrt((m4 - s^4 (M-3)/(M-1)) / M).
+    Levels the state does not touch (w_j = 0) are dropped, so both arrays
+    have length d.
     """
+    if xi.amplitudes.shape[0] != objective.size:
+        raise ValueError("state and objective dimensions disagree")
+    lam, level = np.unique(objective.values, return_inverse=True)
+    amp = xi.amplitudes
+    w = np.sqrt(np.bincount(level, weights=amp.real**2 + amp.imag**2, minlength=len(lam)))
+    keep = w > 0.0
+    return lam[keep], w[keep]
+
+
+def _sample_losses(
+    levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, seed: int
+) -> np.ndarray:
+    """Loss of each sample, in sample order, evolved in W0.
+
+    Sample i draws its parameters from ``_stream_seed(seed, i)``.  Every
+    operation acts row by row, so a sample's loss does not depend on the
+    block it is evolved in.
+    """
+    lam, w = levels
+    rows = max(1, _BLOCK_ENTRIES // len(w))
+    losses = np.empty(samples)
+    for start in range(0, samples, rows):
+        block = [
+            sample_parameters(p, np.random.Generator(np.random.PCG64(_stream_seed(seed, i))))
+            for i in range(start, min(start + rows, samples))
+        ]
+        betas = np.array([params.betas for params in block])
+        gammas = np.array([params.gammas for params in block])
+        a = np.tile(w.astype(complex), (len(block), 1))
+        for k in range(p):
+            a *= np.exp(-1j * gammas[:, k, None] * lam)
+            overlap = np.sum(a * w, axis=1)
+            a += ((np.exp(1j * betas[:, k]) - 1.0) * overlap)[:, None] * w
+        losses[start : start + len(block)] = np.sum((a.real**2 + a.imag**2) * lam, axis=1)
+    return losses
+
+
+def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, seed: int) -> McReport:
     if samples < 2:
         raise ValueError("need at least two samples")
     if p < 1:
         raise ValueError("depth must be at least 1")
-    losses = np.empty(samples)
-
-    def one(i: int) -> None:
-        rng = np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
-        state = run_circuit(xi, objective, sample_parameters(p, rng))
-        losses[i] = loss(state, objective)
-
-    if threads <= 1:
-        for i in range(samples):
-            one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(samples)))
-
+    losses = _sample_losses(levels, p, samples, seed)
     mean = float(np.mean(losses))
     variance = float(np.var(losses, ddof=1))
     centered = losses - mean
@@ -161,21 +188,36 @@ def monte_carlo_stats(
     )
 
 
+def monte_carlo_stats(
+    xi: InitialState,
+    objective: ObjectiveTable,
+    p: int,
+    samples: int,
+    seed: int,
+) -> McReport:
+    """Estimate mean and variance of the loss over random parameters.
+
+    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``,
+    and the reductions run over the sample-ordered array, so the report is
+    a pure function of the arguments.  The variance is the unbiased
+    sample variance; its standard error uses the plug-in fourth-central-
+    moment formula sqrt((m4 - s^4 (M-3)/(M-1)) / M).
+    """
+    return _monte_carlo(_level_weights(xi, objective), p, samples, seed)
+
+
 def depth_sweep(
     xi: InitialState,
     objective: ObjectiveTable,
     p_list: Sequence[int],
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> List[McReport]:
     """One Monte Carlo report per depth, all from the same master seed."""
     if not p_list:
         raise ValueError("depth list must be non-empty")
-    return [
-        monte_carlo_stats(xi, objective, p=p, samples=samples, seed=seed, threads=threads)
-        for p in p_list
-    ]
+    levels = _level_weights(xi, objective)
+    return [_monte_carlo(levels, p, samples, seed) for p in p_list]
 
 
 def grover_mixer_identity_check(n: int) -> float:

@@ -133,6 +133,30 @@ def test_analyze_complex_init_rejected(tmp_path, capsys):
     assert "complex-overlap" in err
 
 
+def test_analyze_boolean_table_rejected(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text('{"q": 2, "n": true, "values": [true, false]}')
+    code, out, err = run_cli(capsys, "analyze", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "integers" in err
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    ["[true, false]", "[[true, 0], [0, 0]]", '[["a", 1], [0, 0]]', "[NaN, 1]", "[1" + "0" * 400 + ", 0]"],
+    ids=["bools", "bool-pair", "string-pair", "nan", "overflow"],
+)
+def test_analyze_bad_init_amplitudes_rejected(tmp_path, capsys, amplitudes):
+    init = tmp_path / "init.json"
+    init.write_text(amplitudes)
+    code, out, _ = run_cli(
+        capsys, "analyze", "--table", str(DATA / "identity_n1.json"), "--init", str(init)
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_p3(capsys):
     code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "p3.graph"))
     assert code == 0

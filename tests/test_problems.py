@@ -5,6 +5,7 @@ from gmqaoa import (
     CnfFormula,
     Graph,
     ParseError,
+    SizeLimitError,
     ValidationError,
     build_spectrum,
     cnf_objective,
@@ -221,3 +222,22 @@ def test_parse_custom_table():
         parse_custom_table('{"q": 2, "n": 1}')
     with pytest.raises(ValidationError):
         parse_custom_table('{"q": 2, "n": 2, "values": [0, 1]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"q": 2, "n": true, "values": [0, 1]}',
+        '{"q": true, "n": 1, "values": [0, 1]}',
+        '{"q": 2, "n": 1, "values": [true, false]}',
+        '{"q": 2, "n": 1, "values": [0, false]}',
+    ],
+)
+def test_parse_custom_table_rejects_booleans(text):
+    with pytest.raises(ValidationError):
+        parse_custom_table(text)
+
+
+def test_parse_custom_table_refuses_huge_n_before_forming_q_to_the_n():
+    with pytest.raises(SizeLimitError):
+        parse_custom_table('{"q": 3, "n": 1000000000, "values": [0]}')

@@ -7,8 +7,10 @@ from gmqaoa import (
     ParameterSet,
     apply_grover_mixer,
     apply_phase_layer,
+    coloring_objective,
     depth_sweep,
     grover_mixer_identity_check,
+    house_graph,
     loss,
     maxcut_objective,
     monte_carlo_stats,
@@ -16,7 +18,8 @@ from gmqaoa import (
     run_circuit,
     uniform_state,
 )
-from gmqaoa.simulator import _stream_seed
+from gmqaoa import simulator
+from gmqaoa.simulator import _level_weights, _sample_losses, _stream_seed, sample_parameters
 from helpers import dense_circuit_reference
 
 
@@ -134,10 +137,57 @@ def test_monte_carlo_determinism():
     a = monte_carlo_stats(xi, table, p=4, samples=64, seed=42)
     b = monte_carlo_stats(xi, table, p=4, samples=64, seed=42)
     assert a == b
-    c = monte_carlo_stats(xi, table, p=4, samples=64, seed=42, threads=3)
-    assert a == c
     d = monte_carlo_stats(xi, table, p=4, samples=64, seed=43)
     assert a != d
+
+
+def _unsupported_level_case():
+    # |000> and |010> cut 0 and 2 edges of P3; the level with cut 1 gets no weight
+    amp = np.zeros(8, dtype=complex)
+    amp[0b000], amp[0b010] = 0.6, 0.8j
+    return maxcut_objective(path_graph(3)), InitialState(amp)
+
+
+@pytest.mark.parametrize(
+    "build, d",
+    [
+        (lambda: (maxcut_objective(house_graph()), uniform_state(5, 2)), 5),
+        (lambda: (coloring_objective(path_graph(4), 3), uniform_state(4, 3)), 4),
+        (lambda: (maxcut_objective(house_graph()), random_state(np.random.default_rng(4), 32)), 5),
+        (_unsupported_level_case, 2),
+    ],
+    ids=["maxcut-uniform", "coloring-q3", "complex-random", "unsupported-level"],
+)
+def test_reduced_losses_match_dense_oracle(build, d):
+    table, xi = build()
+    levels = _level_weights(xi, table)
+    assert len(levels[0]) == len(levels[1]) == d
+    p, samples, seed = 6, 40, 123
+    reduced = _sample_losses(levels, p, samples, seed)
+    dense = [
+        loss(run_circuit(xi, table, sample_parameters(
+            p, np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
+        )), table)
+        for i in range(samples)
+    ]
+    assert np.max(np.abs(reduced - dense)) <= 1e-12
+
+
+def test_sample_losses_do_not_depend_on_the_block_split(monkeypatch):
+    table = maxcut_objective(house_graph())
+    levels = _level_weights(uniform_state(5, 2), table)
+    whole = _sample_losses(levels, 5, 50, 8)
+    # five levels, so blocks of 3 rows: 16 full blocks and a 2-row tail
+    monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", 17)
+    assert np.array_equal(_sample_losses(levels, 5, 50, 8), whole)
+
+
+def test_monte_carlo_size_mismatch():
+    table = maxcut_objective(path_graph(3))
+    with pytest.raises(ValueError, match="disagree"):
+        monte_carlo_stats(uniform_state(2, 2), table, p=2, samples=8, seed=0)
+    with pytest.raises(ValueError, match="disagree"):
+        depth_sweep(uniform_state(2, 2), table, [1, 2], samples=8, seed=0)
 
 
 def test_monte_carlo_validation():
