@@ -216,7 +216,7 @@ def complement_invariant_lines(spectrum: Spectrum, overlaps: LevelOverlaps) -> L
         if j in supported:
             if nj == 1:
                 continue
-            u = overlaps.xi_components[j][idx]
+            u = overlaps.component(j)[idx]
             stacked = np.concatenate([u[:, None], np.eye(nj, dtype=complex)], axis=1)
             qmat, _ = np.linalg.qr(stacked)
             for k in range(1, nj):

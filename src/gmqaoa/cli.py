@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,17 +66,64 @@ TOL_INVARIANT = 1e-8
 
 _THREADS_HELP = "accepted and ignored: the Monte Carlo always runs in one thread"
 
-_SWEEP_COLUMNS = (
-    "p",
-    "samples",
-    "seed",
-    "mean",
-    "variance",
-    "stderr_mean",
-    "stderr_variance",
-    "target_mean",
-    "target_variance",
+
+def _levels_cell(report: dict) -> str:
+    return "|".join(f"{lv['value']:g}:{lv['multiplicity']}" for lv in report["spectrum"]["levels"])
+
+
+# CSV column maps: (column, dotted path into the JSON report, or a function
+# of the report).  A path missing from the report is written as an empty cell.
+_HEAD_COLUMNS = (
+    ("tool", "tool"), ("version", "version"), ("command", "command"),
+    ("problem_kind", "config.problem.kind"), ("problem_source", "config.problem.path"),
 )
+_ANALYZE_COLUMNS = _HEAD_COLUMNS + (
+    ("n", "problem.n"), ("q", "problem.q"), ("n_states", "problem.n_states"),
+    ("r", "spectrum.r"), ("levels", _levels_cell), ("d", "overlaps.d"),
+    ("sum_c", "overlaps.sum_c"), ("sum_c_squared", "overlaps.sum_c_squared"),
+    ("dla_branch", "dla.branch"), ("dla_algebra", "dla.algebra"), ("dla_dim", "dla.dim"),
+    ("dla_center_dim", "dla.center_dim"), ("dla_degenerate", "dla.degenerate"),
+    ("dla_span_dim", "dla.span_dim"), ("commutant_dim", "commutant.dim"),
+    ("isotypic_irreducible_dim", "isotypic.irreducible_dim"),
+    ("isotypic_invariant_lines", "isotypic.invariant_lines"),
+    ("zeta_mean", "loss_stats.zeta_mean"), ("zeta_var", "loss_stats.zeta_var"),
+    ("p_su_rho", "loss_stats.p_su_rho"), ("p_su_hp", "loss_stats.p_su_hp"),
+    ("expected_loss", "loss_stats.expected_loss"), ("loss_variance", "loss_stats.loss_variance"),
+    ("l1", "loss_stats.l1"), ("l2", "loss_stats.l2"), ("tol_zero", "dla.tol_zero"),
+)
+_VERIFY_COLUMNS = _ANALYZE_COLUMNS + (
+    ("mixer", "oracle.mixer"), ("closure_dim", "oracle.closure.dimension"),
+    ("closure_rounds", "oracle.closure.rounds"), ("closure_hit_cap", "oracle.closure.hit_cap"),
+    ("oracle_commutant_dim", "oracle.commutant_dim"), ("w0_residual", "oracle.w0_residual"),
+    ("complement_line_residual", "oracle.complement_line_residual"),
+    ("verdict_dla_dim", "oracle.verdicts.dla_dim.verdict"),
+    ("verdict_commutant", "oracle.verdicts.commutant_dim.verdict"),
+    ("verdict_isotypic", "oracle.verdicts.isotypic.verdict"),
+    ("tol_indep", "config.tolerances.tol_indep"), ("tol_rank", "config.tolerances.tol_rank"),
+    ("tol_invariant", "config.tolerances.tol_invariant"),
+)
+# read by simulate from its report and by sweep from each {"monte_carlo", "loss_stats"} row
+_MC_COLUMNS = (
+    ("samples", "monte_carlo.samples"), ("seed", "monte_carlo.seed"),
+    ("mean", "monte_carlo.mean"), ("variance", "monte_carlo.variance"),
+    ("stderr_mean", "monte_carlo.stderr_mean"), ("stderr_variance", "monte_carlo.stderr_variance"),
+    ("target_mean", "loss_stats.expected_loss"), ("target_variance", "loss_stats.loss_variance"),
+)
+_SIMULATE_COLUMNS = _HEAD_COLUMNS + (("depth", "monte_carlo.depth"),) + _MC_COLUMNS + (
+    ("mean_within_3_stderr", "verdicts.mean.within_3_stderr"),
+    ("variance_within_3_stderr", "verdicts.variance.within_3_stderr"),
+)
+_SWEEP_COLUMNS = (("p", "monte_carlo.depth"),) + _MC_COLUMNS
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
@@ -90,7 +138,7 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
                     help="replace the objective by its >= T indicator")
     sp.add_argument("--threshold-strict", action="store_true",
                     help="use > T instead of >= T")
-    sp.add_argument("--tol-zero", type=float, default=TOL_ZERO)
+    sp.add_argument("--tol-zero", type=_tolerance, default=TOL_ZERO)
     sp.add_argument("--format", choices=("json", "csv"), default=None,
                     help="output format (default json; sweep defaults to csv)")
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -111,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=float, default=TOL_INDEP)
-    verify.add_argument("--tol-rank", type=float, default=TOL_RANK)
+    verify.add_argument("--tol-indep", type=_tolerance, default=TOL_INDEP)
+    verify.add_argument("--tol-rank", type=_tolerance, default=TOL_RANK)
     verify.add_argument("--dim-cap", type=int, default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
 
@@ -288,45 +336,32 @@ def _csv_cell(value):
     return str(value)
 
 
-def _emit_csv_rows(header, rows, args) -> None:
+def _lookup(report: dict, path):
+    if callable(path):
+        return path(report)
+    for key in path.split("."):
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
+
+
+def _flat_row(columns, report: dict) -> dict:
+    return {name: _lookup(report, path) for name, path in columns}
+
+
+def _emit_csv(rows, args) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+        writer.writerow([_csv_cell(v) for v in row.values()])
     _emit(buf.getvalue(), args)
 
 
-def _flat_analysis_row(report: dict):
-    spectrum = report["spectrum"]
-    over = report["overlaps"]
-    dla = report["dla"]
-    stats = report["loss_stats"]
-    levels = "|".join(
-        f"{lv['value']:g}:{lv['multiplicity']}" for lv in spectrum["levels"]
-    )
-    header = [
-        "tool", "version", "command", "problem_kind", "problem_source",
-        "n", "q", "n_states", "r", "levels", "d", "sum_c", "sum_c_squared",
-        "dla_branch", "dla_algebra", "dla_dim", "dla_center_dim",
-        "dla_degenerate", "dla_span_dim", "commutant_dim",
-        "isotypic_irreducible_dim", "isotypic_invariant_lines",
-        "zeta_mean", "zeta_var", "p_su_rho", "p_su_hp", "expected_loss",
-        "loss_variance", "l1", "l2", "tol_zero",
-    ]
-    row = [
-        report["tool"], report["version"], report["command"],
-        report["config"]["problem"]["kind"], report["config"]["problem"]["path"],
-        report["problem"]["n"], report["problem"]["q"], report["problem"]["n_states"],
-        spectrum["r"], levels, over["d"], over["sum_c"], over["sum_c_squared"],
-        dla["branch"], dla["algebra"], dla["dim"], dla["center_dim"],
-        dla["degenerate"], dla["span_dim"], report["commutant"]["dim"],
-        report["isotypic"]["irreducible_dim"], report["isotypic"]["invariant_lines"],
-        stats["zeta_mean"], stats["zeta_var"], stats["p_su_rho"], stats["p_su_hp"],
-        stats["expected_loss"], stats["loss_variance"], stats["l1"], stats["l2"],
-        dla["tol_zero"],
-    ]
-    return header, row
+def _emit_report(report: dict, columns, args) -> None:
+    if (args.format or "json") == "json":
+        _emit_json(report, args)
+    else:
+        _emit_csv([_flat_row(columns, report)], args)
 
 
 def cmd_analyze(args) -> int:
@@ -335,11 +370,7 @@ def cmd_analyze(args) -> int:
     report = _base_report("analyze", args, descriptor, problem_digest, init_digest, table)
     sections, *_ = _analysis_sections(table, state, args.tol_zero)
     report.update(sections)
-    if (args.format or "json") == "json":
-        _emit_json(report, args)
-    else:
-        header, row = _flat_analysis_row(report)
-        _emit_csv_rows(header, [row], args)
+    _emit_report(report, _ANALYZE_COLUMNS, args)
     return 0
 
 
@@ -389,7 +420,7 @@ def cmd_verify(args) -> int:
     verdicts = {}
     if args.mixer == "grover":
         observed_comm = commutant_dimension(basis, tol_rank=args.tol_rank)
-        w0 = [overlaps.xi_components[j] for j in overlaps.supported_levels]
+        w0 = [overlaps.component(j) for j in overlaps.supported_levels]
         w0_residual = invariant_subspace_residual(basis, w0)
         lines = complement_invariant_lines(spectrum, overlaps)
         line_residual = 0.0
@@ -426,28 +457,21 @@ def cmd_verify(args) -> int:
         verdicts["isotypic"] = {"verdict": "not-run"}
     oracle_section["verdicts"] = verdicts
     report["oracle"] = oracle_section
-
-    if (args.format or "json") == "json":
-        _emit_json(report, args)
-    else:
-        header, row = _flat_analysis_row(report)
-        header += [
-            "mixer", "closure_dim", "closure_rounds", "closure_hit_cap",
-            "oracle_commutant_dim", "w0_residual", "complement_line_residual",
-            "verdict_dla_dim", "verdict_commutant", "verdict_isotypic",
-            "tol_indep", "tol_rank", "tol_invariant",
-        ]
-        row += [
-            args.mixer, closure.dimension, closure.rounds, closure.hit_cap,
-            oracle_section.get("commutant_dim"), oracle_section.get("w0_residual"),
-            oracle_section.get("complement_line_residual"),
-            verdicts["dla_dim"]["verdict"], verdicts["commutant_dim"]["verdict"],
-            verdicts["isotypic"]["verdict"],
-            args.tol_indep, args.tol_rank, TOL_INVARIANT,
-        ]
-        _emit_csv_rows(header, [row], args)
+    _emit_report(report, _VERIFY_COLUMNS, args)
     mismatched = any(v.get("verdict") == "mismatch" for v in verdicts.values())
     return 1 if mismatched else 0
+
+
+def _mc_section(mc) -> dict:
+    return {
+        "depth": mc.p,
+        "samples": mc.samples,
+        "seed": mc.seed,
+        "mean": mc.mean,
+        "variance": mc.variance,
+        "stderr_mean": mc.stderr_mean,
+        "stderr_variance": mc.stderr_variance,
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -457,15 +481,7 @@ def cmd_simulate(args) -> int:
     sections, _, _, _, _, stats = _analysis_sections(table, state, args.tol_zero)
     report.update(sections)
     mc = monte_carlo_stats(state, table, p=args.depth, samples=args.samples, seed=args.seed)
-    report["monte_carlo"] = {
-        "depth": mc.p,
-        "samples": mc.samples,
-        "seed": mc.seed,
-        "mean": mc.mean,
-        "variance": mc.variance,
-        "stderr_mean": mc.stderr_mean,
-        "stderr_variance": mc.stderr_variance,
-    }
+    report["monte_carlo"] = _mc_section(mc)
     verdicts = {}
     if stats.expected_loss is None:
         verdicts["mean"] = {"verdict": "not-run", "note": "no closed-form mean for a one-dimensional center"}
@@ -485,25 +501,7 @@ def cmd_simulate(args) -> int:
         "within_3_stderr": bool(ok_var),
     }
     report["verdicts"] = verdicts
-    if (args.format or "json") == "json":
-        _emit_json(report, args)
-    else:
-        header = [
-            "tool", "version", "command", "problem_kind", "problem_source",
-            "depth", "samples", "seed", "mean", "variance",
-            "stderr_mean", "stderr_variance", "target_mean", "target_variance",
-            "mean_within_3_stderr", "variance_within_3_stderr",
-        ]
-        row = [
-            report["tool"], report["version"], report["command"],
-            descriptor["kind"], descriptor["path"],
-            mc.p, mc.samples, mc.seed, mc.mean, mc.variance,
-            mc.stderr_mean, mc.stderr_variance,
-            stats.expected_loss, stats.loss_variance,
-            verdicts["mean"].get("within_3_stderr"),
-            verdicts["variance"].get("within_3_stderr"),
-        ]
-        _emit_csv_rows(header, [row], args)
+    _emit_report(report, _SIMULATE_COLUMNS, args)
     return 0
 
 
@@ -515,22 +513,18 @@ def cmd_sweep(args) -> int:
         raise ValueError("depths must be positive")
     table, descriptor, problem_digest = _load_problem(args)
     state, init_digest = _load_init(args, table)
-    sections, _, _, _, _, stats = _analysis_sections(table, state, args.tol_zero)
+    sections, *_ = _analysis_sections(table, state, args.tol_zero)
     reports = depth_sweep(state, table, depths, samples=args.samples, seed=args.seed)
     rows = [
-        [
-            mc.p, mc.samples, mc.seed, mc.mean, mc.variance,
-            mc.stderr_mean, mc.stderr_variance,
-            stats.expected_loss, stats.loss_variance,
-        ]
+        _flat_row(_SWEEP_COLUMNS, {"monte_carlo": _mc_section(mc), "loss_stats": sections["loss_stats"]})
         for mc in reports
     ]
     if (args.format or "csv") == "csv":
-        _emit_csv_rows(_SWEEP_COLUMNS, rows, args)
+        _emit_csv(rows, args)
     else:
         report = _base_report("sweep", args, descriptor, problem_digest, init_digest, table)
         report.update(sections)
-        report["rows"] = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
+        report["rows"] = rows
         _emit_json(report, args)
     return 0
 

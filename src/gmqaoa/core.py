@@ -2,15 +2,18 @@
 
 Shared encodings for objective tables, spectra (distinct values with
 multiplicities) and the decomposition of an initial state into per-level
-components.  The string-to-index encoding is fixed everywhere: a
-configuration (x_0, ..., x_{n-1}) over a q-letter alphabet maps to the
-integer sum_i x_i * q**i, i.e. site 0 is the least significant digit.
+components.  Only ``build_spectrum`` groups objective values into levels;
+per-level weights and coefficients are read off ``Spectrum.level_of``, and
+level components are formed on demand, never stored.  The string-to-index
+encoding is fixed everywhere: a configuration (x_0, ..., x_{n-1}) over a
+q-letter alphabet maps to the integer sum_i x_i * q**i, i.e. site 0 is the
+least significant digit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -136,23 +139,27 @@ class InitialState:
 
 @dataclass(frozen=True)
 class LevelOverlaps:
-    """Per-level components of an initial state.
+    """Per-level coefficients of an initial state.
 
     ``c[j]`` is the signed real coefficient of the state on level j (zero
-    where unsupported) and ``xi_components[j]`` the corresponding unit
-    vector, stored full-length but supported only on the strings of level
-    j.  ``d`` counts the supported levels.
+    where unsupported) and ``d`` counts the supported levels.  The unit
+    component xi_j is formed on demand by ``component(j)`` from the state's
+    amplitudes, ``level_of``, the weight ``weights[j] = ||P_j xi||`` and the
+    lead phase ``phases[j]``.
     """
 
     c: np.ndarray
-    xi_components: Dict[int, np.ndarray]
     d: int
-    supported_levels: List[int] = field(default_factory=list)
+    supported_levels: List[int]
+    amplitudes: np.ndarray
+    level_of: np.ndarray
+    weights: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         total = float(np.sum(c**2))
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # also refuses a NaN norm
             raise ValueError(f"coefficients must satisfy sum(c**2) = 1, got {total!r}")
         if self.d != len(self.supported_levels):
             raise ValueError("d must equal the number of supported levels")
@@ -162,15 +169,18 @@ class LevelOverlaps:
     def sum_c(self) -> float:
         return float(np.sum(self.c))
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of c_j * xi_j over the supported levels."""
-        if not self.supported_levels:
-            raise ValueError("no supported levels to reconstruct from")
-        out = None
-        for j in self.supported_levels:
-            term = self.c[j] * self.xi_components[j]
-            out = term if out is None else out + term
+    def component(self, j: int) -> np.ndarray:
+        """Unit vector xi_j = P_j xi * conj(phase_j) / ||P_j xi||, full length."""
+        if self.c[j] == 0.0:
+            raise ValueError(f"level {j} is not supported by the state")
+        mask = self.level_of == j
+        out = np.zeros_like(self.amplitudes)
+        out[mask] = self.amplitudes[mask] * np.conj(self.phases[j]) / self.weights[j]
         return out
+
+    def reconstruct(self) -> np.ndarray:
+        """Sum of c_j * xi_j over the supported levels (at least one, as sum(c**2) = 1)."""
+        return sum(self.c[j] * self.component(j) for j in self.supported_levels)
 
 
 def build_spectrum(objective: ObjectiveTable, tol_level: float = 0.0) -> Spectrum:
@@ -183,31 +193,15 @@ def build_spectrum(objective: ObjectiveTable, tol_level: float = 0.0) -> Spectru
     the merged level); choosing it sensibly for hand-made real-valued
     tables is the caller's responsibility.
     """
-    vals = objective.values
-    uniq, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-    r = len(uniq)
-    if tol_level > 0.0 and r > 1:
-        desc = uniq[::-1]
-        counts_desc = counts[::-1]
-        group = np.empty(r, dtype=int)
-        group[0] = 0
-        g = 0
-        for k in range(1, r):
-            if desc[k - 1] - desc[k] > tol_level:
-                g += 1
-            group[k] = g
-        n_groups = g + 1
-        values = np.array([desc[group == gg][0] for gg in range(n_groups)])
-        mult = np.array([int(counts_desc[group == gg].sum()) for gg in range(n_groups)])
-        level_of = group[(r - 1) - inverse]
-    else:
-        values = uniq[::-1].copy()
-        mult = counts[::-1].copy()
-        level_of = (r - 1) - inverse
+    uniq, inverse, counts = np.unique(objective.values, return_inverse=True, return_counts=True)
+    desc = uniq[::-1]
+    # a level starts at each distinct value more than tol_level below the one before it
+    starts = np.concatenate(([True], -np.diff(desc) > max(0.0, tol_level)))
+    group = np.cumsum(starts) - 1
     return Spectrum(
-        values=values,
-        multiplicities=mult,
-        level_of=level_of,
+        values=desc[starts],
+        multiplicities=np.add.reduceat(counts[::-1], np.flatnonzero(starts)),
+        level_of=group[(len(uniq) - 1) - inverse],
         n_states=objective.size,
     )
 
@@ -220,44 +214,54 @@ def uniform_state(n: int, q: int) -> InitialState:
     return InitialState(np.full(size, 1.0 / np.sqrt(size), dtype=complex))
 
 
-def decompose_initial_state(
-    state: InitialState, spectrum: Spectrum, tol_zero: float = TOL_ZERO
-) -> LevelOverlaps:
-    """Split a state into its components along the level-set blocks.
-
-    Phase convention: each supported component xi_j is the normalized
-    projection onto level j, rotated so that its first nonzero amplitude
-    (lowest string index) is real positive; the coefficient c_j absorbs
-    the resulting real sign.  Projections whose phase cannot be rotated
-    to +-1 this way are rejected with :class:`ComplexOverlapError`.
-    """
+def level_weights(state: InitialState, spectrum: Spectrum) -> np.ndarray:
+    """w_j = ||P_j xi|| for every level j, in one pass over ``level_of``."""
     amps = state.amplitudes
     if amps.shape[0] != spectrum.n_states:
         raise ValueError("state and spectrum dimensions disagree")
-    r = spectrum.r
-    c = np.zeros(r)
-    components: Dict[int, np.ndarray] = {}
-    for j in range(r):
-        mask = spectrum.level_of == j
-        block = amps[mask]
-        weight = float(np.linalg.norm(block))
-        if weight <= tol_zero:
-            continue
-        mags = np.abs(block)
-        visible = mags > tol_zero
-        lead = int(np.argmax(visible)) if visible.any() else int(np.argmax(mags))
-        phase = block[lead] / mags[lead]
-        coeff = weight * phase
-        if abs(coeff.imag) > TOL_NORM * max(1.0, abs(coeff)):
-            raise ComplexOverlapError(
-                f"complex-overlap: level {j} projection carries phase "
-                f"{complex(phase):.6g}; the real-coefficient convention does not apply"
-            )
-        c[j] = coeff.real
-        comp = np.zeros_like(amps)
-        comp[mask] = block * np.conj(phase) / weight
-        components[j] = comp
-    supported = [j for j in range(r) if c[j] != 0.0]
+    mags_sq = amps.real**2 + amps.imag**2
+    return np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
+
+
+def decompose_initial_state(
+    state: InitialState, spectrum: Spectrum, tol_zero: float = TOL_ZERO
+) -> LevelOverlaps:
+    """Split a state into its coefficients along the level-set blocks.
+
+    Phase convention: each supported component xi_j is the normalized
+    projection onto level j, rotated so that its lead amplitude is real
+    positive; the coefficient c_j absorbs the resulting real sign.  The
+    lead is the first amplitude above ``tol_zero`` (lowest string index),
+    or the first of largest magnitude if the level has none.  Projections
+    whose phase cannot be rotated to +-1 this way are rejected with
+    :class:`ComplexOverlapError`.
+    """
+    weights = level_weights(state, spectrum)
+    amps, level_of = state.amplitudes, spectrum.level_of
+    mags = np.abs(amps)
+    visible = np.flatnonzero(mags > tol_zero)
+    lead = np.full(spectrum.r, spectrum.n_states)
+    np.minimum.at(lead, level_of[visible], visible)
+    levels = np.flatnonzero(~(weights <= tol_zero))
+    for j in levels[lead[levels] == spectrum.n_states]:  # no amplitude above tol_zero
+        members = np.flatnonzero(level_of == j)
+        lead[j] = members[np.argmax(mags[members])]
+    phases = np.zeros(spectrum.r, dtype=complex)
+    phases[levels] = amps[lead[levels]] / mags[lead[levels]]
+    coeff = weights * phases
+    bad = np.flatnonzero(np.abs(coeff.imag) > TOL_NORM * np.maximum(1.0, np.abs(coeff)))
+    if bad.size:
+        raise ComplexOverlapError(
+            f"complex-overlap: level {bad[0]} projection carries phase "
+            f"{complex(phases[bad[0]]):.6g}; the real-coefficient convention does not apply"
+        )
+    supported = np.flatnonzero(coeff.real).tolist()
     return LevelOverlaps(
-        c=c, xi_components=components, d=len(supported), supported_levels=supported
+        c=coeff.real,
+        d=len(supported),
+        supported_levels=supported,
+        amplitudes=amps,
+        level_of=level_of,
+        weights=weights,
+        phases=phases,
     )

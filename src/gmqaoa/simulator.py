@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import InitialState, ObjectiveTable, SizeLimitError
+from .core import InitialState, ObjectiveTable, SizeLimitError, build_spectrum, level_weights
 
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
@@ -124,16 +124,17 @@ def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
 
 
 def _level_weights(xi: InitialState, objective: ObjectiveTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct objective values lambda_j and level weights w_j = ||P_j xi||.
+    """Distinct objective values lambda_j and level weights w_j = ||P_j xi||,
+    in ascending value order.
 
     Levels the state does not touch (w_j = 0) are dropped, so both arrays
     have length d.
     """
     if xi.amplitudes.shape[0] != objective.size:
         raise ValueError("state and objective dimensions disagree")
-    lam, level = np.unique(objective.values, return_inverse=True)
-    amp = xi.amplitudes
-    w = np.sqrt(np.bincount(level, weights=amp.real**2 + amp.imag**2, minlength=len(lam)))
+    spectrum = build_spectrum(objective)
+    lam = spectrum.values[::-1]
+    w = level_weights(xi, spectrum)[::-1]
     keep = w > 0.0
     return lam[keep], w[keep]
 

@@ -114,3 +114,34 @@ def twirled_mean_loss(objective: ObjectiveTable, state: InitialState) -> tuple[f
     n = amps.shape[0]
     phi = (basis @ (basis.conj().T @ rho)).reshape(n, n)
     return float(np.trace(phi @ h_p).real), basis.shape[1]
+
+
+def reference_decomposition(
+    amplitudes, values, tol_zero: float
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Coefficients c_j and unit components xi_j by a per-string loop.
+
+    Levels are the distinct values in descending order.  A level counts
+    when its weight exceeds ``tol_zero``; its lead is the first string
+    whose amplitude exceeds ``tol_zero``, or else the first of largest
+    magnitude, and xi_j is the level's projection rotated so that the
+    lead is real positive.
+    """
+    amps = [complex(a) for a in amplitudes]
+    levels = sorted(set(float(v) for v in values), reverse=True)
+    c = np.zeros(len(levels))
+    components = {}
+    for j, value in enumerate(levels):
+        members = [x for x in range(len(amps)) if float(values[x]) == value]
+        weight = sum(abs(amps[x]) ** 2 for x in members) ** 0.5
+        if weight <= tol_zero:
+            continue
+        visible = [x for x in members if abs(amps[x]) > tol_zero]
+        lead = visible[0] if visible else max(members, key=lambda x: abs(amps[x]))
+        phase = amps[lead] / abs(amps[lead])
+        c[j] = (weight * phase).real
+        xi = np.zeros(len(amps), dtype=complex)
+        for x in members:
+            xi[x] = amps[x] * phase.conjugate() / weight
+        components[j] = xi
+    return c, components

@@ -160,7 +160,7 @@ def test_criterion_04_isotypic_invariance(gm_closures):
     bound = 1e-8
     for name, inst in gm_closures.items():
         overlaps = inst["overlaps"]
-        w0 = [overlaps.xi_components[j] for j in overlaps.supported_levels]
+        w0 = [overlaps.component(j) for j in overlaps.supported_levels]
         w0_residual = invariant_subspace_residual(inst["basis"], w0)
         assert w0_residual < bound, name
         lines = complement_invariant_lines(inst["spectrum"], overlaps)

@@ -267,4 +267,4 @@ def test_complement_invariant_lines_structure():
     for v in lines:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         for j in overlaps.supported_levels:
-            assert abs(np.vdot(overlaps.xi_components[j], v)) < 1e-12
+            assert abs(np.vdot(overlaps.component(j), v)) < 1e-12

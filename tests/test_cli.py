@@ -297,3 +297,89 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["dla"]["dim"] == 10
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", "--tol-zero=-1"),
+        ("analyze", "--tol-zero=nan"),
+        ("analyze", "--tol-zero=inf"),
+        ("analyze", "--tol-zero=abc"),
+        ("simulate", "--tol-zero=nan"),
+        ("verify", "--tol-rank=nan"),
+        ("verify", "--tol-rank=-1e-8"),
+        ("verify", "--tol-indep=-1"),
+        ("verify", "--tol-indep=inf"),
+    ],
+)
+def test_bad_tolerance_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--maxcut", str(DATA / "p3.graph"), flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite number >= 0" in captured.err
+
+
+def test_zero_tolerance_accepted(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--tol-zero=0")
+    assert code == 0
+    assert json.loads(out)["config"]["tolerances"]["tol_zero"] == 0.0
+
+
+_ANALYZE_HEADER = [
+    "tool", "version", "command", "problem_kind", "problem_source",
+    "n", "q", "n_states", "r", "levels", "d", "sum_c", "sum_c_squared",
+    "dla_branch", "dla_algebra", "dla_dim", "dla_center_dim",
+    "dla_degenerate", "dla_span_dim", "commutant_dim",
+    "isotypic_irreducible_dim", "isotypic_invariant_lines",
+    "zeta_mean", "zeta_var", "p_su_rho", "p_su_hp", "expected_loss",
+    "loss_variance", "l1", "l2", "tol_zero",
+]
+
+_P3_ANALYZE_ROW = [
+    "gmqaoa", "0.1.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.7071067811865475", "0.9999999999999998",
+    "case-nonzero", "su_3 + u_1 + u_1", "10", "2",
+    "false", "", "12",
+    "3", "5",
+    "1.0", "0.6666666666666666", "0.6666666666666667", "2.0", "1.0",
+    "0.16666666666666666", "3.0", "5.0", "1e-10",
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "simulate"])
+def test_csv_header_and_p3_row(capsys, command):
+    extra = ["--depth", "32", "--samples", "512", "--seed", "7"] if command == "simulate" else []
+    code, out, _ = run_cli(
+        capsys, command, "--maxcut", str(DATA / "p3.graph"), "--format", "csv", *extra
+    )
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(out)))
+    head = ["gmqaoa", "0.1.0", command, "maxcut", str(DATA / "p3.graph")]
+    if command == "analyze":
+        assert header == _ANALYZE_HEADER
+        assert row == _P3_ANALYZE_ROW
+    elif command == "verify":
+        assert header == _ANALYZE_HEADER + [
+            "mixer", "closure_dim", "closure_rounds", "closure_hit_cap",
+            "oracle_commutant_dim", "w0_residual", "complement_line_residual",
+            "verdict_dla_dim", "verdict_commutant", "verdict_isotypic",
+            "tol_indep", "tol_rank", "tol_invariant",
+        ]
+        assert row[:31] == head + _P3_ANALYZE_ROW[5:]
+        assert row[31:36] == ["grover", "10", "5", "false", "12"]
+        assert all(float(cell) < 1e-12 for cell in row[36:38])  # oracle residuals
+        assert row[38:] == ["match", "match", "match", "1e-09", "1e-08", "1e-08"]
+    else:
+        assert header == [
+            "tool", "version", "command", "problem_kind", "problem_source",
+            "depth", "samples", "seed", "mean", "variance",
+            "stderr_mean", "stderr_variance", "target_mean", "target_variance",
+            "mean_within_3_stderr", "variance_within_3_stderr",
+        ]
+        assert row[:8] == head + ["32", "512", "7"]
+        estimates = [0.9853475053126929, 0.16888803109535294, 0.018162032808392105, 0.008286910215115963]
+        assert [float(cell) for cell in row[8:12]] == pytest.approx(estimates, rel=1e-9)
+        assert row[12:] == ["1.0", "0.16666666666666666", "true", "true"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from gmqaoa import (
     house_graph,
     uniform_state,
 )
+from helpers import random_graph, reference_decomposition
 
 # [0,1,2,1,1,2,1,0]: cut sizes of the 3-vertex path, enumerated by hand
 P3_VALUES = [0.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 0.0]
@@ -100,6 +103,57 @@ def test_decompose_rejects_complex_phase():
         decompose_initial_state(state, spectrum)
 
 
+def test_decompose_refuses_nan_coefficients():
+    # a NaN tolerance counts the empty levels as supported and gives them NaN phases
+    spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
+    amp = np.zeros(8, dtype=complex)
+    amp[5] = 1.0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sum"):
+        decompose_initial_state(InitialState(amp), spectrum, tol_zero=float("nan"))
+
+
+def _p3_state(level_one, rest):
+    """P3 state with ``level_one`` on the cut-1 strings 1, 3, 4, 6 and ``rest`` on 0, 2, 5, 7."""
+    amp = np.zeros(8, dtype=complex)
+    amp[[1, 3, 4, 6]] = level_one
+    amp[[0, 2, 5, 7]] = rest
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize(
+    "amp, tol_zero",
+    [
+        (_p3_state([0.3, 0.2 + 0.4j, -0.1j, 0.5 - 0.5j], [0.4, -0.2, 0.1 + 0.3j, 0.2]), 1e-10),
+        (_p3_state([1e-12j, -0.3, 0.2 + 0.1j, 0.4], [-1e-13, 0.5, 0.2, 0.3]), 1e-10),
+        (_p3_state([0.06, -0.08, 0.08j, 0.07], [0.6, 0.5, 0.4, 0.4]), 0.1),
+    ],
+    ids=["complex-behind-real-lead", "tiny-amplitude-before-lead", "largest-magnitude-fallback"],
+)
+def test_decompose_matches_per_string_reference(amp, tol_zero):
+    spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
+    overlaps = decompose_initial_state(InitialState(amp), spectrum, tol_zero=tol_zero)
+    c, components = reference_decomposition(amp, P3_VALUES, tol_zero)
+    assert np.max(np.abs(overlaps.c - c)) <= 1e-12
+    assert overlaps.supported_levels == sorted(components)
+    for j, xi in components.items():
+        assert np.max(np.abs(overlaps.component(j) - xi)) <= 1e-12
+
+
+def test_decompose_allocates_no_per_level_arrays():
+    # bound fixed before measuring: four full-length complex arrays, for any d
+    table = maxcut_objective(random_graph(np.random.default_rng(3), 16))
+    spectrum = build_spectrum(table)
+    state = uniform_state(table.n, table.q)
+    tracemalloc.start()
+    try:
+        overlaps = decompose_initial_state(state, spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert overlaps.d > 8
+    assert peak <= 4 * 16 * table.size
+
+
 def test_decompose_dimension_mismatch():
     spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -154,6 +208,6 @@ def test_reconstruction_and_counts(table, seed):
     assert overlaps.d <= spectrum.r <= table.size
     assert np.max(np.abs(overlaps.reconstruct() - amp)) < 1e-12
     for j in overlaps.supported_levels:
-        xi = overlaps.xi_components[j]
+        xi = overlaps.component(j)
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
         assert np.all(xi[spectrum.level_of != j] == 0)

@@ -153,7 +153,7 @@ def test_invariant_subspace_residual():
     full = [np.eye(8, dtype=complex)[:, k] for k in range(8)]
     assert invariant_subspace_residual(basis, full) == 0.0
 
-    w0 = [overlaps.xi_components[j] for j in overlaps.supported_levels]
+    w0 = [overlaps.component(j) for j in overlaps.supported_levels]
     assert invariant_subspace_residual(basis, w0) < 1e-9
 
     rng = np.random.default_rng(3)
