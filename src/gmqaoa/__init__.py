@@ -31,7 +31,6 @@ from .oracle import (
     ClosureReport,
     FrameConditionError,
     MatrixUnitError,
-    OperatorBasis,
     OracleCapError,
     commutant_dimension,
     extract_matrix_units,

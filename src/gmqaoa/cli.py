@@ -126,6 +126,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _dim_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"dim cap must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--maxcut", metavar="FILE", help="edge-list graph file, MaxCut objective")
     sp.add_argument("--cnf", metavar="FILE", help="DIMACS cnf file, violated-clause objective")
@@ -161,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
     verify.add_argument("--tol-indep", type=_tolerance, default=TOL_INDEP)
     verify.add_argument("--tol-rank", type=_tolerance, default=TOL_RANK)
-    verify.add_argument("--dim-cap", type=int, default=DIM_CAP)
+    verify.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")

@@ -13,7 +13,7 @@ matrices and reports complex dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -59,25 +59,6 @@ class MatrixUnitError(ValueError):
     """Extracted units deviate from exact matrix units beyond tolerance."""
 
 
-@dataclass
-class OperatorBasis:
-    """Skew-Hermitian matrices, orthonormal under Re tr(A^dag B)."""
-
-    dim_space: int
-    elements: List[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def skewness_residual(self) -> float:
-        return max(float(np.max(np.abs(e + e.conj().T))) for e in self.elements)
-
-    def orthonormality_residual(self) -> float:
-        vecs = np.stack([e.ravel() for e in self.elements])
-        gram = (vecs.conj() @ vecs.T).real
-        return float(np.max(np.abs(gram - np.eye(len(self.elements)))))
-
-
 @dataclass(frozen=True)
 class ClosureReport:
     """Outcome of a closure run; if hit_cap, dimension is a lower bound only."""
@@ -88,9 +69,7 @@ class ClosureReport:
     hit_cap: bool
 
 
-def gm_generators(
-    objective: ObjectiveTable, state: InitialState, max_dim: int = ORACLE_DIM_LIMIT
-) -> Tuple[np.ndarray, np.ndarray]:
+def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.ndarray, np.ndarray]:
     """Dense Hermitian problem Hamiltonian and Grover mixer.
 
     The problem Hamiltonian is diagonal with the objective values; the
@@ -98,8 +77,8 @@ def gm_generators(
     1j to obtain the skew-Hermitian closure generators.
     """
     size = objective.size
-    if size > max_dim:
-        raise OracleCapError(f"dense oracle capped at {max_dim} dimensions, got {size}")
+    if size > ORACLE_DIM_LIMIT:
+        raise OracleCapError(f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got {size}")
     amps = state.amplitudes
     if amps.shape[0] != size:
         raise ValueError("state and objective dimensions disagree")
@@ -138,20 +117,30 @@ def lie_closure(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
     dim_cap: int = DIM_CAP,
-) -> Tuple[OperatorBasis, ClosureReport]:
+) -> Tuple[np.ndarray, ClosureReport]:
     """Close a set of skew-Hermitian generators under the commutator.
 
-    Deterministic schedule: the generators are orthonormalized in input
-    order (modified Gram-Schmidt with one re-orthogonalization pass);
-    then, per round, every element of the previous round's additions is
-    commuted with every basis element present at the round's start, in
-    index order.  Each commutator is rescaled to unit Hilbert-Schmidt
-    norm, projected against the current basis, and appended when the
-    residual exceeds ``tol_indep``.  Commutators whose norm sits at the
-    round-off floor are treated as zero rather than normalized.  Stops
-    when a round adds nothing or ``dim_cap`` is reached (flagged, not
-    fatal).
+    Returns a ``(k, N, N)`` array of skew-Hermitian matrices, orthonormal
+    under Re tr(A^dag B), and the closure report.
+
+    The basis lives in one preallocated array of ``min(dim_cap, N**2)``
+    rows.  Gram-Schmidt runs on its real view, one row of 2 N**2 floats
+    per element, whose dot product is Re tr(A^dag B): classical
+    Gram-Schmidt against the whole basis, with a second pass for
+    survivors.  Deterministic schedule: the generators are
+    orthonormalized in input order; then, per round, every element of the
+    previous round's additions is commuted with every basis element
+    present at the round's start, in index order.  Each candidate is
+    rescaled to unit Hilbert-Schmidt norm, projected against the current
+    basis, and appended when the residual exceeds ``tol_indep``.
+    Commutators whose norm sits at the round-off floor are treated as
+    zero rather than normalized.  Stops when a round adds nothing, when
+    the basis spans all N**2 real dimensions of u(N) (exact, not
+    flagged), or when ``dim_cap`` elements are reached (flagged as
+    ``hit_cap``, not fatal).
     """
+    if dim_cap < 1:
+        raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -167,86 +156,79 @@ def lie_closure(
         )
 
     size2 = dim_space * dim_space
-    elements: List[np.ndarray] = []
-    capacity = 64
-    vecs = np.zeros((capacity, size2), dtype=complex)
-    vecs_conj = np.zeros_like(vecs)
+    capacity = min(dim_cap, size2)
+    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
+    rows = basis.reshape(capacity, size2).view(float)
     count = 0
     max_discarded = 0.0
 
     def try_add(mat: np.ndarray, floor: float = 0.0) -> bool:
-        nonlocal capacity, vecs, vecs_conj, count, max_discarded
+        nonlocal count, max_discarded
         nrm = float(np.linalg.norm(mat))
         if nrm <= floor:
             return False
-        res = mat.ravel() / nrm
+        res = mat.ravel().view(float) / nrm
         if count:
-            # modified Gram-Schmidt, second pass only for survivors
             for _ in range(2):
-                coeffs = (vecs_conj[:count] @ res).real
-                res = res - coeffs @ vecs[:count]
+                res = res - (rows[:count] @ res) @ rows[:count]
                 rnorm = float(np.linalg.norm(res))
                 if rnorm <= tol_indep:
                     max_discarded = max(max_discarded, rnorm)
                     return False
-        new = res.reshape(dim_space, dim_space)
+        new = res.view(complex).reshape(dim_space, dim_space)
         new = 0.5 * (new - new.conj().T)
-        new /= np.linalg.norm(new)
-        elements.append(new)
-        if count == capacity:
-            capacity *= 2
-            vecs = np.vstack([vecs, np.zeros_like(vecs)])
-            vecs_conj = np.vstack([vecs_conj, np.zeros_like(vecs_conj)])
-        vecs[count] = new.ravel()
-        vecs_conj[count] = vecs[count].conj()
+        basis[count] = new / np.linalg.norm(new)
         count += 1
         return True
 
     for g in mats:
+        if count == capacity:
+            break
         try_add(g)
-    frontier = list(range(len(elements)))
+    frontier = range(count)
     rounds = 0
-    hit_cap = len(elements) >= dim_cap
-    while frontier and not hit_cap:
+    while frontier and count < capacity:
         rounds += 1
-        start = len(elements)
-        snapshot = np.stack(elements[:start])
+        start = count
+        span = basis[:start]
         for fi in frontier:
-            f = elements[fi]
-            commutators = np.matmul(f, snapshot) - np.matmul(snapshot, f)
+            f = basis[fi]
+            commutators = np.matmul(f, span) - np.matmul(span, f)
             for k in range(start):
-                if try_add(commutators[k], floor=_ZERO_FLOOR) and len(elements) >= dim_cap:
-                    hit_cap = True
+                if try_add(commutators[k], floor=_ZERO_FLOOR) and count == capacity:
                     break
-            if hit_cap:
+            if count == capacity:
                 break
-        frontier = list(range(start, len(elements)))
-    basis = OperatorBasis(dim_space=dim_space, elements=elements)
+        frontier = range(start, count)
     report = ClosureReport(
-        dimension=len(elements),
+        dimension=count,
         rounds=rounds,
         max_residual_discarded=max_discarded,
-        hit_cap=hit_cap,
+        # N**2 elements span all of u(N): the exact answer, not a lower bound
+        hit_cap=count == dim_cap < size2,
     )
-    return basis, report
+    return basis[:count], report
 
 
-def _as_matrices(basis) -> List[np.ndarray]:
-    if isinstance(basis, OperatorBasis):
-        return basis.elements
-    return [np.asarray(b, dtype=complex) for b in basis]
+def _basis_array(basis) -> np.ndarray:
+    elements = np.asarray(basis, dtype=complex)
+    if len(elements) == 0:
+        raise ValueError("need at least one basis element")
+    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+        raise ValueError("basis must be a (k, N, N) array of square matrices")
+    return elements
 
 
 def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     """Complex dimension of {X : [X, B_k] = 0 for all k}.
 
-    Computed as the nullity of sum_k ad_k^dag ad_k acting on complex
-    N x N matrices; eigenvalues below ``tol_rank`` count as null.
+    ``basis`` is any (k, N, N) array-like, such as the closure basis or a
+    list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
+    acting on complex N x N matrices; eigenvalues below ``tol_rank``
+    count as null.
     """
-    elements = _as_matrices(basis)
-    if not elements:
-        raise ValueError("need at least one basis element")
-    n = elements[0].shape[0]
+    elements = _basis_array(basis)
+    n = elements.shape[1]
     if n > ORACLE_DIM_LIMIT:
         raise OracleCapError(
             f"commutant solver capped at {ORACLE_DIM_LIMIT} dimensions, got {n}"
@@ -267,8 +249,9 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
 
 def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:
     """Largest norm of the part of B v falling outside the subspace,
-    over basis elements B and subspace basis vectors v."""
-    elements = _as_matrices(basis)
+    over basis elements B of a (k, N, N) array-like and subspace basis
+    vectors v."""
+    elements = _basis_array(basis)
     cols = [np.asarray(v, dtype=complex).ravel() for v in subspace]
     if not cols:
         raise ValueError("subspace must contain at least one vector")
@@ -276,12 +259,9 @@ def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:
     gram = v.conj().T @ v
     if np.max(np.abs(gram - np.eye(v.shape[1]))) > _TOL_ORTH:
         raise ValueError("subspace vectors must be orthonormal")
-    worst = 0.0
-    for b in elements:
-        w = b @ v
-        outside = w - v @ (v.conj().T @ w)
-        worst = max(worst, float(np.max(np.linalg.norm(outside, axis=0))))
-    return worst
+    w = elements @ v
+    outside = w - v @ (v.conj().T @ w)
+    return float(np.max(np.linalg.norm(outside, axis=1)))
 
 
 def frame_condition(a: np.ndarray, tol_zero: float = TOL_ZERO) -> bool:

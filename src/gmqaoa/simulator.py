@@ -152,18 +152,20 @@ def _sample_losses(
     rows = max(1, _BLOCK_ENTRIES // len(w))
     losses = np.empty(samples)
     for start in range(0, samples, rows):
-        block = [
-            sample_parameters(p, np.random.Generator(np.random.PCG64(_stream_seed(seed, i))))
-            for i in range(start, min(start + rows, samples))
-        ]
-        betas = np.array([params.betas for params in block])
-        gammas = np.array([params.gammas for params in block])
-        a = np.tile(w.astype(complex), (len(block), 1))
+        stop = min(start + rows, samples)
+        betas = np.empty((stop - start, p))
+        gammas = np.empty((stop - start, p))
+        for row, i in enumerate(range(start, stop)):
+            # the draws of sample_parameters, without building a ParameterSet
+            rng = np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
+            betas[row] = rng.uniform(0.0, BETA_MAX, p)
+            gammas[row] = rng.uniform(0.0, GAMMA_MAX, p)
+        a = np.tile(w.astype(complex), (stop - start, 1))
         for k in range(p):
             a *= np.exp(-1j * gammas[:, k, None] * lam)
             overlap = np.sum(a * w, axis=1)
             a += ((np.exp(1j * betas[:, k]) - 1.0) * overlap)[:, None] * w
-        losses[start : start + len(block)] = np.sum((a.real**2 + a.imag**2) * lam, axis=1)
+        losses[start:stop] = np.sum((a.real**2 + a.imag**2) * lam, axis=1)
     return losses
 
 

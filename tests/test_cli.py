@@ -322,6 +322,26 @@ def test_bad_tolerance_rejected(capsys, command, flag):
     assert "finite number >= 0" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "2.5", "abc"])
+def test_bad_dim_cap_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--maxcut", str(DATA / "p3.graph"), f"--dim-cap={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dim cap must be an integer >= 1" in captured.err
+
+
+def test_verify_closure_stops_at_full_algebra(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--tol-indep", "0"
+    )
+    closure = json.loads(out)["oracle"]["closure"]
+    assert closure["dimension"] == 64
+    assert closure["hit_cap"] is False
+    assert code == 1  # round-off directions counted at tol 0 give u(8), not the predicted 10
+
+
 def test_zero_tolerance_accepted(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--tol-zero=0")
     assert code == 0

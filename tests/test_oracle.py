@@ -98,6 +98,39 @@ def test_lie_closure_dim_cap_flagged():
     assert report.dimension == 3
 
 
+def random_skew(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (m - m.conj().T)
+
+
+def test_lie_closure_never_exceeds_dim_cap():
+    rng = np.random.default_rng(1)
+    gens = [random_skew(rng, 4) for _ in range(2)]
+    basis, report = lie_closure(gens, dim_cap=1)
+    assert basis.shape == (1, 4, 4)
+    assert report.dimension == 1
+    assert report.hit_cap
+    assert report.rounds == 0
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="dim_cap"):
+            lie_closure(gens, dim_cap=bad)
+
+
+def test_lie_closure_is_bounded_by_full_algebra():
+    # with tol_indep = 0 round-off residuals count as new directions, but
+    # skew-Hermitian 3 x 3 matrices span only 9 real dimensions
+    rng = np.random.default_rng(4)
+    gens = [random_skew(rng, 3) for _ in range(2)]
+    basis, report = lie_closure(gens, tol_indep=0.0)
+    assert basis.shape == (9, 3, 3)
+    assert report.dimension == 9
+    assert not report.hit_cap
+    # reaching u(N) is exact even when the cap equals N**2
+    _, at_cap = lie_closure(gens, dim_cap=9)
+    assert at_cap.dimension == 9
+    assert not at_cap.hit_cap
+
+
 def test_lie_closure_monotone_in_generators():
     rng = np.random.default_rng(2)
     mats = []
@@ -114,9 +147,10 @@ def test_closure_basis_is_orthonormal_and_contains_generators():
     h_p, g_m = gm_generators(table, state)
     generators = [1j * h_p, 1j * g_m]
     basis, report = lie_closure(generators)
-    assert basis.orthonormality_residual() < 1e-12
-    assert basis.skewness_residual() < 1e-12
-    vecs = np.stack([e.ravel() for e in basis.elements])
+    vecs = basis.reshape(len(basis), -1)
+    gram = (vecs.conj() @ vecs.T).real
+    assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
+    assert np.max(np.abs(basis + basis.conj().transpose(0, 2, 1))) < 1e-12
     for gen in generators:
         v = gen.ravel() / np.linalg.norm(gen)
         coeffs = (vecs.conj() @ v).real
@@ -163,6 +197,18 @@ def test_invariant_subspace_residual():
 
     with pytest.raises(ValueError, match="orthonormal"):
         invariant_subspace_residual(basis, [full[0], full[0]])
+
+
+def test_oracles_accept_matrix_lists_and_refuse_empty_bases():
+    table, state, _, overlaps = p3_setup()
+    h_p, g_m = gm_generators(table, state)
+    basis, _ = lie_closure([1j * h_p, 1j * g_m])
+    w0 = [overlaps.component(j) for j in overlaps.supported_levels]
+    assert invariant_subspace_residual(list(basis), w0) == invariant_subspace_residual(basis, w0)
+    with pytest.raises(ValueError, match="at least one basis element"):
+        invariant_subspace_residual([], w0)
+    with pytest.raises(ValueError, match="at least one basis element"):
+        commutant_dimension([])
 
 
 def test_frame_condition():
