@@ -29,6 +29,7 @@ from .core import (
 from .oracle import (
     AmbiguousSelectorError,
     ClosureReport,
+    CommutantReport,
     FrameConditionError,
     MatrixUnitError,
     OracleCapError,
@@ -36,6 +37,7 @@ from .oracle import (
     extract_matrix_units,
     frame_condition,
     gm_generators,
+    grover_commutant_dimension,
     invariant_subspace_residual,
     lie_closure,
     x_mixer_generator,

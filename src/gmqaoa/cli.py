@@ -40,8 +40,8 @@ from .oracle import (
     TOL_INDEP,
     TOL_RANK,
     OracleCapError,
-    commutant_dimension,
     gm_generators,
+    grover_commutant_dimension,
     invariant_subspace_residual,
     lie_closure,
     traceless_part,
@@ -116,13 +116,24 @@ _SIMULATE_COLUMNS = _HEAD_COLUMNS + (("depth", "monte_carlo.depth"),) + _MC_COLU
 _SWEEP_COLUMNS = (("p", "monte_carlo.depth"),) + _MC_COLUMNS
 
 
-def _tolerance(text: str) -> float:
+def _float_or_nan(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
+        return math.nan
+
+
+def _tolerance(text: str) -> float:
+    value = _float_or_nan(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = _float_or_nan(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"threshold must be a finite number, got {text!r}")
     return value
 
 
@@ -144,7 +155,7 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--table", metavar="FILE", help="JSON objective table {q, n, values}")
     sp.add_argument("--init", default="uniform", metavar="uniform|FILE",
                     help="initial state: 'uniform' or a JSON amplitude file")
-    sp.add_argument("--threshold", type=float, metavar="T",
+    sp.add_argument("--threshold", type=_threshold, metavar="T",
                     help="replace the objective by its >= T indicator")
     sp.add_argument("--threshold-strict", action="store_true",
                     help="use > T instead of >= T")
@@ -429,7 +440,11 @@ def cmd_verify(args) -> int:
     }
     verdicts = {}
     if args.mixer == "grover":
-        observed_comm = commutant_dimension(basis, tol_rank=args.tol_rank)
+        # exact for the DLA: commuting with it is commuting with its generators
+        commutant_report = grover_commutant_dimension(
+            table.values, state.amplitudes, tol_rank=args.tol_rank
+        )
+        observed_comm = commutant_report.dimension
         w0 = [overlaps.component(j) for j in overlaps.supported_levels]
         w0_residual = invariant_subspace_residual(basis, w0)
         lines = complement_invariant_lines(spectrum, overlaps)
@@ -438,6 +453,10 @@ def cmd_verify(args) -> int:
             line_residual = max(line_residual, invariant_subspace_residual(basis, [line]))
         oracle_section.update(
             commutant_dim=observed_comm,
+            commutant_margin={
+                "max_null": commutant_report.max_null,
+                "min_nonnull": commutant_report.min_nonnull,
+            },
             tol_rank=args.tol_rank,
             w0_residual=w0_residual,
             complement_line_residual=line_residual,

@@ -6,14 +6,15 @@ diagonal/frame generator pair.
 
 Dimension conventions, since mixing them is the classic bug here: the
 Lie closure works over the REAL span of skew-Hermitian matrices and
-reports real dimensions; the commutant solver works over COMPLEX
-matrices and reports complex dimensions.
+reports real dimensions; the commutant solvers work over COMPLEX
+matrices and report complex dimensions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,17 @@ class ClosureReport:
     rounds: int
     max_residual_discarded: float
     hit_cap: bool
+
+
+@dataclass(frozen=True)
+class CommutantReport:
+    """Commutant dimension and its margin around ``tol_rank``: the largest
+    eigenvalue counted as null and the smallest counted as non-null, each
+    None when no eigenvalue falls on its side."""
+
+    dimension: int
+    max_null: Optional[float]
+    min_nonnull: Optional[float]
 
 
 def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.ndarray, np.ndarray]:
@@ -245,6 +257,62 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
         acc -= np.kron(b, bh.T)
     eigs = np.linalg.eigvalsh(0.5 * (acc + acc.conj().T))
     return int(np.count_nonzero(eigs < tol_rank))
+
+
+def grover_commutant_dimension(values, amplitudes, tol_rank: float = TOL_RANK) -> CommutantReport:
+    """Complex dimension of the commutant of diag(values) and the
+    projector onto ``amplitudes``, from the 2N generator equations.
+
+    X commutes with diag(values) iff X_ab = 0 unless values[a] ==
+    values[b] (exact equality, as in ``build_spectrum``'s default), which
+    leaves sum_j n_j**2 unknowns.  With u the normalized amplitudes and
+    P = I - u u^dag, X also commutes with u u^dag iff P X u = 0 and
+    u^dag X P = 0: 2N equations M x = 0 with u^dag X u eliminated.  The
+    rank of M is the number of eigenvalues at or above ``tol_rank`` of
+    the 2N x 2N Gram matrix M M^dag, assembled without forming M:
+
+        [[P W P,         K K^T      ],
+         [conj(K K^T),   conj(P W P)]]
+
+    where W = diag(w_level(a)) holds each index's level weight
+    w_j = sum over level j of |u_a|^2, and K = P Z for the N x r matrix
+    Z with Z[a, level(a)] = u_a.  This equals the commutant of the whole
+    Grover DLA, since an operator commutes with a Lie algebra iff it
+    commutes with its generators.
+    """
+    lam = np.asarray(values, dtype=float)
+    amps = np.asarray(amplitudes, dtype=complex)
+    if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
+        raise ValueError("values and amplitudes must be non-empty 1-d arrays of one length")
+    n = lam.size
+    if n > ORACLE_DIM_LIMIT:
+        raise OracleCapError(
+            f"commutant solver capped at {ORACLE_DIM_LIMIT} dimensions, got {n}"
+        )
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("values must be finite")
+    nrm = float(np.linalg.norm(amps))
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        raise ValueError("amplitudes must have a finite nonzero norm")
+    u = amps / nrm
+
+    _, level_of, counts = np.unique(lam, return_inverse=True, return_counts=True)
+    unknowns = int(np.sum(counts**2))
+    weights = np.bincount(level_of, weights=u.real**2 + u.imag**2)
+    proj = np.eye(n) - np.outer(u, u.conj())
+    pwp = (proj * weights[level_of]) @ proj
+    z = np.zeros((n, len(counts)), dtype=complex)
+    z[np.arange(n), level_of] = u
+    k = z - np.outer(u, weights)  # P Z, since (u^dag Z)_j = w_j
+    kkt = k @ k.T
+    gram = np.block([[pwp, kkt], [kkt.conj(), pwp.conj()]])
+    eigs = np.linalg.eigvalsh(gram)
+    null = int(np.searchsorted(eigs, tol_rank))
+    return CommutantReport(
+        dimension=unknowns - (2 * n - null),
+        max_null=float(eigs[null - 1]) if null else None,
+        min_nonnull=float(eigs[null]) if null < 2 * n else None,
+    )
 
 
 def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:

@@ -174,6 +174,9 @@ def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, se
         raise ValueError("need at least two samples")
     if p < 1:
         raise ValueError("depth must be at least 1")
+    if not 0 <= seed <= _MASK64:
+        # _stream_seed works modulo 2**64, so other seeds would alias these
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     losses = _sample_losses(levels, p, samples, seed)
     mean = float(np.mean(losses))
     variance = float(np.var(losses, ddof=1))
@@ -187,7 +190,7 @@ def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, se
         variance=variance,
         stderr_mean=float(np.sqrt(variance / samples)),
         stderr_variance=float(np.sqrt(max(var_of_var, 0.0))),
-        seed=int(seed) & _MASK64,
+        seed=int(seed),
     )
 
 
@@ -200,11 +203,12 @@ def monte_carlo_stats(
 ) -> McReport:
     """Estimate mean and variance of the loss over random parameters.
 
-    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``,
-    and the reductions run over the sample-ordered array, so the report is
-    a pure function of the arguments.  The variance is the unbiased
-    sample variance; its standard error uses the plug-in fourth-central-
-    moment formula sqrt((m4 - s^4 (M-3)/(M-1)) / M).
+    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``
+    for a ``seed`` in [0, 2**64), and the reductions run over the
+    sample-ordered array, so the report is a pure function of the
+    arguments.  The variance is the unbiased sample variance; its
+    standard error uses the plug-in fourth-central-moment formula
+    sqrt((m4 - s^4 (M-3)/(M-1)) / M).
     """
     return _monte_carlo(_level_weights(xi, objective), p, samples, seed)
 

@@ -110,6 +110,22 @@ def test_analyze_threshold(capsys):
     assert report["dla"]["dim"] == 5
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "abc"])
+def test_non_finite_threshold_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--maxcut", str(DATA / "p3.graph"), f"--threshold={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold must be a finite number" in captured.err
+
+
+def test_negative_threshold_accepted(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--threshold=-1")
+    assert code == 0
+    assert json.loads(out)["config"]["problem"]["threshold"]["t"] == -1.0
+
+
 def test_analyze_custom_init_basis_state(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text("[1, 0]")
@@ -168,6 +184,16 @@ def test_verify_p3(capsys):
     assert verdicts["dla_dim"]["verdict"] == "match"
     assert verdicts["commutant_dim"]["verdict"] == "match"
     assert verdicts["isotypic"]["verdict"] == "match"
+
+
+def test_verify_c6(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "c6.graph"))
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["commutant_dim"] == 1685
+    margin = oracle["commutant_margin"]
+    assert margin["max_null"] < oracle["tol_rank"] < margin["min_nonnull"]
+    assert all(v["verdict"] == "match" for v in oracle["verdicts"].values())
 
 
 def test_verify_x_mixer(capsys):
@@ -265,6 +291,27 @@ def test_simulate_variance_verdict_at_depth(capsys):
     assert report["verdicts"]["mean"]["target"] == pytest.approx(1.0)
     assert report["verdicts"]["mean"]["within_3_stderr"] is True
     assert "note" not in report["verdicts"]["mean"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command, extra", [("simulate", ()), ("sweep", ("--depths", "1"))])
+def test_seed_outside_64_bits_rejected(capsys, command, extra, seed):
+    code, out, err = run_cli(
+        capsys, command, "--maxcut", str(DATA / "p3.graph"),
+        "--samples", "4", *extra, "--seed", seed,
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed must lie in [0, 2**64)" in err
+
+
+def test_largest_seed_accepted(capsys):
+    seed = str((1 << 64) - 1)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--maxcut", str(DATA / "p3.graph"), "--samples", "4", "--seed", seed
+    )
+    assert code == 0
+    assert json.loads(out)["monte_carlo"]["seed"] == (1 << 64) - 1
 
 
 def test_sweep_rows_and_header(capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,21 +10,30 @@ from gmqaoa import (
     ObjectiveTable,
     OracleCapError,
     build_spectrum,
+    cnf_objective,
+    coloring_objective,
     commutant_dimension,
     decompose_initial_state,
     extract_matrix_units,
     frame_condition,
     gm_generators,
+    grover_commutant_dimension,
     invariant_subspace_residual,
     lie_closure,
     maxcut_objective,
+    parse_cnf,
+    parse_custom_table,
+    parse_graph,
     path_graph,
+    predict_commutant,
     restricted_generators,
     uniform_state,
     x_mixer_generator,
 )
 from gmqaoa.oracle import traceless_part
 from helpers import exact_unit
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def p3_setup():
@@ -177,6 +188,89 @@ def test_commutant_dimension_examples():
 def test_commutant_cap():
     with pytest.raises(OracleCapError):
         commutant_dimension([1j * np.eye(65, dtype=complex)])
+
+
+def bundled_table(name):
+    if name == "triangle-q3":
+        return coloring_objective(parse_graph((DATA / "triangle.graph").read_text()), 3)
+    text = (DATA / name).read_text()
+    if name.endswith(".cnf"):
+        return cnf_objective(parse_cnf(text))
+    if name.endswith(".json"):
+        return parse_custom_table(text)
+    return maxcut_objective(parse_graph(text))
+
+
+def grover_test_states(table, seed):
+    """Uniform, random complex, and random complex with the top level zeroed."""
+    rng = np.random.default_rng(seed)
+    size = table.size
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    zeroed = np.where(table.values == table.values.max(), 0.0, amps)
+    return [
+        uniform_state(table.n, table.q),
+        InitialState(amps / np.linalg.norm(amps)),
+        InitialState(zeroed / np.linalg.norm(zeroed)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["p3.graph", "p4.graph", "c4.graph", "k4.graph", "triangle.graph", "house.graph",
+     "example.cnf", "identity_n1.json", "triangle-q3"],
+)
+def test_grover_commutant_matches_dense_solver(name):
+    table = bundled_table(name)
+    assert table.size <= 32
+    for state in grover_test_states(table, seed=sum(map(ord, name))):
+        h_p, g_m = gm_generators(table, state)
+        report = grover_commutant_dimension(table.values, state.amplitudes)
+        assert report.dimension == commutant_dimension([1j * h_p, 1j * g_m])
+        # the gap around tol_rank spans ten decades on every instance
+        assert report.max_null < 1e-13
+        assert report.min_nonnull is None or report.min_nonnull > 1e-3
+
+
+def test_grover_commutant_of_c6_matches_prediction():
+    table = bundled_table("c6.graph")
+    state = uniform_state(table.n, table.q)
+    spectrum = build_spectrum(table)
+    predicted = predict_commutant(spectrum, decompose_initial_state(state, spectrum)).dim
+    assert predicted == 1685
+    assert grover_commutant_dimension(table.values, state.amplitudes).dimension == predicted
+
+
+def test_grover_commutant_is_flat_across_tol_rank():
+    table = bundled_table("house.graph")
+    amps = uniform_state(table.n, table.q).amplitudes
+    dims = {
+        grover_commutant_dimension(table.values, amps, tol_rank=tol).dimension
+        for tol in np.logspace(-13, -3, 11)
+    }
+    assert dims == {206}
+
+
+def test_grover_commutant_margin_sides():
+    # a basis state on one of two levels: every Gram eigenvalue is null
+    report = grover_commutant_dimension([0.0, 1.0], [1.0, 0.0])
+    assert report.dimension == 2
+    assert report.min_nonnull is None
+    assert report.max_null < 1e-13
+    # nothing counts as null below a negative threshold
+    assert grover_commutant_dimension([0.0, 1.0], [1.0, 0.0], tol_rank=-1.0).max_null is None
+
+
+def test_grover_commutant_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="one length"):
+        grover_commutant_dimension([0.0, 1.0, 2.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="one length"):
+        grover_commutant_dimension([], [])
+    with pytest.raises(OracleCapError):
+        grover_commutant_dimension(np.zeros(65), np.full(65, 65**-0.5))
+    with pytest.raises(ValueError, match="finite"):
+        grover_commutant_dimension([0.0, np.nan], [1.0, 0.0])
+    with pytest.raises(ValueError, match="nonzero norm"):
+        grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
 
 
 def test_invariant_subspace_residual():
