@@ -442,7 +442,7 @@ def cmd_verify(args) -> int:
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
         commutant_report = grover_commutant_dimension(
-            table.values, state.amplitudes, tol_rank=args.tol_rank
+            table.values, state.amplitudes, tol_rank=args.tol_rank, tol_zero=args.tol_zero
         )
         observed_comm = commutant_report.dimension
         w0 = [overlaps.component(j) for j in overlaps.supported_levels]

@@ -259,7 +259,9 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     return int(np.count_nonzero(eigs < tol_rank))
 
 
-def grover_commutant_dimension(values, amplitudes, tol_rank: float = TOL_RANK) -> CommutantReport:
+def grover_commutant_dimension(
+    values, amplitudes, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO
+) -> CommutantReport:
     """Complex dimension of the commutant of diag(values) and the
     projector onto ``amplitudes``, from the 2N generator equations.
 
@@ -268,17 +270,13 @@ def grover_commutant_dimension(values, amplitudes, tol_rank: float = TOL_RANK) -
     leaves sum_j n_j**2 unknowns.  With u the normalized amplitudes and
     P = I - u u^dag, X also commutes with u u^dag iff P X u = 0 and
     u^dag X P = 0: 2N equations M x = 0 with u^dag X u eliminated.  The
-    rank of M is the number of eigenvalues at or above ``tol_rank`` of
-    the 2N x 2N Gram matrix M M^dag, assembled without forming M:
-
-        [[P W P,         K K^T      ],
-         [conj(K K^T),   conj(P W P)]]
-
-    where W = diag(w_level(a)) holds each index's level weight
-    w_j = sum over level j of |u_a|^2, and K = P Z for the N x r matrix
-    Z with Z[a, level(a)] = u_a.  This equals the commutant of the whole
-    Grover DLA, since an operator commutes with a Lie algebra iff it
-    commutes with its generators.
+    unknowns of level j are scaled by 1 / ||P_j u||, so the rank gap does
+    not shrink with a level's amplitude; a level with ||P_j u|| <=
+    ``tol_zero`` is unsupported, as in ``decompose_initial_state``, and
+    constrains nothing.  The rank of M is the number of eigenvalues of
+    M M^dag (squared singular values of M) at or above ``tol_rank``.
+    This equals the commutant of the whole Grover DLA, since an operator
+    commutes with a Lie algebra iff it commutes with its generators.
     """
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
@@ -296,20 +294,21 @@ def grover_commutant_dimension(values, amplitudes, tol_rank: float = TOL_RANK) -
         raise ValueError("amplitudes must have a finite nonzero norm")
     u = amps / nrm
 
-    _, level_of, counts = np.unique(lam, return_inverse=True, return_counts=True)
-    unknowns = int(np.sum(counts**2))
-    weights = np.bincount(level_of, weights=u.real**2 + u.imag**2)
+    _, level_of = np.unique(lam, return_inverse=True)
+    level_norms = np.sqrt(np.bincount(level_of, weights=u.real**2 + u.imag**2))
+    scale = np.zeros_like(level_norms)
+    np.divide(1.0, level_norms, out=scale, where=level_norms > tol_zero)
+    v = u * scale[level_of]
+    a, b = np.nonzero(level_of[:, None] == level_of[None, :])
     proj = np.eye(n) - np.outer(u, u.conj())
-    pwp = (proj * weights[level_of]) @ proj
-    z = np.zeros((n, len(counts)), dtype=complex)
-    z[np.arange(n), level_of] = u
-    k = z - np.outer(u, weights)  # P Z, since (u^dag Z)_j = w_j
-    kkt = k @ k.T
-    gram = np.block([[pwp, kkt], [kkt.conj(), pwp.conj()]])
-    eigs = np.linalg.eigvalsh(gram)
+    m = np.vstack([proj[:, a] * v[b], v[a].conj() * proj[b, :].T])
+    eigs = np.zeros(2 * n)
+    sing = np.linalg.svd(m, compute_uv=False)
+    eigs[: sing.size] = sing**2
+    eigs.sort()
     null = int(np.searchsorted(eigs, tol_rank))
     return CommutantReport(
-        dimension=unknowns - (2 * n - null),
+        dimension=a.size - (2 * n - null),
         max_null=float(eigs[null - 1]) if null else None,
         min_nonnull=float(eigs[null]) if null < 2 * n else None,
     )

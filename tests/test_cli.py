@@ -196,6 +196,31 @@ def test_verify_c6(capsys):
     assert all(v["verdict"] == "match" for v in oracle["verdicts"].values())
 
 
+def test_verify_faint_supported_level(tmp_path, capsys):
+    # p3 with its cut-0 level (strings 000 and 111) at norm 1e-5
+    rest = ((1 - 1e-10) / 6) ** 0.5
+    low = 1e-5 / 2**0.5
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps([low, rest, rest, rest, rest, rest, rest, low]))
+    code, out, _ = run_cli(
+        capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--init", str(init)
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["overlaps"]["d"] == 3
+    assert report["oracle"]["commutant_dim"] == report["commutant"]["dim"] == 12
+    assert all(v["verdict"] == "match" for v in report["oracle"]["verdicts"].values())
+    # above --tol-zero the level is unsupported for the solver as for the prediction
+    _, out, _ = run_cli(
+        capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--init", str(init),
+        "--tol-zero", "1e-4",
+    )
+    report = json.loads(out)
+    assert report["overlaps"]["d"] == 2
+    assert report["oracle"]["commutant_dim"] == report["commutant"]["dim"] == 15
+    assert report["oracle"]["verdicts"]["commutant_dim"]["verdict"] == "match"
+
+
 def test_verify_x_mixer(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--mixer", "x"

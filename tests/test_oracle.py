@@ -240,6 +240,27 @@ def test_grover_commutant_of_c6_matches_prediction():
     assert grover_commutant_dimension(table.values, state.amplitudes).dimension == predicted
 
 
+def test_grover_commutant_of_faint_level():
+    # one supported level of norm 1e-5: its constraints must still count,
+    # though they enter the unscaled equations at 1e-10
+    table = bundled_table("p3.graph")
+    low = table.values == table.values.min()
+    amps = np.where(low, 1e-5 / np.sqrt(low.sum()), np.sqrt((1 - 1e-10) / (~low).sum()))
+    state = InitialState(amps)
+    spectrum = build_spectrum(table)
+    overlaps = decompose_initial_state(state, spectrum)
+    assert len(overlaps.supported_levels) == spectrum.r
+    h_p, g_m = gm_generators(table, state)
+    basis, closure = lie_closure([1j * h_p, 1j * g_m])
+    assert not closure.hit_cap
+    report = grover_commutant_dimension(table.values, amps)
+    assert report.dimension == predict_commutant(spectrum, overlaps).dim == 12
+    assert report.dimension == commutant_dimension(basis)
+    assert report.max_null < 1e-13 and report.min_nonnull > 1e-3
+    # two levels, the second of norm 1e-5: only multiples of I commute
+    assert grover_commutant_dimension([0.0, 1.0], [np.sqrt(1 - 1e-10), 1e-5]).dimension == 1
+
+
 def test_grover_commutant_is_flat_across_tol_rank():
     table = bundled_table("house.graph")
     amps = uniform_state(table.n, table.q).amplitudes
