@@ -16,7 +16,6 @@ from .analytic import (
     slocal_bound,
 )
 from .core import (
-    ComplexOverlapError,
     InitialState,
     LevelOverlaps,
     ObjectiveTable,

@@ -1,21 +1,21 @@
 """Closed-form structure predictions for Grover-mixer QAOA circuits.
 
 Everything here is a function of the objective's level-set spectrum and
-of the initial state's per-level coefficients c_j: the classification of
-the generated Lie algebra and its center, the commutant dimension, the
-isotypic decomposition of the state space, and the large-depth loss
-statistics.
+of the initial state's per-level weights c_j = ||P_j xi||: the
+classification of the generated Lie algebra and its center, the
+commutant dimension, the isotypic decomposition of the state space, and
+the large-depth loss statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, LevelOverlaps, Spectrum
+from .core import LevelOverlaps, Spectrum
 
 
 @dataclass(frozen=True)
@@ -33,24 +33,12 @@ class RestrictedGenerators:
 
 @dataclass(frozen=True)
 class DlaPrediction:
-    """Predicted Lie-algebra type for the two-generator circuit.
-
-    ``branch`` records which case fired: ``case-nonzero`` (sum of the
-    c_j bounded away from zero, two-dimensional center) or ``case-zero``
-    (one-dimensional center).  For d = 1 the generic argument behind the
-    classification does not apply; such instances are flagged
-    ``degenerate`` and, when the spectrum is available, carry the
-    directly computed span dimension of the two generators.
-    """
+    """Predicted Lie-algebra type for the two-generator circuit."""
 
     d: int
-    sum_c: float
     algebra: str
     dim: int
     center_dim: int
-    branch: str
-    degenerate: bool = False
-    span_dim: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -65,16 +53,15 @@ class LossStatsPrediction:
     """Large-depth mean and variance of the loss under random parameters.
 
     ``zeta_mean``/``zeta_var`` are the statistics of a uniform draw from
-    the d supported objective values.  ``expected_loss`` equals
-    ``zeta_mean`` (= l1/d); it is only derived for the
-    two-dimensional-center case and is None otherwise.
+    the d supported objective values; ``expected_loss`` equals
+    ``zeta_mean`` (= l1/d).
     """
 
     zeta_mean: float
     zeta_var: float
     p_su_rho: float
     p_su_hp: float
-    expected_loss: Optional[float]
+    expected_loss: float
     loss_variance: float
     l1: float
     l2: float
@@ -93,50 +80,24 @@ def restricted_generators(spectrum: Spectrum, overlaps: LevelOverlaps) -> Restri
     return RestrictedGenerators(h_p0=np.diag(lam), g_m0=-np.outer(c_sup, c_sup))
 
 
-def predict_dla(
-    overlaps: LevelOverlaps,
-    tol_zero: float = TOL_ZERO,
-    spectrum: Spectrum | None = None,
-) -> DlaPrediction:
+def predict_dla(spectrum: Spectrum, overlaps: LevelOverlaps) -> DlaPrediction:
     """Classify the Lie algebra generated by the circuit's two generators.
 
-    With d supported levels the algebra is su_d plus a two- or
-    one-dimensional center according to whether sum_j c_j is nonzero or
-    zero (tested against ``tol_zero`` on the convention-fixed real
-    coefficients), giving real dimension d**2 + 1 or d**2.
+    With d supported levels the algebra is su_d on the span W0 of the
+    level components plus a center spanned by the identity on W0 and,
+    when it is nonzero, the problem Hamiltonian restricted to W0's
+    complement: real dimension d**2 or d**2 + 1.  That restriction is
+    nonzero iff some level of nonzero value is unsupported or holds more
+    than one string, so only the weights' support enters, not their
+    phases.
     """
     d = overlaps.d
     if d < 1:
         raise ValueError("state has no supported levels")
-    sum_c = overlaps.sum_c
-    if abs(sum_c) > tol_zero:
-        branch, center_dim = "case-nonzero", 2
-        algebra = f"su_{d} + u_1 + u_1"
-    else:
-        branch, center_dim = "case-zero", 1
-        algebra = f"su_{d} + u_1"
-    dim = (d**2 - 1) + center_dim
-    degenerate = d == 1
-    span_dim = None
-    if degenerate and spectrum is not None:
-        # Both generators commute when the state sits in one level, so the
-        # algebra is their real span; rank of the Gram matrix decides 1 vs 2.
-        j = overlaps.supported_levels[0]
-        lam_s = float(spectrum.values[j])
-        h_sq = float(np.sum(spectrum.multiplicities * spectrum.values**2))
-        gram = np.array([[h_sq, -lam_s], [-lam_s, 1.0]])
-        eigs = np.linalg.eigvalsh(gram)
-        span_dim = int(np.count_nonzero(eigs > 1e-12 * max(1.0, float(eigs.max()))))
-    return DlaPrediction(
-        d=d,
-        sum_c=sum_c,
-        algebra=algebra,
-        dim=dim,
-        center_dim=center_dim,
-        branch=branch,
-        degenerate=degenerate,
-        span_dim=span_dim,
-    )
+    outside = (overlaps.c == 0) | (spectrum.multiplicities > 1)
+    center_dim = 1 + bool(np.any((spectrum.values != 0) & outside))
+    algebra = f"su_{d}" + " + u_1" * center_dim
+    return DlaPrediction(d=d, algebra=algebra, dim=d**2 - 1 + center_dim, center_dim=center_dim)
 
 
 def predict_commutant(spectrum: Spectrum, overlaps: LevelOverlaps) -> CommutantPrediction:
@@ -150,16 +111,13 @@ def predict_commutant(spectrum: Spectrum, overlaps: LevelOverlaps) -> CommutantP
     return CommutantPrediction(dim=dim)
 
 
-def predict_loss_stats(
-    spectrum: Spectrum, overlaps: LevelOverlaps, tol_zero: float = TOL_ZERO
-) -> LossStatsPrediction:
+def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStatsPrediction:
     """Large-depth loss statistics over uniformly random parameters.
 
     The circuit twirls the state block W0 = span{xi_j} to P_W0/d, so the
     expected loss is Tr(P_W0 H_p)/d = l1/d = mean(zeta) and the loss
     variance is Var(zeta)/(d+1), where zeta is uniform on the d supported
-    objective values.  The mean is derived only when the center is
-    two-dimensional (sum_j c_j nonzero).
+    objective values.
     """
     lam = _supported_values(spectrum, overlaps)
     d = overlaps.d
@@ -169,13 +127,12 @@ def predict_loss_stats(
     zeta_var = float(np.var(lam))
     l1 = float(np.sum(lam))
     l2 = float(np.sum(lam**2))
-    expected = zeta_mean if abs(overlaps.sum_c) > tol_zero else None
     return LossStatsPrediction(
         zeta_mean=zeta_mean,
         zeta_var=zeta_var,
         p_su_rho=1.0 - 1.0 / d,
         p_su_hp=l2 - l1**2 / d,
-        expected_loss=expected,
+        expected_loss=zeta_mean,
         loss_variance=zeta_var / (d + 1),
         l1=l1,
         l2=l2,

@@ -27,7 +27,6 @@ from .analytic import (
 )
 from .core import (
     TOL_ZERO,
-    ComplexOverlapError,
     InitialState,
     SizeLimitError,
     build_spectrum,
@@ -80,10 +79,9 @@ _HEAD_COLUMNS = (
 _ANALYZE_COLUMNS = _HEAD_COLUMNS + (
     ("n", "problem.n"), ("q", "problem.q"), ("n_states", "problem.n_states"),
     ("r", "spectrum.r"), ("levels", _levels_cell), ("d", "overlaps.d"),
-    ("sum_c", "overlaps.sum_c"), ("sum_c_squared", "overlaps.sum_c_squared"),
-    ("dla_branch", "dla.branch"), ("dla_algebra", "dla.algebra"), ("dla_dim", "dla.dim"),
-    ("dla_center_dim", "dla.center_dim"), ("dla_degenerate", "dla.degenerate"),
-    ("dla_span_dim", "dla.span_dim"), ("commutant_dim", "commutant.dim"),
+    ("sum_c_squared", "overlaps.sum_c_squared"), ("dla_algebra", "dla.algebra"),
+    ("dla_dim", "dla.dim"), ("dla_center_dim", "dla.center_dim"),
+    ("commutant_dim", "commutant.dim"),
     ("isotypic_irreducible_dim", "isotypic.irreducible_dim"),
     ("isotypic_invariant_lines", "isotypic.invariant_lines"),
     ("zeta_mean", "loss_stats.zeta_mean"), ("zeta_var", "loss_stats.zeta_var"),
@@ -291,9 +289,9 @@ def _base_report(command: str, args, descriptor, problem_digest, init_digest, ta
 def _analysis_sections(table, state, tol_zero):
     spectrum = build_spectrum(table)
     overlaps = decompose_initial_state(state, spectrum, tol_zero=tol_zero)
-    dla = predict_dla(overlaps, tol_zero=tol_zero, spectrum=spectrum)
+    dla = predict_dla(spectrum, overlaps)
     commutant = predict_commutant(spectrum, overlaps)
-    stats = predict_loss_stats(spectrum, overlaps, tol_zero=tol_zero)
+    stats = predict_loss_stats(spectrum, overlaps)
     irreducible_dim, invariant_lines = isotypic_summary(spectrum, overlaps)
     sections = {
         "spectrum": {
@@ -302,18 +300,14 @@ def _analysis_sections(table, state, tol_zero):
         },
         "overlaps": {
             "d": overlaps.d,
-            "sum_c": overlaps.sum_c,
             "sum_c_squared": float(np.sum(overlaps.c**2)),
             "c": [float(x) for x in overlaps.c],
             "supported_levels": list(overlaps.supported_levels),
         },
         "dla": {
-            "branch": dla.branch,
             "algebra": dla.algebra,
             "dim": dla.dim,
             "center_dim": dla.center_dim,
-            "degenerate": dla.degenerate,
-            "span_dim": dla.span_dim,
             "tol_zero": tol_zero,
         },
         "commutant": {"dim": commutant.dim},
@@ -462,16 +456,15 @@ def cmd_verify(args) -> int:
             complement_line_residual=line_residual,
             tol_invariant=TOL_INVARIANT,
         )
-        predicted_dim = dla.span_dim if dla.degenerate and dla.span_dim is not None else dla.dim
         if closure.hit_cap:
             verdicts["dla_dim"] = {
-                "predicted": predicted_dim,
+                "predicted": dla.dim,
                 "observed": closure.dimension,
                 "verdict": "not-run",
                 "note": "closure hit the dimension cap; dimension is a lower bound",
             }
         else:
-            verdicts["dla_dim"] = _verdict(predicted_dim, closure.dimension)
+            verdicts["dla_dim"] = _verdict(dla.dim, closure.dimension)
         verdicts["commutant_dim"] = _verdict(commutant.dim, observed_comm)
         invariant_ok = w0_residual < TOL_INVARIANT and line_residual < TOL_INVARIANT
         verdicts["isotypic"] = {
@@ -511,25 +504,22 @@ def cmd_simulate(args) -> int:
     report.update(sections)
     mc = monte_carlo_stats(state, table, p=args.depth, samples=args.samples, seed=args.seed)
     report["monte_carlo"] = _mc_section(mc)
-    verdicts = {}
-    if stats.expected_loss is None:
-        verdicts["mean"] = {"verdict": "not-run", "note": "no closed-form mean for a one-dimensional center"}
-    else:
-        ok = abs(mc.mean - stats.expected_loss) <= 3.0 * mc.stderr_mean
-        verdicts["mean"] = {
+    ok_mean = abs(mc.mean - stats.expected_loss) <= 3.0 * mc.stderr_mean
+    ok_var = abs(mc.variance - stats.loss_variance) <= 3.0 * mc.stderr_variance
+    report["verdicts"] = {
+        "mean": {
             "target": stats.expected_loss,
             "estimate": mc.mean,
             "stderr": mc.stderr_mean,
-            "within_3_stderr": bool(ok),
-        }
-    ok_var = abs(mc.variance - stats.loss_variance) <= 3.0 * mc.stderr_variance
-    verdicts["variance"] = {
-        "target": stats.loss_variance,
-        "estimate": mc.variance,
-        "stderr": mc.stderr_variance,
-        "within_3_stderr": bool(ok_var),
+            "within_3_stderr": bool(ok_mean),
+        },
+        "variance": {
+            "target": stats.loss_variance,
+            "estimate": mc.variance,
+            "stderr": mc.stderr_variance,
+            "within_3_stderr": bool(ok_var),
+        },
     }
-    report["verdicts"] = verdicts
     _emit_report(report, _SIMULATE_COLUMNS, args)
     return 0
 
@@ -566,11 +556,14 @@ def main(argv=None) -> int:
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, ComplexOverlapError, SizeLimitError) as exc:
+    except (ParseError, ValidationError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: cannot allocate the requested arrays: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,12 +2,13 @@
 
 Shared encodings for objective tables, spectra (distinct values with
 multiplicities) and the decomposition of an initial state into per-level
-components.  Only ``build_spectrum`` groups objective values into levels;
-per-level weights and coefficients are read off ``Spectrum.level_of``, and
-level components are formed on demand, never stored.  The string-to-index
-encoding is fixed everywhere: a configuration (x_0, ..., x_{n-1}) over a
-q-letter alphabet maps to the integer sum_i x_i * q**i, i.e. site 0 is the
-least significant digit.
+components.  ``build_spectrum`` groups objective values into levels (the
+oracle's commutant solver groups its own input, independently); per-level
+weights are read off ``Spectrum.level_of``, and level components are
+formed on demand, never stored.  The string-to-index encoding is fixed
+everywhere: a configuration (x_0, ..., x_{n-1}) over a q-letter alphabet
+maps to the integer sum_i x_i * q**i, i.e. site 0 is the least
+significant digit.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ TOL_ZERO = 1e-10
 
 class SizeLimitError(ValueError):
     """q**n exceeds the dense-table limit."""
-
-
-class ComplexOverlapError(ValueError):
-    """A level projection has a genuinely complex phase.
-
-    The real-coefficient convention used by the classification routines
-    cannot represent such a state; the numerical oracle routines accept
-    it directly.
-    """
 
 
 def dense_size(n: int, q: int) -> int:
@@ -139,13 +131,12 @@ class InitialState:
 
 @dataclass(frozen=True)
 class LevelOverlaps:
-    """Per-level coefficients of an initial state.
+    """Per-level weights of an initial state.
 
-    ``c[j]`` is the signed real coefficient of the state on level j (zero
+    ``c[j] = ||P_j xi||`` is the weight of the state on level j (zero
     where unsupported) and ``d`` counts the supported levels.  The unit
-    component xi_j is formed on demand by ``component(j)`` from the state's
-    amplitudes, ``level_of``, the weight ``weights[j] = ||P_j xi||`` and the
-    lead phase ``phases[j]``.
+    component xi_j = P_j xi / c_j is formed on demand by ``component(j)``
+    from the state's amplitudes and ``level_of``.
     """
 
     c: np.ndarray
@@ -153,8 +144,6 @@ class LevelOverlaps:
     supported_levels: List[int]
     amplitudes: np.ndarray
     level_of: np.ndarray
-    weights: np.ndarray
-    phases: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -165,17 +154,13 @@ class LevelOverlaps:
             raise ValueError("d must equal the number of supported levels")
         object.__setattr__(self, "c", c)
 
-    @property
-    def sum_c(self) -> float:
-        return float(np.sum(self.c))
-
     def component(self, j: int) -> np.ndarray:
-        """Unit vector xi_j = P_j xi * conj(phase_j) / ||P_j xi||, full length."""
+        """Unit vector xi_j = P_j xi / c_j, full length."""
         if self.c[j] == 0.0:
             raise ValueError(f"level {j} is not supported by the state")
         mask = self.level_of == j
         out = np.zeros_like(self.amplitudes)
-        out[mask] = self.amplitudes[mask] * np.conj(self.phases[j]) / self.weights[j]
+        out[mask] = self.amplitudes[mask] / self.c[j]
         return out
 
     def reconstruct(self) -> np.ndarray:
@@ -226,42 +211,20 @@ def level_weights(state: InitialState, spectrum: Spectrum) -> np.ndarray:
 def decompose_initial_state(
     state: InitialState, spectrum: Spectrum, tol_zero: float = TOL_ZERO
 ) -> LevelOverlaps:
-    """Split a state into its coefficients along the level-set blocks.
+    """Split a state into its weights along the level-set blocks.
 
-    Phase convention: each supported component xi_j is the normalized
-    projection onto level j, rotated so that its lead amplitude is real
-    positive; the coefficient c_j absorbs the resulting real sign.  The
-    lead is the first amplitude above ``tol_zero`` (lowest string index),
-    or the first of largest magnitude if the level has none.  Projections
-    whose phase cannot be rotated to +-1 this way are rejected with
-    :class:`ComplexOverlapError`.
+    A level is supported when its weight ``||P_j xi||`` exceeds
+    ``tol_zero``; its coefficient c_j is that weight.  The phases inside
+    a level stay in its component xi_j: a per-level phase commutes with
+    both generators, so no prediction depends on it.
     """
     weights = level_weights(state, spectrum)
-    amps, level_of = state.amplitudes, spectrum.level_of
-    mags = np.abs(amps)
-    visible = np.flatnonzero(mags > tol_zero)
-    lead = np.full(spectrum.r, spectrum.n_states)
-    np.minimum.at(lead, level_of[visible], visible)
-    levels = np.flatnonzero(~(weights <= tol_zero))
-    for j in levels[lead[levels] == spectrum.n_states]:  # no amplitude above tol_zero
-        members = np.flatnonzero(level_of == j)
-        lead[j] = members[np.argmax(mags[members])]
-    phases = np.zeros(spectrum.r, dtype=complex)
-    phases[levels] = amps[lead[levels]] / mags[lead[levels]]
-    coeff = weights * phases
-    bad = np.flatnonzero(np.abs(coeff.imag) > TOL_NORM * np.maximum(1.0, np.abs(coeff)))
-    if bad.size:
-        raise ComplexOverlapError(
-            f"complex-overlap: level {bad[0]} projection carries phase "
-            f"{complex(phases[bad[0]]):.6g}; the real-coefficient convention does not apply"
-        )
-    supported = np.flatnonzero(coeff.real).tolist()
+    coeff = np.where(weights > tol_zero, weights, 0.0)
+    supported = np.flatnonzero(coeff).tolist()
     return LevelOverlaps(
-        c=coeff.real,
+        c=coeff,
         d=len(supported),
         supported_levels=supported,
-        amplitudes=amps,
-        level_of=level_of,
-        weights=weights,
-        phases=phases,
+        amplitudes=state.amplitudes,
+        level_of=spectrum.level_of,
     )

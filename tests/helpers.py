@@ -119,13 +119,11 @@ def twirled_mean_loss(objective: ObjectiveTable, state: InitialState) -> tuple[f
 def reference_decomposition(
     amplitudes, values, tol_zero: float
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Coefficients c_j and unit components xi_j by a per-string loop.
+    """Weights c_j and unit components xi_j by a per-string loop.
 
     Levels are the distinct values in descending order.  A level counts
-    when its weight exceeds ``tol_zero``; its lead is the first string
-    whose amplitude exceeds ``tol_zero``, or else the first of largest
-    magnitude, and xi_j is the level's projection rotated so that the
-    lead is real positive.
+    when its weight ||P_j xi|| exceeds ``tol_zero``; then c_j is that
+    weight and xi_j = P_j xi / c_j.
     """
     amps = [complex(a) for a in amplitudes]
     levels = sorted(set(float(v) for v in values), reverse=True)
@@ -134,14 +132,24 @@ def reference_decomposition(
     for j, value in enumerate(levels):
         members = [x for x in range(len(amps)) if float(values[x]) == value]
         weight = sum(abs(amps[x]) ** 2 for x in members) ** 0.5
-        if weight <= tol_zero:
+        if not weight > tol_zero:
             continue
-        visible = [x for x in members if abs(amps[x]) > tol_zero]
-        lead = visible[0] if visible else max(members, key=lambda x: abs(amps[x]))
-        phase = amps[lead] / abs(amps[lead])
-        c[j] = (weight * phase).real
+        c[j] = weight
         xi = np.zeros(len(amps), dtype=complex)
         for x in members:
-            xi[x] = amps[x] * phase.conjugate() / weight
+            xi[x] = amps[x] / weight
         components[j] = xi
     return c, components
+
+
+def level_state(values, coefficients: dict[float, complex]) -> InitialState:
+    """State with amplitude c_v / sqrt(n_v) on every string of value v, normalized.
+
+    Values missing from ``coefficients`` get amplitude zero.
+    """
+    values = np.asarray(values, dtype=float)
+    amps = np.zeros(values.size, dtype=complex)
+    for value, coeff in coefficients.items():
+        members = values == value
+        amps[members] = coeff / np.sqrt(np.count_nonzero(members))
+    return InitialState(amps / np.linalg.norm(amps))

@@ -56,25 +56,23 @@ def test_restricted_generators_single_level():
 
 def test_predict_dla_house():
     spectrum, overlaps = uniform_setup(maxcut_objective(house_graph()))
-    prediction = predict_dla(overlaps)
+    prediction = predict_dla(spectrum, overlaps)
     assert prediction.d == 5
     assert prediction.dim == 26
     assert prediction.center_dim == 2
-    assert prediction.branch == "case-nonzero"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_predict_dla_paths(n):
     spectrum, overlaps = uniform_setup(maxcut_objective(path_graph(n)))
-    assert predict_dla(overlaps).dim == n**2 + 1
+    assert predict_dla(spectrum, overlaps).dim == n**2 + 1
 
 
 def test_predict_dla_sum_zero_branch():
     spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
     state = InitialState(np.array([1.0, -1.0]) / np.sqrt(2))
     overlaps = decompose_initial_state(state, spectrum)
-    prediction = predict_dla(overlaps)
-    assert prediction.branch == "case-zero"
+    prediction = predict_dla(spectrum, overlaps)
     assert prediction.dim == 4
     assert prediction.center_dim == 1
     assert prediction.algebra == "su_2 + u_1"
@@ -88,10 +86,9 @@ def test_predict_dla_degenerate_span():
     amp = np.zeros(8, dtype=complex)
     amp[0] = 1.0
     overlaps = decompose_initial_state(InitialState(amp), spectrum)
-    prediction = predict_dla(overlaps, spectrum=spectrum)
-    assert prediction.degenerate
+    prediction = predict_dla(spectrum, overlaps)
+    assert prediction.d == 1
     assert prediction.dim == 2
-    assert prediction.span_dim == 2
 
     # marked-string indicator with the marked basis state: the two
     # generators are proportional, so the span collapses to one dimension
@@ -100,9 +97,9 @@ def test_predict_dla_degenerate_span():
     amp2 = np.zeros(4, dtype=complex)
     amp2[0] = 1.0
     overlaps2 = decompose_initial_state(InitialState(amp2), spectrum2)
-    prediction2 = predict_dla(overlaps2, spectrum=spectrum2)
-    assert prediction2.degenerate
-    assert prediction2.span_dim == 1
+    prediction2 = predict_dla(spectrum2, overlaps2)
+    assert prediction2.d == 1
+    assert prediction2.dim == 1
 
 
 def test_predict_commutant_examples():
@@ -209,12 +206,15 @@ def test_loss_stats_shift_covariance():
         assert moved == pytest.approx(base + c, abs=1e-9)
 
 
-def test_loss_stats_unavailable_mean_for_one_dimensional_center():
-    spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
+def test_loss_stats_mean_for_one_dimensional_center():
+    table = ObjectiveTable(n=1, q=2, values=[0.0, 1.0])
+    spectrum = build_spectrum(table)
     state = InitialState(np.array([1.0, -1.0]) / np.sqrt(2))
     overlaps = decompose_initial_state(state, spectrum)
     stats = predict_loss_stats(spectrum, overlaps)
-    assert stats.expected_loss is None
+    assert predict_dla(spectrum, overlaps).center_dim == 1
+    assert stats.expected_loss == 0.5
+    assert twirled_mean_loss(table, state)[0] == pytest.approx(0.5, abs=1e-12)
     assert stats.loss_variance > 0
 
 
@@ -247,7 +247,7 @@ def test_dla_dim_formula_for_uniform_states():
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(2, 9)))
         spectrum, overlaps = uniform_setup(maxcut_objective(g))
-        assert predict_dla(overlaps).dim == overlaps.d**2 + 1
+        assert predict_dla(spectrum, overlaps).dim == overlaps.d**2 + 1
 
 
 def test_barren_plateau_bound_for_maxcut():

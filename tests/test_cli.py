@@ -3,9 +3,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gmqaoa import maxcut_objective, parse_graph
 from gmqaoa.cli import main
+from helpers import level_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -14,6 +17,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_init(path, amplitudes):
+    path.write_text(json.dumps([[float(a.real), float(a.imag)] for a in amplitudes]))
+    return str(path)
 
 
 def test_analyze_house(capsys):
@@ -135,18 +143,82 @@ def test_analyze_custom_init_basis_state(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["overlaps"]["d"] == 1
-    assert report["dla"]["degenerate"] is True
+    assert report["dla"]["dim"] == 2
     assert report["inputs"]["init_sha256"]
 
 
-def test_analyze_complex_init_rejected(tmp_path, capsys):
+def test_analyze_complex_init_accepted(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text("[[0.7071067811865476, 0], [0, 0.7071067811865476]]")
-    code, _, err = run_cli(
+    code, out, _ = run_cli(
         capsys, "analyze", "--table", str(DATA / "identity_n1.json"), "--init", str(init)
     )
-    assert code == 2
-    assert "complex-overlap" in err
+    assert code == 0
+    report = json.loads(out)
+    assert report["overlaps"]["d"] == 2
+    assert report["dla"]["dim"] == 4
+
+
+def test_verify_identity_table_one_dimensional_center(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--table", str(DATA / "identity_n1.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["dla"]["dim"] == report["oracle"]["closure"]["dimension"] == 4
+    assert report["dla"]["center_dim"] == 1
+
+
+def test_p3_sum_zero_state_verify_and_simulate(tmp_path, capsys):
+    # c proportional to (0.5, 0.3, -0.8): the c_j sum to zero, yet the
+    # two-string cut-2 level keeps H_p nonzero outside W0
+    table = maxcut_objective(parse_graph((DATA / "p3.graph").read_text()))
+    state = level_state(table.values, {2.0: 0.5, 1.0: 0.3, 0.0: -0.8})
+    init = write_init(tmp_path / "init.json", state.amplitudes)
+    code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--init", init)
+    assert code == 0
+    report = json.loads(out)
+    assert report["dla"]["dim"] == report["oracle"]["closure"]["dimension"] == 10
+    code, out, _ = run_cli(
+        capsys, "simulate", "--maxcut", str(DATA / "p3.graph"), "--init", init,
+        "--depth", "8", "--samples", "64",
+    )
+    assert code == 0
+    assert json.loads(out)["verdicts"]["mean"]["target"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("graph", ["p3.graph", "house.graph"])
+def test_level_phases_leave_predictions_unchanged(tmp_path, capsys, graph):
+    # sum_j e^{i phi_j} P_j commutes with both generators
+    table = maxcut_objective(parse_graph((DATA / graph).read_text()))
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=table.size) + 1j * rng.normal(size=table.size)
+    amps /= np.linalg.norm(amps)
+    levels = np.unique(table.values, return_inverse=True)[1]
+    phases = np.exp(2j * np.pi * rng.random(levels.max() + 1))
+    reports = []
+    for name, vec in (("base", amps), ("phased", amps * phases[levels])):
+        init = write_init(tmp_path / f"{name}.json", vec)
+        code, out, _ = run_cli(capsys, "analyze", "--maxcut", str(DATA / graph), "--init", init)
+        assert code == 0
+        reports.append(json.loads(out))
+    base, phased = reports
+    for section in ("dla", "commutant", "isotypic", "loss_stats"):
+        assert phased[section] == base[section], section
+    assert np.max(np.abs(np.subtract(phased["overlaps"]["c"], base["overlaps"]["c"]))) <= 1e-12
+
+
+def test_verify_global_phase_matches_uniform(tmp_path, capsys):
+    p3 = str(DATA / "p3.graph")
+    init = write_init(tmp_path / "init.json", np.full(8, 1j / np.sqrt(8)))
+    code, out, _ = run_cli(capsys, "verify", "--maxcut", p3, "--init", init)
+    assert code == 0
+    _, uniform_out, _ = run_cli(capsys, "verify", "--maxcut", p3)
+    verdicts = json.loads(out)["oracle"]["verdicts"]
+    uniform_verdicts = json.loads(uniform_out)["oracle"]["verdicts"]
+    assert {k: v["verdict"] for k, v in verdicts.items()} == {
+        k: v["verdict"] for k, v in uniform_verdicts.items()
+    }
+    assert verdicts["dla_dim"] == uniform_verdicts["dla_dim"]
+    assert verdicts["commutant_dim"] == uniform_verdicts["commutant_dim"]
 
 
 def test_analyze_boolean_table_rejected(tmp_path, capsys):
@@ -289,6 +361,16 @@ def test_simulate_requires_two_samples(capsys):
     assert code == 2
 
 
+def test_simulate_unallocatable_samples_exit_two(capsys):
+    # 10**12 float64 samples (7.3 TiB) are refused at the allocation
+    code, out, err = run_cli(
+        capsys, "simulate", "--maxcut", str(DATA / "p3.graph"), "--samples", "1000000000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_simulate_reports_and_determinism(capsys):
     args = (
         "simulate", "--maxcut", str(DATA / "p3.graph"),
@@ -422,9 +504,8 @@ def test_zero_tolerance_accepted(capsys):
 
 _ANALYZE_HEADER = [
     "tool", "version", "command", "problem_kind", "problem_source",
-    "n", "q", "n_states", "r", "levels", "d", "sum_c", "sum_c_squared",
-    "dla_branch", "dla_algebra", "dla_dim", "dla_center_dim",
-    "dla_degenerate", "dla_span_dim", "commutant_dim",
+    "n", "q", "n_states", "r", "levels", "d", "sum_c_squared",
+    "dla_algebra", "dla_dim", "dla_center_dim", "commutant_dim",
     "isotypic_irreducible_dim", "isotypic_invariant_lines",
     "zeta_mean", "zeta_var", "p_su_rho", "p_su_hp", "expected_loss",
     "loss_variance", "l1", "l2", "tol_zero",
@@ -432,9 +513,8 @@ _ANALYZE_HEADER = [
 
 _P3_ANALYZE_ROW = [
     "gmqaoa", "0.1.0", "analyze", "maxcut", str(DATA / "p3.graph"),
-    "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.7071067811865475", "0.9999999999999998",
-    "case-nonzero", "su_3 + u_1 + u_1", "10", "2",
-    "false", "", "12",
+    "3", "2", "8", "3", "2:2|1:4|0:2", "3", "0.9999999999999998",
+    "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
     "1.0", "0.6666666666666666", "0.6666666666666667", "2.0", "1.0",
     "0.16666666666666666", "3.0", "5.0", "1e-10",
@@ -460,10 +540,10 @@ def test_csv_header_and_p3_row(capsys, command):
             "verdict_dla_dim", "verdict_commutant", "verdict_isotypic",
             "tol_indep", "tol_rank", "tol_invariant",
         ]
-        assert row[:31] == head + _P3_ANALYZE_ROW[5:]
-        assert row[31:36] == ["grover", "10", "5", "false", "12"]
-        assert all(float(cell) < 1e-12 for cell in row[36:38])  # oracle residuals
-        assert row[38:] == ["match", "match", "match", "1e-09", "1e-08", "1e-08"]
+        assert row[:27] == head + _P3_ANALYZE_ROW[5:]
+        assert row[27:32] == ["grover", "10", "5", "false", "12"]
+        assert all(float(cell) < 1e-12 for cell in row[32:34])  # oracle residuals
+        assert row[34:] == ["match", "match", "match", "1e-09", "1e-08", "1e-08"]
     else:
         assert header == [
             "tool", "version", "command", "problem_kind", "problem_source",

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmqaoa import (
-    ComplexOverlapError,
     InitialState,
     ObjectiveTable,
     SizeLimitError,
@@ -87,24 +86,27 @@ def test_decompose_basis_state_single_level():
 
 
 def test_decompose_signed_coefficients():
-    # amplitudes (1/sqrt2, -1/sqrt2) against the identity objective on one site
+    # amplitudes (1/sqrt2, -1/sqrt2) against the identity objective on one
+    # site: the coefficients are the level weights, the sign stays in xi_0
     spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
     state = InitialState(np.array([1.0, -1.0]) / np.sqrt(2))
     overlaps = decompose_initial_state(state, spectrum)
-    assert overlaps.c[0] == pytest.approx(-1 / np.sqrt(2))  # level of value 1 = string 1
-    assert overlaps.c[1] == pytest.approx(1 / np.sqrt(2))
-    assert overlaps.sum_c == pytest.approx(0.0, abs=1e-15)
+    assert overlaps.c == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert overlaps.component(0) == pytest.approx([0.0, -1.0])  # level of value 1 = string 1
 
 
-def test_decompose_rejects_complex_phase():
+def test_decompose_accepts_complex_phase():
     spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
     state = InitialState(np.array([1.0, 1.0j]) / np.sqrt(2))
-    with pytest.raises(ComplexOverlapError, match="complex-overlap"):
-        decompose_initial_state(state, spectrum)
+    overlaps = decompose_initial_state(state, spectrum)
+    assert overlaps.c == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert overlaps.component(0) == pytest.approx([0.0, 1.0j])
+    assert overlaps.component(1) == pytest.approx([1.0, 0.0])
+    assert overlaps.reconstruct() == pytest.approx(state.amplitudes)
 
 
 def test_decompose_refuses_nan_coefficients():
-    # a NaN tolerance counts the empty levels as supported and gives them NaN phases
+    # a NaN tolerance supports no level, so the coefficients cannot sum to one
     spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
     amp = np.zeros(8, dtype=complex)
     amp[5] = 1.0

@@ -26,12 +26,14 @@ from gmqaoa import (
     parse_graph,
     path_graph,
     predict_commutant,
+    predict_dla,
+    predict_loss_stats,
     restricted_generators,
     uniform_state,
     x_mixer_generator,
 )
 from gmqaoa.oracle import traceless_part
-from helpers import exact_unit
+from helpers import exact_unit, level_state, twirled_mean_loss
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -398,19 +400,60 @@ def test_extract_units_reports_colliding_differences():
 
 
 def test_closure_confirms_sum_zero_branch():
-    # signed coefficients (1/sqrt2, -1/sqrt2) put the prediction on the
-    # one-dimensional-center branch; the closure agrees
-    from gmqaoa import predict_dla
-
+    # amplitudes (1/sqrt2, -1/sqrt2) on two one-string levels: H_p vanishes
+    # outside W0, so the center is one-dimensional; the closure agrees
     table = ObjectiveTable(n=1, q=2, values=[0.0, 1.0])
     state = InitialState(np.array([1.0, -1.0]) / np.sqrt(2))
     spectrum = build_spectrum(table)
     overlaps = decompose_initial_state(state, spectrum)
-    prediction = predict_dla(overlaps)
-    assert prediction.branch == "case-zero"
+    prediction = predict_dla(spectrum, overlaps)
+    assert prediction.center_dim == 1
+    assert prediction.algebra == "su_2 + u_1"
     h_p, g_m = gm_generators(table, state)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     assert report.dimension == prediction.dim == 4
+
+
+def _closure_dim(table, state):
+    h_p, g_m = gm_generators(table, state)
+    _, report = lie_closure([1j * h_p, 1j * g_m])
+    assert not report.hit_cap
+    return report.dimension
+
+
+@pytest.mark.parametrize(
+    "values, coefficients, dim",
+    [
+        ([0.0, 0.0, 1.0, 2.0], None, 9),
+        ([1.0, 0.0, 0.0, 0.0], None, 4),
+        (maxcut_objective(path_graph(3)).values, {2.0: 0.5, 1.0: 0.3, 0.0: -0.8}, 10),
+    ],
+    ids=["0012-uniform", "marked-uniform", "p3-sum-zero"],
+)
+def test_center_rule_matches_closure(values, coefficients, dim):
+    # the center is two-dimensional iff H_p is nonzero outside W0: some
+    # level of nonzero value is unsupported or holds several strings
+    n = int(np.log2(len(values)))
+    table = ObjectiveTable(n=n, q=2, values=values)
+    state = uniform_state(n, 2) if coefficients is None else level_state(values, coefficients)
+    spectrum = build_spectrum(table)
+    overlaps = decompose_initial_state(state, spectrum)
+    assert predict_dla(spectrum, overlaps).dim == dim
+    assert _closure_dim(table, state) == dim
+
+
+@pytest.mark.parametrize("name", ["p3.graph", "house.graph", "identity_n1.json", "0012"])
+def test_predictions_match_oracles_on_complex_states(name):
+    if name == "0012":
+        table = ObjectiveTable(n=2, q=2, values=[0.0, 0.0, 1.0, 2.0])
+    else:
+        table = bundled_table(name)
+    spectrum = build_spectrum(table)
+    for state in grover_test_states(table, seed=sum(map(ord, name)) + 1):
+        overlaps = decompose_initial_state(state, spectrum)
+        assert predict_dla(spectrum, overlaps).dim == _closure_dim(table, state)
+        exact, _ = twirled_mean_loss(table, state)
+        assert predict_loss_stats(spectrum, overlaps).expected_loss == pytest.approx(exact, abs=1e-9)
 
 
 def test_x_mixer_affine_shift_can_add_identity_direction():

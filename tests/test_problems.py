@@ -141,11 +141,13 @@ def test_threshold_transform():
 
 
 def test_threshold_objective_has_five_dimensional_algebra():
-    # a two-valued objective always yields d = 2, hence dimension 5
+    # a two-valued objective yields d = 2 under uniform init; here the
+    # marked level holds two strings, so the center is two-dimensional
+    # and the dimension 5 (a single marked string gives 4)
     table = threshold_transform(maxcut_objective(path_graph(3)), 2.0)
     spectrum = build_spectrum(table)
     overlaps = decompose_initial_state(uniform_state(3, 2), spectrum)
-    prediction = predict_dla(overlaps)
+    prediction = predict_dla(spectrum, overlaps)
     assert prediction.d == 2
     assert prediction.dim == 5
     assert prediction.algebra == "su_2 + u_1 + u_1"
