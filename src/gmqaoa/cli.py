@@ -87,7 +87,8 @@ _ANALYZE_COLUMNS = _HEAD_COLUMNS + (
     ("zeta_mean", "loss_stats.zeta_mean"), ("zeta_var", "loss_stats.zeta_var"),
     ("p_su_rho", "loss_stats.p_su_rho"), ("p_su_hp", "loss_stats.p_su_hp"),
     ("expected_loss", "loss_stats.expected_loss"), ("loss_variance", "loss_stats.loss_variance"),
-    ("l1", "loss_stats.l1"), ("l2", "loss_stats.l2"), ("tol_zero", "dla.tol_zero"),
+    ("l1", "loss_stats.l1"), ("l2", "loss_stats.l2"),
+    ("tol_zero", "config.tolerances.tol_zero"),
 )
 _VERIFY_COLUMNS = _ANALYZE_COLUMNS + (
     ("mixer", "oracle.mixer"), ("closure_dim", "oracle.closure.dimension"),
@@ -308,7 +309,6 @@ def _analysis_sections(table, state, tol_zero):
             "algebra": dla.algebra,
             "dim": dla.dim,
             "center_dim": dla.center_dim,
-            "tol_zero": tol_zero,
         },
         "commutant": {"dim": commutant.dim},
         "isotypic": {
@@ -428,6 +428,7 @@ def cmd_verify(args) -> int:
             "dimension": closure.dimension,
             "rounds": closure.rounds,
             "max_residual_discarded": closure.max_residual_discarded,
+            "min_residual_accepted": closure.min_residual_accepted,
             "hit_cap": closure.hit_cap,
             "tol_indep": args.tol_indep,
         },

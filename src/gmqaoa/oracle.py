@@ -39,6 +39,10 @@ _TOL_ORTH = 1e-8
 #: new directions; normalizing them would amplify noise into fake dimensions.
 _ZERO_FLOOR = 1e-10
 
+#: Commutator entries screened at once: one block of candidates per
+#: frontier element (128 candidates at N = 32).
+_SCREEN_ENTRIES = 1 << 17
+
 
 class OracleCapError(ValueError):
     """Instance exceeds the dense-oracle size caps."""
@@ -62,11 +66,18 @@ class MatrixUnitError(ValueError):
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of a closure run; if hit_cap, dimension is a lower bound only."""
+    """Outcome of a closure run; if hit_cap, dimension is a lower bound only.
+
+    ``max_residual_discarded`` and ``min_residual_accepted`` are the margin
+    around ``tol_indep``: the largest relative residual of a discarded
+    candidate, and the smallest of an accepted element (None when no
+    element was tested against a non-empty basis).
+    """
 
     dimension: int
     rounds: int
     max_residual_discarded: float
+    min_residual_accepted: Optional[float]
     hit_cap: bool
 
 
@@ -146,10 +157,19 @@ def lie_closure(
     rescaled to unit Hilbert-Schmidt norm, projected against the current
     basis, and appended when the residual exceeds ``tol_indep``.
     Commutators whose norm sits at the round-off floor are treated as
-    zero rather than normalized.  Stops when a round adds nothing, when
-    the basis spans all N**2 real dimensions of u(N) (exact, not
-    flagged), or when ``dim_cap`` elements are reached (flagged as
-    ``hit_cap``, not fatal).
+    zero rather than normalized.
+
+    The commutators of one frontier element are formed in blocks of
+    ``_SCREEN_ENTRIES`` entries and screened together: two GEMMs give
+    each candidate's relative residual against the basis at the block's
+    start.  That basis is contained in the one the per-candidate test
+    sees, so a candidate screened out would be discarded there too; only
+    the survivors, in index order, take the per-candidate test, and the
+    accepted elements are the same, bit for bit.
+
+    Stops when a round adds nothing, when the basis spans all N**2 real
+    dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
+    are reached (flagged as ``hit_cap``, not fatal).
     """
     if dim_cap < 1:
         raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
@@ -173,9 +193,10 @@ def lie_closure(
     rows = basis.reshape(capacity, size2).view(float)
     count = 0
     max_discarded = 0.0
+    min_accepted = math.inf
 
     def try_add(mat: np.ndarray, floor: float = 0.0) -> bool:
-        nonlocal count, max_discarded
+        nonlocal count, max_discarded, min_accepted
         nrm = float(np.linalg.norm(mat))
         if nrm <= floor:
             return False
@@ -187,11 +208,32 @@ def lie_closure(
                 if rnorm <= tol_indep:
                     max_discarded = max(max_discarded, rnorm)
                     return False
+            min_accepted = min(min_accepted, rnorm)
         new = res.view(complex).reshape(dim_space, dim_space)
         new = 0.5 * (new - new.conj().T)
         basis[count] = new / np.linalg.norm(new)
         count += 1
         return True
+
+    block = max(1, _SCREEN_ENTRIES // size2)
+
+    def screened(f: np.ndarray, start: int):
+        """Commutators [f, B_k], k < start, that survive the screen, in index order."""
+        nonlocal max_discarded
+        for lo in range(0, start, block):
+            part = basis[lo : min(lo + block, start)]
+            commutators = np.matmul(f, part) - np.matmul(part, f)
+            cand = commutators.reshape(len(part), size2).view(float)
+            known = rows[:count]
+            resid = np.linalg.norm(cand - (cand @ known.T) @ known, axis=1)
+            norms = np.linalg.norm(cand, axis=1)
+            live = norms > _ZERO_FLOOR
+            rel = np.divide(resid, norms, out=np.zeros_like(resid), where=live)
+            dependent = live & (rel <= tol_indep)
+            if dependent.any():
+                max_discarded = max(max_discarded, float(rel[dependent].max()))
+            for k in np.flatnonzero(live & (rel > tol_indep)):
+                yield commutators[k]
 
     for g in mats:
         if count == capacity:
@@ -202,12 +244,9 @@ def lie_closure(
     while frontier and count < capacity:
         rounds += 1
         start = count
-        span = basis[:start]
         for fi in frontier:
-            f = basis[fi]
-            commutators = np.matmul(f, span) - np.matmul(span, f)
-            for k in range(start):
-                if try_add(commutators[k], floor=_ZERO_FLOOR) and count == capacity:
+            for mat in screened(basis[fi], start):
+                if try_add(mat, floor=_ZERO_FLOOR) and count == capacity:
                     break
             if count == capacity:
                 break
@@ -216,6 +255,7 @@ def lie_closure(
         dimension=count,
         rounds=rounds,
         max_residual_discarded=max_discarded,
+        min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         # N**2 elements span all of u(N): the exact answer, not a lower bound
         hit_cap=count == dim_cap < size2,
     )

@@ -7,11 +7,13 @@ against genuinely independent oracles.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from gmqaoa import CnfFormula, Graph, InitialState, ObjectiveTable, gm_generators
-from gmqaoa.oracle import TOL_RANK
+from gmqaoa.oracle import _ZERO_FLOOR, DIM_CAP, TOL_INDEP, TOL_RANK, ClosureReport
 
 
 def bits_of(index: int, n: int) -> list[int]:
@@ -153,3 +155,69 @@ def level_state(values, coefficients: dict[float, complex]) -> InitialState:
         members = values == value
         amps[members] = coeff / np.sqrt(np.count_nonzero(members))
     return InitialState(amps / np.linalg.norm(amps))
+
+
+def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int = DIM_CAP):
+    """``oracle.lie_closure`` with every commutator tested on its own.
+
+    The same schedule and the same per-candidate Gram-Schmidt test, but no
+    block screen: each commutator of the round takes two GEMV passes
+    against the whole current basis.  Inputs are not validated.
+    """
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    dim_space = mats[0].shape[0]
+    size2 = dim_space * dim_space
+    capacity = min(dim_cap, size2)
+    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
+    rows = basis.reshape(capacity, size2).view(float)
+    count = 0
+    max_discarded = 0.0
+    min_accepted = math.inf
+
+    def try_add(mat, floor=0.0):
+        nonlocal count, max_discarded, min_accepted
+        nrm = float(np.linalg.norm(mat))
+        if nrm <= floor:
+            return False
+        res = mat.ravel().view(float) / nrm
+        if count:
+            for _ in range(2):
+                res = res - (rows[:count] @ res) @ rows[:count]
+                rnorm = float(np.linalg.norm(res))
+                if rnorm <= tol_indep:
+                    max_discarded = max(max_discarded, rnorm)
+                    return False
+            min_accepted = min(min_accepted, rnorm)
+        new = res.view(complex).reshape(dim_space, dim_space)
+        new = 0.5 * (new - new.conj().T)
+        basis[count] = new / np.linalg.norm(new)
+        count += 1
+        return True
+
+    for g in mats:
+        if count == capacity:
+            break
+        try_add(g)
+    frontier = range(count)
+    rounds = 0
+    while frontier and count < capacity:
+        rounds += 1
+        start = count
+        span = basis[:start]
+        for fi in frontier:
+            f = basis[fi]
+            commutators = np.matmul(f, span) - np.matmul(span, f)
+            for k in range(start):
+                if try_add(commutators[k], floor=_ZERO_FLOOR) and count == capacity:
+                    break
+            if count == capacity:
+                break
+        frontier = range(start, count)
+    report = ClosureReport(
+        dimension=count,
+        rounds=rounds,
+        max_residual_discarded=max_discarded,
+        min_residual_accepted=min_accepted if min_accepted < math.inf else None,
+        hit_cap=count == dim_cap < size2,
+    )
+    return basis[:count], report
