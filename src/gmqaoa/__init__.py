@@ -63,7 +63,6 @@ from .simulator import (
     ParameterSet,
     apply_grover_mixer,
     apply_phase_layer,
-    depth_sweep,
     grover_mixer_identity_check,
     loss,
     monte_carlo_stats,

@@ -58,7 +58,7 @@ from .problems import (
     parse_graph,
     threshold_transform,
 )
-from .simulator import BETA_MAX, GAMMA_MAX, depth_sweep, monte_carlo_stats
+from .simulator import BETA_MAX, GAMMA_MAX, monte_carlo_stats
 
 #: Residual bound for the invariant-subspace verdicts.
 TOL_INVARIANT = 1e-8
@@ -129,6 +129,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _tol_indep(text: str) -> float:
+    value = _tolerance(text)
+    if value == 0.0:
+        # every round-off residual would count as a new direction, so the
+        # closure would be all of u(N) on any instance
+        raise argparse.ArgumentTypeError("the closure needs a tolerance > 0, got 0")
+    return value
+
+
+def _depths(text: str) -> list:
+    try:
+        depths = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        depths = []
+    if not depths or min(depths) < 1:
+        raise ValueError(f"--depths must list positive integers, got {text!r}")
+    return depths
+
+
 def _threshold(text: str) -> float:
     value = _float_or_nan(text)
     if not math.isfinite(value):
@@ -179,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=_tolerance, default=TOL_INDEP)
+    verify.add_argument("--tol-indep", type=_tol_indep, default=TOL_INDEP)
     verify.add_argument("--tol-rank", type=_tolerance, default=TOL_RANK)
     verify.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
@@ -276,7 +295,7 @@ def _base_report(command: str, args, descriptor, problem_digest, init_digest, ta
         if command == "simulate":
             config["depth"] = args.depth
         else:
-            config["depths"] = [int(tok) for tok in args.depths.split(",") if tok.strip()]
+            config["depths"] = args.depths
     return {
         "tool": "gmqaoa",
         "version": __version__,
@@ -501,9 +520,12 @@ def cmd_simulate(args) -> int:
     table, descriptor, problem_digest = _load_problem(args)
     state, init_digest = _load_init(args, table)
     report = _base_report("simulate", args, descriptor, problem_digest, init_digest, table)
-    sections, _, _, _, _, stats = _analysis_sections(table, state, args.tol_zero)
+    sections, spectrum, overlaps, _, _, stats = _analysis_sections(table, state, args.tol_zero)
     report.update(sections)
-    mc = monte_carlo_stats(state, table, p=args.depth, samples=args.samples, seed=args.seed)
+    sup = overlaps.supported_levels
+    mc = monte_carlo_stats(
+        spectrum.values[sup], overlaps.c[sup], p=args.depth, samples=args.samples, seed=args.seed
+    )
     report["monte_carlo"] = _mc_section(mc)
     ok_mean = abs(mc.mean - stats.expected_loss) <= 3.0 * mc.stderr_mean
     ok_var = abs(mc.variance - stats.loss_variance) <= 3.0 * mc.stderr_variance
@@ -526,19 +548,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
-    if not depths:
-        raise ValueError("--depths must list at least one depth")
-    if any(p < 1 for p in depths):
-        raise ValueError("depths must be positive")
+    args.depths = _depths(args.depths)
     table, descriptor, problem_digest = _load_problem(args)
     state, init_digest = _load_init(args, table)
-    sections, *_ = _analysis_sections(table, state, args.tol_zero)
-    reports = depth_sweep(state, table, depths, samples=args.samples, seed=args.seed)
-    rows = [
-        _flat_row(_SWEEP_COLUMNS, {"monte_carlo": _mc_section(mc), "loss_stats": sections["loss_stats"]})
-        for mc in reports
-    ]
+    sections, spectrum, overlaps, *_ = _analysis_sections(table, state, args.tol_zero)
+    sup = overlaps.supported_levels
+    values, weights = spectrum.values[sup], overlaps.c[sup]
+    rows = []
+    for p in args.depths:
+        mc = monte_carlo_stats(values, weights, p=p, samples=args.samples, seed=args.seed)
+        row = {"monte_carlo": _mc_section(mc), "loss_stats": sections["loss_stats"]}
+        rows.append(_flat_row(_SWEEP_COLUMNS, row))
     if (args.format or "csv") == "csv":
         _emit_csv(rows, args)
     else:

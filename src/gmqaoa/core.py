@@ -3,9 +3,10 @@
 Shared encodings for objective tables, spectra (distinct values with
 multiplicities) and the decomposition of an initial state into per-level
 components.  ``build_spectrum`` groups objective values into levels (the
-oracle's commutant solver groups its own input, independently); per-level
-weights are read off ``Spectrum.level_of``, and level components are
-formed on demand, never stored.  The string-to-index encoding is fixed
+oracle's commutant solver groups its own input, independently);
+``decompose_initial_state`` reads the per-level weights off
+``Spectrum.level_of``, and level components are formed on demand, never
+stored.  The string-to-index encoding is fixed
 everywhere: a configuration (x_0, ..., x_{n-1}) over a q-letter alphabet
 maps to the integer sum_i x_i * q**i, i.e. site 0 is the least
 significant digit.
@@ -26,6 +27,9 @@ TOL_NORM = 1e-9
 
 #: Default tolerance below which a level projection counts as unsupported.
 TOL_ZERO = 1e-10
+
+#: Largest gap between sum(c**2) and 1 that a level decomposition accepts.
+TOL_WEIGHT_SUM = 1e-6
 
 
 class SizeLimitError(ValueError):
@@ -134,25 +138,31 @@ class LevelOverlaps:
     """Per-level weights of an initial state.
 
     ``c[j] = ||P_j xi||`` is the weight of the state on level j (zero
-    where unsupported) and ``d`` counts the supported levels.  The unit
-    component xi_j = P_j xi / c_j is formed on demand by ``component(j)``
-    from the state's amplitudes and ``level_of``.
+    where unsupported).  The unit component xi_j = P_j xi / c_j is formed
+    on demand by ``component(j)`` from the state's amplitudes and
+    ``level_of``.
     """
 
     c: np.ndarray
-    d: int
-    supported_levels: List[int]
     amplitudes: np.ndarray
     level_of: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         total = float(np.sum(c**2))
-        if not abs(total - 1.0) <= 1e-6:  # also refuses a NaN norm
+        if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses a NaN norm
             raise ValueError(f"coefficients must satisfy sum(c**2) = 1, got {total!r}")
-        if self.d != len(self.supported_levels):
-            raise ValueError("d must equal the number of supported levels")
         object.__setattr__(self, "c", c)
+
+    @property
+    def supported_levels(self) -> List[int]:
+        """Indices of the levels with nonzero weight, in spectrum order."""
+        return np.flatnonzero(self.c).tolist()
+
+    @property
+    def d(self) -> int:
+        """Number of supported levels."""
+        return int(np.count_nonzero(self.c))
 
     def component(self, j: int) -> np.ndarray:
         """Unit vector xi_j = P_j xi / c_j, full length."""
@@ -199,32 +209,28 @@ def uniform_state(n: int, q: int) -> InitialState:
     return InitialState(np.full(size, 1.0 / np.sqrt(size), dtype=complex))
 
 
-def level_weights(state: InitialState, spectrum: Spectrum) -> np.ndarray:
-    """w_j = ||P_j xi|| for every level j, in one pass over ``level_of``."""
-    amps = state.amplitudes
-    if amps.shape[0] != spectrum.n_states:
-        raise ValueError("state and spectrum dimensions disagree")
-    mags_sq = amps.real**2 + amps.imag**2
-    return np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
-
-
 def decompose_initial_state(
     state: InitialState, spectrum: Spectrum, tol_zero: float = TOL_ZERO
 ) -> LevelOverlaps:
     """Split a state into its weights along the level-set blocks.
 
-    A level is supported when its weight ``||P_j xi||`` exceeds
-    ``tol_zero``; its coefficient c_j is that weight.  The phases inside
-    a level stay in its component xi_j: a per-level phase commutes with
-    both generators, so no prediction depends on it.
+    The weights ``||P_j xi||`` are summed in one pass over ``level_of``.
+    A level is supported when its weight exceeds ``tol_zero``; its
+    coefficient c_j is that weight.  The phases inside a level stay in
+    its component xi_j: a per-level phase commutes with both generators,
+    so no prediction depends on it.
     """
-    weights = level_weights(state, spectrum)
+    amps = state.amplitudes
+    if amps.shape[0] != spectrum.n_states:
+        raise ValueError("state and spectrum dimensions disagree")
+    mags_sq = amps.real**2 + amps.imag**2
+    weights = np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
     coeff = np.where(weights > tol_zero, weights, 0.0)
-    supported = np.flatnonzero(coeff).tolist()
-    return LevelOverlaps(
-        c=coeff,
-        d=len(supported),
-        supported_levels=supported,
-        amplitudes=state.amplitudes,
-        level_of=spectrum.level_of,
-    )
+    kept = float(np.sum(coeff**2))
+    if not kept >= 1.0 - TOL_WEIGHT_SUM:  # also refuses a NaN tol_zero
+        dropped = float(np.max(weights[coeff == 0.0]))
+        raise ValueError(
+            f"tol_zero = {tol_zero!r} drops level weights up to {dropped:.3g}, "
+            f"so the kept weights give sum(c**2) = {kept!r} < 1 - {TOL_WEIGHT_SUM:g}"
+        )
+    return LevelOverlaps(c=coeff, amplitudes=amps, level_of=spectrum.level_of)

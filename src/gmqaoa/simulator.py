@@ -1,12 +1,14 @@
 """Statevector evolution and Monte Carlo loss statistics.
 
 The Monte Carlo runs in W0, the span of the d level components
-u_j = P_j xi / ||P_j xi|| of the initial state.  Both layers leave W0
+u_j = P_j xi / ||P_j xi|| of the initial state, and takes only the
+supported levels' values lambda_j and weights w_j = ||P_j xi|| that
+``core.decompose_initial_state`` computes.  Both layers leave W0
 invariant, so a state there is a coefficient vector a over the u_j,
-starting at the level weights w_j = ||P_j xi||: the phase layer scales
-a_j by exp(-i gamma lambda_j), the Grover mixer adds
-(e^{i beta} - 1)(w.a) w, and the loss is sum_j lambda_j |a_j|^2.  Each
-layer-sample costs O(d) instead of O(q**n).
+starting at w: the phase layer scales a_j by exp(-i gamma lambda_j),
+the Grover mixer adds (e^{i beta} - 1)(w.a) w, and the loss is
+sum_j lambda_j |a_j|^2.  Each layer-sample costs O(d) instead of
+O(q**n).
 
 The dense path (``run_circuit``, ``apply_*``, ``loss``) moves the full
 q**n state, applying the mixer through its rank-one closed form, never
@@ -17,11 +19,10 @@ is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import InitialState, ObjectiveTable, SizeLimitError, build_spectrum, level_weights
+from .core import InitialState, ObjectiveTable, SizeLimitError
 
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
@@ -123,32 +124,18 @@ def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
     )
 
 
-def _level_weights(xi: InitialState, objective: ObjectiveTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct objective values lambda_j and level weights w_j = ||P_j xi||,
-    in ascending value order.
-
-    Levels the state does not touch (w_j = 0) are dropped, so both arrays
-    have length d.
-    """
-    if xi.amplitudes.shape[0] != objective.size:
-        raise ValueError("state and objective dimensions disagree")
-    spectrum = build_spectrum(objective)
-    lam = spectrum.values[::-1]
-    w = level_weights(xi, spectrum)[::-1]
-    keep = w > 0.0
-    return lam[keep], w[keep]
-
-
 def _sample_losses(
-    levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, seed: int
+    values: np.ndarray, weights: np.ndarray, p: int, samples: int, seed: int
 ) -> np.ndarray:
     """Loss of each sample, in sample order, evolved in W0.
 
+    ``values`` and ``weights`` are the supported levels in spectrum
+    (descending) order; the evolution runs over them in ascending order.
     Sample i draws its parameters from ``_stream_seed(seed, i)``.  Every
     operation acts row by row, so a sample's loss does not depend on the
     block it is evolved in.
     """
-    lam, w = levels
+    lam, w = values[::-1], weights[::-1]
     rows = max(1, _BLOCK_ENTRIES // len(w))
     losses = np.empty(samples)
     for start in range(0, samples, rows):
@@ -169,7 +156,23 @@ def _sample_losses(
     return losses
 
 
-def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, seed: int) -> McReport:
+def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McReport:
+    """Estimate mean and variance of the loss over random parameters.
+
+    ``values`` and ``weights`` are the supported levels' objective values
+    lambda_j and weights ||P_j xi||, in spectrum order: the nonzero
+    entries of ``LevelOverlaps.c`` and the matching ``Spectrum.values``.
+    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``
+    for a ``seed`` in [0, 2**64), and the reductions run over the
+    sample-ordered array, so the report is a pure function of the
+    arguments.  The variance is the unbiased sample variance; its
+    standard error uses the plug-in fourth-central-moment formula
+    sqrt((m4 - s^4 (M-3)/(M-1)) / M).
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
+        raise ValueError("values and weights must be parallel non-empty 1-d arrays")
     if samples < 2:
         raise ValueError("need at least two samples")
     if p < 1:
@@ -177,7 +180,7 @@ def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, se
     if not 0 <= seed <= _MASK64:
         # _stream_seed works modulo 2**64, so other seeds would alias these
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    losses = _sample_losses(levels, p, samples, seed)
+    losses = _sample_losses(values, weights, p, samples, seed)
     mean = float(np.mean(losses))
     variance = float(np.var(losses, ddof=1))
     centered = losses - mean
@@ -192,39 +195,6 @@ def _monte_carlo(levels: Tuple[np.ndarray, np.ndarray], p: int, samples: int, se
         stderr_variance=float(np.sqrt(max(var_of_var, 0.0))),
         seed=int(seed),
     )
-
-
-def monte_carlo_stats(
-    xi: InitialState,
-    objective: ObjectiveTable,
-    p: int,
-    samples: int,
-    seed: int,
-) -> McReport:
-    """Estimate mean and variance of the loss over random parameters.
-
-    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``
-    for a ``seed`` in [0, 2**64), and the reductions run over the
-    sample-ordered array, so the report is a pure function of the
-    arguments.  The variance is the unbiased sample variance; its
-    standard error uses the plug-in fourth-central-moment formula
-    sqrt((m4 - s^4 (M-3)/(M-1)) / M).
-    """
-    return _monte_carlo(_level_weights(xi, objective), p, samples, seed)
-
-
-def depth_sweep(
-    xi: InitialState,
-    objective: ObjectiveTable,
-    p_list: Sequence[int],
-    samples: int,
-    seed: int,
-) -> List[McReport]:
-    """One Monte Carlo report per depth, all from the same master seed."""
-    if not p_list:
-        raise ValueError("depth list must be non-empty")
-    levels = _level_weights(xi, objective)
-    return [_monte_carlo(levels, p, samples, seed) for p in p_list]
 
 
 def grover_mixer_identity_check(n: int) -> float:

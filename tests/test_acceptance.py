@@ -178,7 +178,10 @@ def _mc_case(graph, p=32, samples=4096, seed=97):
     overlaps = decompose_initial_state(state, spectrum)
     stats = predict_loss_stats(spectrum, overlaps)
     start = time.time()
-    mc = monte_carlo_stats(state, table, p=p, samples=samples, seed=seed)
+    sup = overlaps.supported_levels
+    mc = monte_carlo_stats(
+        spectrum.values[sup], overlaps.c[sup], p=p, samples=samples, seed=seed
+    )
     elapsed = time.time() - start
     assert elapsed < 30.0
     return stats, mc

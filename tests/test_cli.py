@@ -443,6 +443,34 @@ def test_sweep_empty_depths(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depths", ["1,0", "1,x"])
+def test_sweep_bad_depths(capsys, depths):
+    code, out, err = run_cli(
+        capsys, "sweep", "--maxcut", str(DATA / "p3.graph"), "--depths", depths
+    )
+    assert code == 2
+    assert out == ""
+    assert "--depths" in err
+
+
+def test_sweep_rows_match_simulate(capsys):
+    common = ("--maxcut", str(DATA / "house.graph"), "--samples", "64", "--seed", "13")
+    code, out, _ = run_cli(capsys, "sweep", *common, "--depths", "1,3,8", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["p"] for row in rows] == [1, 3, 8]
+    for row in rows:
+        code, out, _ = run_cli(capsys, "simulate", *common, "--depth", str(row["p"]))
+        assert code == 0
+        report = json.loads(out)
+        mc = report["monte_carlo"]
+        assert row["p"] == mc["depth"]
+        for key in ("samples", "seed", "mean", "variance", "stderr_mean", "stderr_variance"):
+            assert row[key] == mc[key]
+        assert row["target_mean"] == report["loss_stats"]["expected_loss"]
+        assert row["target_variance"] == report["loss_stats"]["loss_variance"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -487,13 +515,28 @@ def test_bad_dim_cap_rejected(capsys, value):
 
 
 def test_verify_closure_stops_at_full_algebra(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--tol-indep", "0"
+    # at tol 0 round-off directions count, so the closure is u(8), not the predicted 10
+    # (test_oracle.py::test_lie_closure_is_bounded_by_full_algebra); verify refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--maxcut", str(DATA / "p3.graph"), "--tol-indep", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol-indep" in captured.err
+
+
+def test_tol_zero_dropping_weight_is_named(tmp_path, capsys):
+    # the cut-0 level of P3 at weight 0.005 falls below --tol-zero 0.01
+    table = maxcut_objective(parse_graph((DATA / "p3.graph").read_text()))
+    state = level_state(table.values, {1.0: np.sqrt(1.0 - 0.005**2), 0.0: 0.005})
+    init = write_init(tmp_path / "init.json", state.amplitudes)
+    code, out, err = run_cli(
+        capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--init", init, "--tol-zero", "0.01"
     )
-    closure = json.loads(out)["oracle"]["closure"]
-    assert closure["dimension"] == 64
-    assert closure["hit_cap"] is False
-    assert code == 1  # round-off directions counted at tol 0 give u(8), not the predicted 10
+    assert code == 2
+    assert out == ""
+    assert "tol_zero = 0.01" in err
+    assert "0.005" in err
 
 
 def test_zero_tolerance_accepted(capsys):

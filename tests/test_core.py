@@ -158,7 +158,7 @@ def test_decompose_allocates_no_per_level_arrays():
 
 def test_decompose_dimension_mismatch():
     spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[0.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagree"):
         decompose_initial_state(uniform_state(2, 2), spectrum)
 
 

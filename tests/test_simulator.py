@@ -7,25 +7,35 @@ from gmqaoa import (
     ParameterSet,
     apply_grover_mixer,
     apply_phase_layer,
+    build_spectrum,
     coloring_objective,
-    depth_sweep,
+    decompose_initial_state,
     grover_mixer_identity_check,
     house_graph,
     loss,
     maxcut_objective,
     monte_carlo_stats,
     path_graph,
+    predict_loss_stats,
     run_circuit,
     uniform_state,
 )
 from gmqaoa import simulator
-from gmqaoa.simulator import _level_weights, _sample_losses, _stream_seed, sample_parameters
+from gmqaoa.simulator import _sample_losses, _stream_seed, sample_parameters
 from helpers import dense_circuit_reference
 
 
 def random_state(rng, size):
     amp = rng.normal(size=size) + 1j * rng.normal(size=size)
     return InitialState(amp / np.linalg.norm(amp))
+
+
+def supported_levels(xi, table):
+    """Values and weights of the supported levels, as the CLI passes them."""
+    spectrum = build_spectrum(table)
+    overlaps = decompose_initial_state(xi, spectrum)
+    sup = overlaps.supported_levels
+    return spectrum.values[sup], overlaps.c[sup]
 
 
 def test_phase_layer_identity_and_global_phase():
@@ -125,19 +135,19 @@ def test_stream_seed_splitmix_vectors():
 
 def test_monte_carlo_constant_objective():
     table = ObjectiveTable(n=2, q=2, values=[2.5] * 4)
-    report = monte_carlo_stats(uniform_state(2, 2), table, p=4, samples=16, seed=1)
+    values, weights = supported_levels(uniform_state(2, 2), table)
+    report = monte_carlo_stats(values, weights, p=4, samples=16, seed=1)
     # every sample returns the constant up to the last ulp of the layer products
     assert report.mean == pytest.approx(2.5, abs=1e-14)
     assert report.variance <= 1e-30
 
 
 def test_monte_carlo_determinism():
-    table = maxcut_objective(path_graph(3))
-    xi = uniform_state(3, 2)
-    a = monte_carlo_stats(xi, table, p=4, samples=64, seed=42)
-    b = monte_carlo_stats(xi, table, p=4, samples=64, seed=42)
+    levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
+    a = monte_carlo_stats(*levels, p=4, samples=64, seed=42)
+    b = monte_carlo_stats(*levels, p=4, samples=64, seed=42)
     assert a == b
-    d = monte_carlo_stats(xi, table, p=4, samples=64, seed=43)
+    d = monte_carlo_stats(*levels, p=4, samples=64, seed=43)
     assert a != d
 
 
@@ -160,10 +170,10 @@ def _unsupported_level_case():
 )
 def test_reduced_losses_match_dense_oracle(build, d):
     table, xi = build()
-    levels = _level_weights(xi, table)
-    assert len(levels[0]) == len(levels[1]) == d
+    values, weights = supported_levels(xi, table)
+    assert len(values) == len(weights) == d
     p, samples, seed = 6, 40, 123
-    reduced = _sample_losses(levels, p, samples, seed)
+    reduced = _sample_losses(values, weights, p, samples, seed)
     dense = [
         loss(run_circuit(xi, table, sample_parameters(
             p, np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
@@ -174,50 +184,38 @@ def test_reduced_losses_match_dense_oracle(build, d):
 
 
 def test_sample_losses_do_not_depend_on_the_block_split(monkeypatch):
-    table = maxcut_objective(house_graph())
-    levels = _level_weights(uniform_state(5, 2), table)
-    whole = _sample_losses(levels, 5, 50, 8)
+    levels = supported_levels(uniform_state(5, 2), maxcut_objective(house_graph()))
+    whole = _sample_losses(*levels, 5, 50, 8)
     # five levels, so blocks of 3 rows: 16 full blocks and a 2-row tail
     monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", 17)
-    assert np.array_equal(_sample_losses(levels, 5, 50, 8), whole)
+    assert np.array_equal(_sample_losses(*levels, 5, 50, 8), whole)
 
 
 def test_monte_carlo_size_mismatch():
-    table = maxcut_objective(path_graph(3))
-    with pytest.raises(ValueError, match="disagree"):
-        monte_carlo_stats(uniform_state(2, 2), table, p=2, samples=8, seed=0)
-    with pytest.raises(ValueError, match="disagree"):
-        depth_sweep(uniform_state(2, 2), table, [1, 2], samples=8, seed=0)
+    # the state/table size check is decompose_initial_state's; these are the level arrays'
+    for values, weights in (([2.0, 1.0], [0.6]), ([], []), ([[2.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="parallel non-empty 1-d arrays"):
+            monte_carlo_stats(values, weights, p=2, samples=8, seed=0)
 
 
 def test_monte_carlo_validation():
-    table = maxcut_objective(path_graph(3))
-    xi = uniform_state(3, 2)
+    levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
     with pytest.raises(ValueError):
-        monte_carlo_stats(xi, table, p=4, samples=1, seed=0)
+        monte_carlo_stats(*levels, p=4, samples=1, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo_stats(xi, table, p=0, samples=8, seed=0)
-
-
-def test_depth_sweep():
-    table = maxcut_objective(path_graph(3))
-    xi = uniform_state(3, 2)
-    reports = depth_sweep(xi, table, [1, 2, 4], samples=32, seed=9)
-    assert [r.p for r in reports] == [1, 2, 4]
-    assert len({r.seed for r in reports}) == 1
-    with pytest.raises(ValueError):
-        depth_sweep(xi, table, [], samples=32, seed=9)
+        monte_carlo_stats(*levels, p=0, samples=8, seed=0)
 
 
 def test_depth_sweep_converges_to_analytic_variance():
-    from gmqaoa import build_spectrum, decompose_initial_state, predict_loss_stats
-
     table = maxcut_objective(path_graph(3))
-    xi = uniform_state(3, 2)
     spectrum = build_spectrum(table)
-    overlaps = decompose_initial_state(xi, spectrum)
+    overlaps = decompose_initial_state(uniform_state(3, 2), spectrum)
     target = predict_loss_stats(spectrum, overlaps).loss_variance
-    shallow, deep = depth_sweep(xi, table, [1, 32], samples=2048, seed=19)
+    sup = overlaps.supported_levels
+    shallow, deep = (
+        monte_carlo_stats(spectrum.values[sup], overlaps.c[sup], p=p, samples=2048, seed=19)
+        for p in (1, 32)
+    )
     # a single layer cannot equidistribute; the gap is far outside noise
     assert abs(shallow.variance - target) > 3.0 * shallow.stderr_variance
     assert abs(deep.variance - target) <= 3.0 * deep.stderr_variance
