@@ -446,6 +446,7 @@ def cmd_verify(args) -> int:
         "closure": {
             "dimension": closure.dimension,
             "rounds": closure.rounds,
+            "candidates": closure.candidates,
             "max_residual_discarded": closure.max_residual_discarded,
             "min_residual_accepted": closure.min_residual_accepted,
             "hit_cap": closure.hit_cap,

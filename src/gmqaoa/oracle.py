@@ -40,8 +40,8 @@ _TOL_ORTH = 1e-8
 _ZERO_FLOOR = 1e-10
 
 #: Commutator entries screened at once: one block of candidates per
-#: frontier element (128 candidates at N = 32).
-_SCREEN_ENTRIES = 1 << 17
+#: frontier element (64 candidates at N = 32).
+_SCREEN_ENTRIES = 1 << 16
 
 
 class OracleCapError(ValueError):
@@ -71,11 +71,13 @@ class ClosureReport:
     ``max_residual_discarded`` and ``min_residual_accepted`` are the margin
     around ``tol_indep``: the largest relative residual of a discarded
     candidate, and the smallest of an accepted element (None when no
-    element was tested against a non-empty basis).
+    element was tested against a non-empty basis).  ``candidates`` counts
+    the commutators screened.
     """
 
     dimension: int
     rounds: int
+    candidates: int
     max_residual_discarded: float
     min_residual_accepted: Optional[float]
     hit_cap: bool
@@ -136,6 +138,21 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
     return h - (np.trace(h) / n) * np.eye(n)
 
 
+def _packed_commutators(y: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Packed real coordinates of Y^dag - Y for each Y of a (k, N, N) stack.
+
+    A skew-Hermitian C packs into the real N x N matrix Re C + Im C, its
+    antisymmetric plus its symmetric part.  Their Frobenius cross term
+    vanishes, so packed matrices have the dot product Re tr(A^dag B) in N**2
+    floats instead of 2 N**2.  For C = Y^dag - Y the packed matrix is
+    (Re Y - Im Y)^T - (Re Y + Im Y); ``out`` and ``work`` are real
+    (k, N, N) buffers.
+    """
+    np.subtract(y.real, y.imag, out=work)
+    np.add(y.real, y.imag, out=out)
+    return np.subtract(work.transpose(0, 2, 1), out, out=out)
+
+
 def lie_closure(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
@@ -153,26 +170,36 @@ def lie_closure(
     survivors.  Deterministic schedule: the generators are
     orthonormalized in input order; then, per round, every element of the
     previous round's additions is commuted with every basis element
-    present at the round's start, in index order.  Each candidate is
+    present at the round's start, in index order, except the frontier
+    elements up to and including itself: [f_i, f_j] = -[f_j, f_i] for
+    j < i was tested already, and [f_i, f_i] = 0.  Each candidate is
     rescaled to unit Hilbert-Schmidt norm, projected against the current
     basis, and appended when the residual exceeds ``tol_indep``.
     Commutators whose norm sits at the round-off floor are treated as
     zero rather than normalized.
 
-    The commutators of one frontier element are formed in blocks of
-    ``_SCREEN_ENTRIES`` entries and screened together: two GEMMs give
-    each candidate's relative residual against the basis at the block's
-    start.  That basis is contained in the one the per-candidate test
-    sees, so a candidate screened out would be discarded there too; only
-    the survivors, in index order, take the per-candidate test, and the
-    accepted elements are the same, bit for bit.
+    The commutators of one frontier element f are screened in blocks of
+    ``_SCREEN_ENTRIES`` entries.  For skew-Hermitian f and B, [f, B] =
+    Y^dag - Y with Y = B f, so one stacked product per block gives the
+    candidates; they are packed into N**2 real coordinates
+    (``_packed_commutators``) and projected with two GEMMs against a
+    packed mirror of the basis at the block's start.  That
+    basis is contained in the one the per-candidate test sees, so a
+    candidate screened out would be discarded there too; only the
+    survivors, in index order, are formed again as f B - B f and take
+    the per-candidate test, and the accepted elements are the same, bit
+    for bit.
 
     Stops when a round adds nothing, when the basis spans all N**2 real
     dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
-    are reached (flagged as ``hit_cap``, not fatal).
+    are reached (flagged as ``hit_cap``, not fatal).  ``tol_indep`` must
+    be finite and > 0 (at 0 round-off residuals count as new
+    directions), and the generators finite.
     """
     if dim_cap < 1:
         raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
+    if not (math.isfinite(tol_indep) and tol_indep > 0.0):
+        raise ValueError(f"tol_indep must be finite and > 0, got {tol_indep}")
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -180,6 +207,8 @@ def lie_closure(
     for g in mats:
         if g.ndim != 2 or g.shape != (dim_space, dim_space):
             raise ValueError("generators must be square matrices of one size")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generators must be finite")
         if np.max(np.abs(g + g.conj().T)) > _TOL_SKEW:
             raise ValueError("generators must be skew-Hermitian")
     if dim_space > ORACLE_DIM_LIMIT:
@@ -191,12 +220,18 @@ def lie_closure(
     capacity = min(dim_cap, size2)
     basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
     rows = basis.reshape(capacity, size2).view(float)
+    block = max(1, _SCREEN_ENTRIES // size2)
+    # the packed mirror grows by doubling: at full capacity (8 MiB at N = 32)
+    # numpy would request huge pages for it, and each one touched adds
+    # 2 MiB to peak RSS
+    packed = np.zeros((min(capacity, block), size2))
     count = 0
+    candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
 
     def try_add(mat: np.ndarray, floor: float = 0.0) -> bool:
-        nonlocal count, max_discarded, min_accepted
+        nonlocal count, packed, max_discarded, min_accepted
         nrm = float(np.linalg.norm(mat))
         if nrm <= floor:
             return False
@@ -212,28 +247,39 @@ def lie_closure(
         new = res.view(complex).reshape(dim_space, dim_space)
         new = 0.5 * (new - new.conj().T)
         basis[count] = new / np.linalg.norm(new)
+        if count == len(packed):
+            packed = np.vstack([packed, np.zeros_like(packed)])
+        packed[count] = (basis[count].real + basis[count].imag).ravel()
         count += 1
         return True
 
-    block = max(1, _SCREEN_ENTRIES // size2)
+    prods = np.empty((block, dim_space, dim_space), dtype=complex)
+    cand_buf = np.empty((block, dim_space, dim_space))
+    resid_buf = np.empty_like(cand_buf)
 
-    def screened(f: np.ndarray, start: int):
-        """Commutators [f, B_k], k < start, that survive the screen, in index order."""
-        nonlocal max_discarded
-        for lo in range(0, start, block):
-            part = basis[lo : min(lo + block, start)]
-            commutators = np.matmul(f, part) - np.matmul(part, f)
-            cand = commutators.reshape(len(part), size2).view(float)
-            known = rows[:count]
-            resid = np.linalg.norm(cand - (cand @ known.T) @ known, axis=1)
-            norms = np.linalg.norm(cand, axis=1)
-            live = norms > _ZERO_FLOOR
-            rel = np.divide(resid, norms, out=np.zeros_like(resid), where=live)
-            dependent = live & (rel <= tol_indep)
-            if dependent.any():
-                max_discarded = max(max_discarded, float(rel[dependent].max()))
-            for k in np.flatnonzero(live & (rel > tol_indep)):
-                yield commutators[k]
+    def screened(f: np.ndarray, spans):
+        """Commutators [f, B_k], k in ``spans``, that survive the screen, in index order."""
+        nonlocal candidates, max_discarded
+        for span in spans:
+            for lo in range(span.start, span.stop, block):
+                hi = min(lo + block, span.stop)
+                k = hi - lo
+                candidates += k
+                part = basis[lo:hi]
+                y = np.matmul(part, f, out=prods[:k])
+                cand = _packed_commutators(y, cand_buf[:k], resid_buf[:k]).reshape(k, size2)
+                known = packed[:count]
+                proj = np.matmul(cand @ known.T, known, out=resid_buf[:k].reshape(k, size2))
+                resid = np.linalg.norm(np.subtract(cand, proj, out=proj), axis=1)
+                norms = np.linalg.norm(cand, axis=1)
+                live = norms > _ZERO_FLOOR
+                rel = np.divide(resid, norms, out=np.zeros_like(resid), where=live)
+                dependent = live & (rel <= tol_indep)
+                if dependent.any():
+                    max_discarded = max(max_discarded, float(rel[dependent].max()))
+                for j in np.flatnonzero(live & (rel > tol_indep)):
+                    b = basis[lo + j]
+                    yield f @ b - b @ f
 
     for g in mats:
         if count == capacity:
@@ -245,7 +291,8 @@ def lie_closure(
         rounds += 1
         start = count
         for fi in frontier:
-            for mat in screened(basis[fi], start):
+            spans = (range(frontier.start), range(fi + 1, start))
+            for mat in screened(basis[fi], spans):
                 if try_add(mat, floor=_ZERO_FLOOR) and count == capacity:
                     break
             if count == capacity:
@@ -254,12 +301,18 @@ def lie_closure(
     report = ClosureReport(
         dimension=count,
         rounds=rounds,
+        candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         # N**2 elements span all of u(N): the exact answer, not a lower bound
         hit_cap=count == dim_cap < size2,
     )
     return basis[:count], report
+
+
+def _check_tol_rank(tol_rank: float) -> None:
+    if not (math.isfinite(tol_rank) and tol_rank >= 0.0):
+        raise ValueError(f"tol_rank must be finite and >= 0, got {tol_rank}")
 
 
 def _basis_array(basis) -> np.ndarray:
@@ -277,8 +330,9 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     ``basis`` is any (k, N, N) array-like, such as the closure basis or a
     list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
     acting on complex N x N matrices; eigenvalues below ``tol_rank``
-    count as null.
+    count as null; ``tol_rank`` must be finite and >= 0.
     """
+    _check_tol_rank(tol_rank)
     elements = _basis_array(basis)
     n = elements.shape[1]
     if n > ORACLE_DIM_LIMIT:
@@ -317,7 +371,9 @@ def grover_commutant_dimension(
     M M^dag (squared singular values of M) at or above ``tol_rank``.
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
+    ``tol_rank`` must be finite and >= 0.
     """
+    _check_tol_rank(tol_rank)
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:

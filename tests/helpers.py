@@ -171,6 +171,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
     basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
     rows = basis.reshape(capacity, size2).view(float)
     count = 0
+    candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
 
@@ -207,6 +208,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
         for fi in frontier:
             f = basis[fi]
             commutators = np.matmul(f, span) - np.matmul(span, f)
+            candidates += start
             for k in range(start):
                 if try_add(commutators[k], floor=_ZERO_FLOOR) and count == capacity:
                     break
@@ -216,6 +218,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
     report = ClosureReport(
         dimension=count,
         rounds=rounds,
+        candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         hit_cap=count == dim_cap < size2,

@@ -251,6 +251,8 @@ def test_verify_p3(capsys):
     report = json.loads(out)
     oracle = report["oracle"]
     assert oracle["closure"]["dimension"] == 10
+    # every pair of the 10 elements screened once; the CSV leaves the count out
+    assert oracle["closure"]["candidates"] == 45
     assert oracle["commutant_dim"] == 12
     verdicts = oracle["verdicts"]
     assert verdicts["dla_dim"]["verdict"] == "match"

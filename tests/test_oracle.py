@@ -32,7 +32,7 @@ from gmqaoa import (
     uniform_state,
     x_mixer_generator,
 )
-from gmqaoa.oracle import TOL_INDEP, traceless_part
+from gmqaoa.oracle import TOL_INDEP, _packed_commutators, traceless_part
 from helpers import exact_unit, level_state, reference_lie_closure, twirled_mean_loss
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -89,6 +89,11 @@ def test_lie_closure_single_generator():
 def test_lie_closure_rejects_non_skew_input():
     with pytest.raises(ValueError, match="skew-Hermitian"):
         lie_closure([np.eye(2, dtype=complex)])
+    # NaN passes the skew check: max(|g + g^dag|) > tol is false for NaN
+    with pytest.raises(ValueError, match="finite"):
+        lie_closure([np.array([[1j, np.nan], [np.nan, -1j]])])
+    with pytest.raises(ValueError, match="finite"):
+        lie_closure([np.array([[np.inf * 1j, 0], [0, 0]])])
 
 
 def test_lie_closure_p4_gm():
@@ -130,11 +135,11 @@ def test_lie_closure_never_exceeds_dim_cap():
 
 
 def test_lie_closure_is_bounded_by_full_algebra():
-    # with tol_indep = 0 round-off residuals count as new directions, but
-    # skew-Hermitian 3 x 3 matrices span only 9 real dimensions
+    # with a tiny tol_indep round-off residuals count as new directions,
+    # but skew-Hermitian 3 x 3 matrices span only 9 real dimensions
     rng = np.random.default_rng(4)
     gens = [random_skew(rng, 3) for _ in range(2)]
-    basis, report = lie_closure(gens, tol_indep=0.0)
+    basis, report = lie_closure(gens, tol_indep=1e-300)
     assert basis.shape == (9, 3, 3)
     assert report.dimension == 9
     assert not report.hit_cap
@@ -192,6 +197,33 @@ def test_commutant_cap():
         commutant_dimension([1j * np.eye(65, dtype=complex)])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_lie_closure_refuses_bad_tol_indep(tol):
+    # at 0 or below round-off counts as new directions; nan accepts every
+    # candidate and inf discards every one
+    rng = np.random.default_rng(4)
+    gens = [random_skew(rng, 3) for _ in range(2)]
+    with pytest.raises(ValueError, match="tol_indep"):
+        lie_closure(gens, tol_indep=tol)
+
+
+def test_packed_commutators_are_an_isometry():
+    rng = np.random.default_rng(5)
+    n = 6
+    for _ in range(5):
+        a, b, f = (random_skew(rng, n) for _ in range(3))
+        # a skew-Hermitian C packs as Re C + Im C, with dot product Re tr(A^dag B)
+        assert np.sum((a.real + a.imag) * (b.real + b.imag)) == pytest.approx(
+            np.trace(a.conj().T @ b).real, abs=1e-12
+        )
+        # [f, B] = Y^dag - Y with Y = B f, packed without forming it
+        y = b @ f
+        comm = f @ b - b @ f
+        assert np.max(np.abs((y.conj().T - y) - comm)) < 1e-14
+        packed = _packed_commutators(y[None], np.empty((1, n, n)), np.empty((1, n, n)))
+        assert np.max(np.abs(packed[0] - (comm.real + comm.imag))) < 1e-14
+
+
 def bundled_table(name):
     if name == "triangle-q3":
         return coloring_objective(parse_graph((DATA / "triangle.graph").read_text()), 3)
@@ -233,6 +265,26 @@ def faint_p3_generators(eps):
     return [1j * h_p, 1j * g_m]
 
 
+def grover_test_states(table, seed):
+    """Uniform, random complex, and random complex with the top level zeroed."""
+    rng = np.random.default_rng(seed)
+    size = table.size
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    zeroed = np.where(table.values == table.values.max(), 0.0, amps)
+    return [
+        uniform_state(table.n, table.q),
+        InitialState(amps / np.linalg.norm(amps)),
+        InitialState(zeroed / np.linalg.norm(zeroed)),
+    ]
+
+
+def random_grover_generators(name, seed):
+    """Closure generators of a bundled instance under a seeded random complex state."""
+    table = bundled_table(name)
+    h_p, g_m = gm_generators(table, grover_test_states(table, seed)[1])
+    return [1j * h_p, 1j * g_m]
+
+
 REFERENCE_CASES = (
     [pytest.param(uniform_generators(name, "grover"), {}, id=f"{name}-grover") for name in BUNDLED_N32]
     + [
@@ -240,14 +292,21 @@ REFERENCE_CASES = (
         for name in BUNDLED_N32
         if bundled_table(name).q == 2
     ]
-    # accepted residuals within a decade of tol_indep at 1e-4
-    + [pytest.param(faint_p3_generators(eps), {}, id=f"p3-faint-{eps:g}") for eps in (1e-5, 1e-4)]
+    # accepted residuals within a decade of tol_indep at 1e-4; at 3e-5 and
+    # 3e-6 the largest discarded residual (9.9e-10, 9.6e-10) is at tol_indep
+    + [
+        pytest.param(faint_p3_generators(eps), {}, id=f"p3-faint-{eps:g}")
+        for eps in (1e-5, 1e-4, 3e-5, 3e-6)
+    ]
+    + [
+        pytest.param(random_grover_generators(name, seed=7), {}, id=f"{name}-grover-random")
+        for name in ("house.graph", "c6.graph")
+    ]
     # caps that stop the closure inside a screened block
     + [
         pytest.param(uniform_generators("house.graph", "x"), {"dim_cap": cap}, id=f"house-x-cap{cap}")
         for cap in (1, 2, 100, 129, 247)
     ]
-    + [pytest.param(uniform_generators("p3.graph", "grover"), {"tol_indep": 0.0}, id="p3-tol0")]
 )
 
 
@@ -262,7 +321,20 @@ def test_lie_closure_matches_reference(generators, kwargs):
     assert report.rounds == ref.rounds
     assert report.hit_cap == ref.hit_cap
     assert report.min_residual_accepted == ref.min_residual_accepted
-    assert report.max_residual_discarded <= kwargs.get("tol_indep", TOL_INDEP)
+    assert report.max_residual_discarded <= TOL_INDEP
+
+
+@pytest.mark.parametrize(
+    "name, mixer, candidates",
+    [("house.graph", "x", 30628), ("house.graph", "grover", 325), ("c6.graph", "grover", 136)],
+)
+def test_closure_screens_each_pair_once(name, mixer, candidates):
+    # a closure that ends on an empty round has commuted every unordered
+    # pair of its elements exactly once
+    _, report = lie_closure(uniform_generators(name, mixer))
+    dim = report.dimension
+    assert not report.hit_cap and dim < bundled_table(name).size ** 2
+    assert report.candidates == dim * (dim - 1) // 2 == candidates
 
 
 @pytest.mark.parametrize("name", BUNDLED_N32)
@@ -291,19 +363,6 @@ def test_closure_reports_faint_level_fragility():
 def test_closure_of_faint_level_matches_prediction():
     _, report = lie_closure(faint_p3_generators(1e-4))
     assert report.dimension == 10
-
-
-def grover_test_states(table, seed):
-    """Uniform, random complex, and random complex with the top level zeroed."""
-    rng = np.random.default_rng(seed)
-    size = table.size
-    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-    zeroed = np.where(table.values == table.values.max(), 0.0, amps)
-    return [
-        uniform_state(table.n, table.q),
-        InitialState(amps / np.linalg.norm(amps)),
-        InitialState(zeroed / np.linalg.norm(zeroed)),
-    ]
 
 
 @pytest.mark.parametrize("name", BUNDLED_N32)
@@ -365,8 +424,6 @@ def test_grover_commutant_margin_sides():
     assert report.dimension == 2
     assert report.min_nonnull is None
     assert report.max_null < 1e-13
-    # nothing counts as null below a negative threshold
-    assert grover_commutant_dimension([0.0, 1.0], [1.0, 0.0], tol_rank=-1.0).max_null is None
 
 
 def test_grover_commutant_rejects_bad_inputs():
@@ -380,6 +437,16 @@ def test_grover_commutant_rejects_bad_inputs():
         grover_commutant_dimension([0.0, np.nan], [1.0, 0.0])
     with pytest.raises(ValueError, match="nonzero norm"):
         grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])
+def test_commutant_solvers_refuse_bad_tol_rank(tol):
+    # -1 counts no eigenvalue as null and inf every one; nan misreads the rank either way
+    amps = np.full(4, 0.5)
+    with pytest.raises(ValueError, match="tol_rank"):
+        grover_commutant_dimension([0.0, 1.0, 1.0, 2.0], amps, tol_rank=tol)
+    with pytest.raises(ValueError, match="tol_rank"):
+        commutant_dimension([1j * np.diag([0.0, 1.0, 1.0, 2.0])], tol_rank=tol)
 
 
 def test_invariant_subspace_residual():
