@@ -1,5 +1,11 @@
 """Command-line frontend: analyze, verify, simulate, sweep.
 
+Each ``cmd_*`` function returns ``(report, csv_rows, exit_code)`` and
+writes nothing: the report is the JSON document, and the CSV rows are
+read off it through the declared column maps below.  ``main`` alone
+emits the report, as JSON or CSV, to stdout or ``--out``, and maps
+exceptions to exit codes.
+
 Exit codes: 0 success (all verdicts match), 1 a numerical verdict
 contradicts a prediction, 2 input or flag error, 3 instance exceeds the
 dense-oracle caps.
@@ -14,6 +20,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +35,6 @@ from .analytic import (
 from .core import (
     TOL_ZERO,
     InitialState,
-    SizeLimitError,
     build_spectrum,
     decompose_initial_state,
     uniform_state,
@@ -129,12 +135,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _tol_indep(text: str) -> float:
+def _positive_tolerance(text: str) -> float:
     value = _tolerance(text)
     if value == 0.0:
-        # every round-off residual would count as a new direction, so the
-        # closure would be all of u(N) on any instance
-        raise argparse.ArgumentTypeError("the closure needs a tolerance > 0, got 0")
+        # --tol-indep 0 counts every round-off residual as a new direction,
+        # so the closure is all of u(N); --tol-rank 0 counts no eigenvalue
+        # as null, so the commutant comes out too small
+        raise argparse.ArgumentTypeError("tolerance must be > 0, got 0")
     return value
 
 
@@ -178,7 +185,7 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threshold-strict", action="store_true",
                     help="use > T instead of >= T")
     sp.add_argument("--tol-zero", type=_tolerance, default=TOL_ZERO)
-    sp.add_argument("--format", choices=("json", "csv"), default=None,
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (default json; sweep defaults to csv)")
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
 
@@ -198,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=_tol_indep, default=TOL_INDEP)
-    verify.add_argument("--tol-rank", type=_tolerance, default=TOL_RANK)
+    verify.add_argument("--tol-indep", type=_positive_tolerance, default=TOL_INDEP)
+    verify.add_argument("--tol-rank", type=_positive_tolerance, default=TOL_RANK)
     verify.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
 
@@ -217,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=4096)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, format="csv")
     return parser
 
 
@@ -275,45 +282,32 @@ def _load_init(args, table):
     return InitialState(np.asarray(amps, dtype=complex)), hashlib.sha256(data).hexdigest()
 
 
-def _base_report(command: str, args, descriptor, problem_digest, init_digest, table) -> dict:
-    config = {
-        "problem": descriptor,
-        "init": args.init,
-        "tolerances": {"tol_zero": args.tol_zero},
-        "format": args.format or ("csv" if command == "sweep" else "json"),
-    }
-    if command == "verify":
-        config["mixer"] = args.mixer
-        config["tolerances"].update(
-            tol_indep=args.tol_indep, tol_rank=args.tol_rank, tol_invariant=TOL_INVARIANT
-        )
-        config["dim_cap"] = args.dim_cap
-    if command in ("simulate", "sweep"):
-        config["samples"] = args.samples
-        config["seed"] = args.seed
-        config["parameter_ranges"] = {"beta": [0.0, BETA_MAX], "gamma": [0.0, GAMMA_MAX]}
-        if command == "simulate":
-            config["depth"] = args.depth
-        else:
-            config["depths"] = args.depths
-    return {
-        "tool": "gmqaoa",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {"problem_sha256": problem_digest, "init_sha256": init_digest},
-        "problem": {"n": table.n, "q": table.q, "n_states": table.size},
-    }
+def _analysis(args, command: str, config: dict):
+    """Load the problem and state, run the closed forms and open the report.
 
-
-def _analysis_sections(table, state, tol_zero):
+    ``config`` adds the command's settings; its ``tolerances`` replace the common ones.
+    """
+    table, descriptor, problem_digest = _load_problem(args)
+    state, init_digest = _load_init(args, table)
     spectrum = build_spectrum(table)
-    overlaps = decompose_initial_state(state, spectrum, tol_zero=tol_zero)
+    overlaps = decompose_initial_state(state, spectrum, tol_zero=args.tol_zero)
     dla = predict_dla(spectrum, overlaps)
     commutant = predict_commutant(spectrum, overlaps)
     stats = predict_loss_stats(spectrum, overlaps)
     irreducible_dim, invariant_lines = isotypic_summary(spectrum, overlaps)
-    sections = {
+    report = {
+        "tool": "gmqaoa",
+        "version": __version__,
+        "command": command,
+        "config": {
+            "problem": descriptor,
+            "init": args.init,
+            "tolerances": {"tol_zero": args.tol_zero},
+            "format": args.format,
+            **config,
+        },
+        "inputs": {"problem_sha256": problem_digest, "init_sha256": init_digest},
+        "problem": {"n": table.n, "q": table.q, "n_states": table.size},
         "spectrum": {
             "r": spectrum.r,
             "levels": [{"value": v, "multiplicity": m} for v, m in spectrum.levels],
@@ -324,40 +318,37 @@ def _analysis_sections(table, state, tol_zero):
             "c": [float(x) for x in overlaps.c],
             "supported_levels": list(overlaps.supported_levels),
         },
-        "dla": {
-            "algebra": dla.algebra,
-            "dim": dla.dim,
-            "center_dim": dla.center_dim,
-        },
-        "commutant": {"dim": commutant.dim},
-        "isotypic": {
-            "irreducible_dim": irreducible_dim,
-            "invariant_lines": invariant_lines,
-        },
-        "loss_stats": {
-            "zeta_mean": stats.zeta_mean,
-            "zeta_var": stats.zeta_var,
-            "p_su_rho": stats.p_su_rho,
-            "p_su_hp": stats.p_su_hp,
-            "expected_loss": stats.expected_loss,
-            "loss_variance": stats.loss_variance,
-            "l1": stats.l1,
-            "l2": stats.l2,
-        },
+        "dla": {"algebra": dla.algebra, "dim": dla.dim, "center_dim": dla.center_dim},
+        "commutant": asdict(commutant),
+        "isotypic": {"irreducible_dim": irreducible_dim, "invariant_lines": invariant_lines},
+        "loss_stats": asdict(stats),
     }
-    return sections, spectrum, overlaps, dla, commutant, stats
+    return report, table, state, spectrum, overlaps
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _monte_carlo(args, spectrum, overlaps, p: int) -> dict:
+    sup = overlaps.supported_levels
+    mc = monte_carlo_stats(
+        spectrum.values[sup], overlaps.c[sup], p=p, samples=args.samples, seed=args.seed
+    )
+    return {
+        "depth": mc.p,
+        "samples": mc.samples,
+        "seed": mc.seed,
+        "mean": mc.mean,
+        "variance": mc.variance,
+        "stderr_mean": mc.stderr_mean,
+        "stderr_variance": mc.stderr_variance,
+    }
 
 
-def _emit_json(report: dict, args) -> None:
-    _emit(json.dumps(report, indent=2) + "\n", args)
+def _mc_config(args, **depth) -> dict:
+    return {
+        "samples": args.samples,
+        "seed": args.seed,
+        "parameter_ranges": {"beta": [0.0, BETA_MAX], "gamma": [0.0, GAMMA_MAX]},
+        **depth,
+    }
 
 
 def _csv_cell(value):
@@ -382,55 +373,46 @@ def _flat_row(columns, report: dict) -> dict:
     return {name: _lookup(report, path) for name, path in columns}
 
 
-def _emit_csv(rows, args) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(rows[0])
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row.values()])
-    _emit(buf.getvalue(), args)
-
-
-def _emit_report(report: dict, columns, args) -> None:
-    if (args.format or "json") == "json":
-        _emit_json(report, args)
+def _emit(args, report: dict, rows) -> None:
+    if args.format == "json":
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        _emit_csv([_flat_row(columns, report)], args)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(rows[0])
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def cmd_analyze(args) -> int:
-    table, descriptor, problem_digest = _load_problem(args)
-    state, init_digest = _load_init(args, table)
-    report = _base_report("analyze", args, descriptor, problem_digest, init_digest, table)
-    sections, *_ = _analysis_sections(table, state, args.tol_zero)
-    report.update(sections)
-    _emit_report(report, _ANALYZE_COLUMNS, args)
-    return 0
+def cmd_analyze(args):
+    report, *_ = _analysis(args, "analyze", {})
+    return report, [_flat_row(_ANALYZE_COLUMNS, report)], 0
 
 
-def _verdict(predicted, observed, tolerance=0):
-    ok = predicted == observed if tolerance == 0 else abs(predicted - observed) <= tolerance
-    return {
-        "predicted": predicted,
-        "observed": observed,
-        "tolerance": tolerance,
-        "verdict": "match" if ok else "mismatch",
+def _verdict(predicted, observed) -> dict:
+    verdict = "match" if predicted == observed else "mismatch"
+    return {"predicted": predicted, "observed": observed, "tolerance": 0, "verdict": verdict}
+
+
+def cmd_verify(args):
+    tolerances = {
+        "tol_zero": args.tol_zero,
+        "tol_indep": args.tol_indep,
+        "tol_rank": args.tol_rank,
+        "tol_invariant": TOL_INVARIANT,
     }
-
-
-def cmd_verify(args) -> int:
-    table, descriptor, problem_digest = _load_problem(args)
+    report, table, state, spectrum, overlaps = _analysis(
+        args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap}
+    )
     if table.size > ORACLE_DIM_LIMIT:
         raise OracleCapError(
             f"instance dimension {table.size} exceeds the oracle cap {ORACLE_DIM_LIMIT}"
         )
-    state, init_digest = _load_init(args, table)
-    report = _base_report("verify", args, descriptor, problem_digest, init_digest, table)
-    sections, spectrum, overlaps, dla, commutant, _ = _analysis_sections(
-        table, state, args.tol_zero
-    )
-    report.update(sections)
-
     h_p, g_m = gm_generators(table, state)
     if args.mixer == "x":
         if table.q != 2:
@@ -441,152 +423,98 @@ def cmd_verify(args) -> int:
         generators = [1j * h_p, 1j * g_m]
     basis, closure = lie_closure(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
 
-    oracle_section = {
-        "mixer": args.mixer,
-        "closure": {
-            "dimension": closure.dimension,
-            "rounds": closure.rounds,
-            "candidates": closure.candidates,
-            "max_residual_discarded": closure.max_residual_discarded,
-            "min_residual_accepted": closure.min_residual_accepted,
-            "hit_cap": closure.hit_cap,
-            "tol_indep": args.tol_indep,
-        },
-    }
-    verdicts = {}
+    oracle = {"mixer": args.mixer, "closure": {**asdict(closure), "tol_indep": args.tol_indep}}
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
-        commutant_report = grover_commutant_dimension(
+        commutant = grover_commutant_dimension(
             table.values, state.amplitudes, tol_rank=args.tol_rank, tol_zero=args.tol_zero
         )
-        observed_comm = commutant_report.dimension
         w0 = [overlaps.component(j) for j in overlaps.supported_levels]
         w0_residual = invariant_subspace_residual(basis, w0)
-        lines = complement_invariant_lines(spectrum, overlaps)
         line_residual = 0.0
-        for line in lines:
+        for line in complement_invariant_lines(spectrum, overlaps):
             line_residual = max(line_residual, invariant_subspace_residual(basis, [line]))
-        oracle_section.update(
-            commutant_dim=observed_comm,
-            commutant_margin={
-                "max_null": commutant_report.max_null,
-                "min_nonnull": commutant_report.min_nonnull,
-            },
+        oracle.update(
+            commutant_dim=commutant.dimension,
+            commutant_margin={"max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull},
             tol_rank=args.tol_rank,
             w0_residual=w0_residual,
             complement_line_residual=line_residual,
             tol_invariant=TOL_INVARIANT,
         )
         if closure.hit_cap:
-            verdicts["dla_dim"] = {
-                "predicted": dla.dim,
+            dla_verdict = {
+                "predicted": report["dla"]["dim"],
                 "observed": closure.dimension,
                 "verdict": "not-run",
                 "note": "closure hit the dimension cap; dimension is a lower bound",
             }
         else:
-            verdicts["dla_dim"] = _verdict(dla.dim, closure.dimension)
-        verdicts["commutant_dim"] = _verdict(commutant.dim, observed_comm)
+            dla_verdict = _verdict(report["dla"]["dim"], closure.dimension)
         invariant_ok = w0_residual < TOL_INVARIANT and line_residual < TOL_INVARIANT
-        verdicts["isotypic"] = {
-            "w0_residual": w0_residual,
-            "line_residual": line_residual,
-            "tolerance": TOL_INVARIANT,
-            "verdict": "match" if invariant_ok else "mismatch",
+        verdicts = {
+            "dla_dim": dla_verdict,
+            "commutant_dim": _verdict(report["commutant"]["dim"], commutant.dimension),
+            "isotypic": {
+                "w0_residual": w0_residual,
+                "line_residual": line_residual,
+                "tolerance": TOL_INVARIANT,
+                "verdict": "match" if invariant_ok else "mismatch",
+            },
         }
     else:
-        verdicts["dla_dim"] = {"verdict": "not-run", "note": "no closed-form prediction for the x mixer"}
-        verdicts["commutant_dim"] = {"verdict": "not-run"}
-        verdicts["isotypic"] = {"verdict": "not-run"}
-    oracle_section["verdicts"] = verdicts
-    report["oracle"] = oracle_section
-    _emit_report(report, _VERIFY_COLUMNS, args)
+        verdicts = {
+            "dla_dim": {"verdict": "not-run", "note": "no closed-form prediction for the x mixer"},
+            "commutant_dim": {"verdict": "not-run"},
+            "isotypic": {"verdict": "not-run"},
+        }
+    oracle["verdicts"] = verdicts
+    report["oracle"] = oracle
     mismatched = any(v.get("verdict") == "mismatch" for v in verdicts.values())
-    return 1 if mismatched else 0
+    return report, [_flat_row(_VERIFY_COLUMNS, report)], 1 if mismatched else 0
 
 
-def _mc_section(mc) -> dict:
-    return {
-        "depth": mc.p,
-        "samples": mc.samples,
-        "seed": mc.seed,
-        "mean": mc.mean,
-        "variance": mc.variance,
-        "stderr_mean": mc.stderr_mean,
-        "stderr_variance": mc.stderr_variance,
-    }
-
-
-def cmd_simulate(args) -> int:
-    table, descriptor, problem_digest = _load_problem(args)
-    state, init_digest = _load_init(args, table)
-    report = _base_report("simulate", args, descriptor, problem_digest, init_digest, table)
-    sections, spectrum, overlaps, _, _, stats = _analysis_sections(table, state, args.tol_zero)
-    report.update(sections)
-    sup = overlaps.supported_levels
-    mc = monte_carlo_stats(
-        spectrum.values[sup], overlaps.c[sup], p=args.depth, samples=args.samples, seed=args.seed
+def cmd_simulate(args):
+    report, _, _, spectrum, overlaps = _analysis(
+        args, "simulate", _mc_config(args, depth=args.depth)
     )
-    report["monte_carlo"] = _mc_section(mc)
-    ok_mean = abs(mc.mean - stats.expected_loss) <= 3.0 * mc.stderr_mean
-    ok_var = abs(mc.variance - stats.loss_variance) <= 3.0 * mc.stderr_variance
+    mc = report["monte_carlo"] = _monte_carlo(args, spectrum, overlaps, args.depth)
+    stats = report["loss_stats"]
     report["verdicts"] = {
-        "mean": {
-            "target": stats.expected_loss,
-            "estimate": mc.mean,
-            "stderr": mc.stderr_mean,
-            "within_3_stderr": bool(ok_mean),
-        },
-        "variance": {
-            "target": stats.loss_variance,
-            "estimate": mc.variance,
-            "stderr": mc.stderr_variance,
-            "within_3_stderr": bool(ok_var),
-        },
+        name: {
+            "target": stats[target],
+            "estimate": mc[name],
+            "stderr": mc[f"stderr_{name}"],
+            "within_3_stderr": abs(mc[name] - stats[target]) <= 3.0 * mc[f"stderr_{name}"],
+        }
+        for name, target in (("mean", "expected_loss"), ("variance", "loss_variance"))
     }
-    _emit_report(report, _SIMULATE_COLUMNS, args)
-    return 0
+    return report, [_flat_row(_SIMULATE_COLUMNS, report)], 0
 
 
-def cmd_sweep(args) -> int:
-    args.depths = _depths(args.depths)
-    table, descriptor, problem_digest = _load_problem(args)
-    state, init_digest = _load_init(args, table)
-    sections, spectrum, overlaps, *_ = _analysis_sections(table, state, args.tol_zero)
-    sup = overlaps.supported_levels
-    values, weights = spectrum.values[sup], overlaps.c[sup]
-    rows = []
-    for p in args.depths:
-        mc = monte_carlo_stats(values, weights, p=p, samples=args.samples, seed=args.seed)
-        row = {"monte_carlo": _mc_section(mc), "loss_stats": sections["loss_stats"]}
+def cmd_sweep(args):
+    depths = _depths(args.depths)
+    report, _, _, spectrum, overlaps = _analysis(args, "sweep", _mc_config(args, depths=depths))
+    rows, stats = [], report["loss_stats"]
+    for p in depths:
+        row = {"monte_carlo": _monte_carlo(args, spectrum, overlaps, p), "loss_stats": stats}
         rows.append(_flat_row(_SWEEP_COLUMNS, row))
-    if (args.format or "csv") == "csv":
-        _emit_csv(rows, args)
-    else:
-        report = _base_report("sweep", args, descriptor, problem_digest, init_digest, table)
-        report.update(sections)
-        report["rows"] = rows
-        _emit_json(report, args)
-    return 0
+    report["rows"] = rows
+    return report, rows, 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValidationError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report, rows, code = args.func(args)
+        _emit(args, report, rows)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, OracleCapError) else 2
     except MemoryError as exc:
         print(f"error: cannot allocate the requested arrays: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

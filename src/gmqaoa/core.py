@@ -31,6 +31,11 @@ TOL_ZERO = 1e-10
 #: Largest gap between sum(c**2) and 1 that a level decomposition accepts.
 TOL_WEIGHT_SUM = 1e-6
 
+#: Largest |F| an objective table accepts.  Values differ by at most
+#: 2e64, so the fourth central moment of the Monte Carlo losses, at most
+#: (2e64)**4, and every other loss statistic stay finite.
+MAX_ABS_OBJECTIVE = 1e64
+
 
 class SizeLimitError(ValueError):
     """q**n exceeds the dense-table limit."""
@@ -64,8 +69,10 @@ class ObjectiveTable:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (size,):
             raise ValueError(f"values must have length q**n = {size}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("objective values must all be finite")
+        if not np.all(np.abs(vals) <= MAX_ABS_OBJECTIVE):  # also refuses NaN
+            raise ValueError(
+                f"objective values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}"
+            )
         object.__setattr__(self, "values", vals)
 
     @property
@@ -178,25 +185,18 @@ class LevelOverlaps:
         return sum(self.c[j] * self.component(j) for j in self.supported_levels)
 
 
-def build_spectrum(objective: ObjectiveTable, tol_level: float = 0.0) -> Spectrum:
+def build_spectrum(objective: ObjectiveTable) -> Spectrum:
     """Group the objective table into level sets, largest value first.
 
-    Grouping uses exact equality by default; the built-in problem
-    builders emit integer-valued objectives, for which this is always
-    safe.  A positive ``tol_level`` merges adjacent distinct values
-    whose gap is at most ``tol_level`` (the largest member represents
-    the merged level); choosing it sensibly for hand-made real-valued
-    tables is the caller's responsibility.
+    Grouping uses exact equality, as the oracle's commutant solver does;
+    the built-in problem builders emit integer-valued objectives, for
+    which this is always safe.
     """
     uniq, inverse, counts = np.unique(objective.values, return_inverse=True, return_counts=True)
-    desc = uniq[::-1]
-    # a level starts at each distinct value more than tol_level below the one before it
-    starts = np.concatenate(([True], -np.diff(desc) > max(0.0, tol_level)))
-    group = np.cumsum(starts) - 1
     return Spectrum(
-        values=desc[starts],
-        multiplicities=np.add.reduceat(counts[::-1], np.flatnonzero(starts)),
-        level_of=group[(len(uniq) - 1) - inverse],
+        values=uniq[::-1],
+        multiplicities=counts[::-1],
+        level_of=(len(uniq) - 1) - inverse,
         n_states=objective.size,
     )
 

@@ -311,8 +311,10 @@ def lie_closure(
 
 
 def _check_tol_rank(tol_rank: float) -> None:
-    if not (math.isfinite(tol_rank) and tol_rank >= 0.0):
-        raise ValueError(f"tol_rank must be finite and >= 0, got {tol_rank}")
+    # at 0 round-off decides which null eigenvalues count, and the zero
+    # padding in grover_commutant_dimension would count toward the rank
+    if not (math.isfinite(tol_rank) and tol_rank > 0.0):
+        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
 
 
 def _basis_array(basis) -> np.ndarray:
@@ -330,7 +332,7 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     ``basis`` is any (k, N, N) array-like, such as the closure basis or a
     list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
     acting on complex N x N matrices; eigenvalues below ``tol_rank``
-    count as null; ``tol_rank`` must be finite and >= 0.
+    count as null; ``tol_rank`` must be finite and > 0.
     """
     _check_tol_rank(tol_rank)
     elements = _basis_array(basis)
@@ -360,7 +362,7 @@ def grover_commutant_dimension(
     projector onto ``amplitudes``, from the 2N generator equations.
 
     X commutes with diag(values) iff X_ab = 0 unless values[a] ==
-    values[b] (exact equality, as in ``build_spectrum``'s default), which
+    values[b] (exact equality, as in ``build_spectrum``), which
     leaves sum_j n_j**2 unknowns.  With u the normalized amplitudes and
     P = I - u u^dag, X also commutes with u u^dag iff P X u = 0 and
     u^dag X P = 0: 2N equations M x = 0 with u^dag X u eliminated.  The
@@ -371,7 +373,7 @@ def grover_commutant_dimension(
     M M^dag (squared singular values of M) at or above ``tol_rank``.
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
-    ``tol_rank`` must be finite and >= 0.
+    ``tol_rank`` must be finite and > 0.
     """
     _check_tol_rank(tol_rank)
     lam = np.asarray(values, dtype=float)

@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmqaoa import maxcut_objective, parse_graph
+from gmqaoa import cli, maxcut_objective, parse_graph
 from gmqaoa.cli import main
+from gmqaoa.core import MAX_ABS_OBJECTIVE
 from helpers import level_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -527,6 +529,44 @@ def test_verify_closure_stops_at_full_algebra(capsys):
     assert "--tol-indep" in captured.err
 
 
+def test_verify_refuses_zero_tol_rank(capsys):
+    # at tol_rank 0 the solver's zero padding counted toward the rank: commutant 8, not 12
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--maxcut", str(DATA / "p3.graph"), "--tol-rank", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol-rank" in captured.err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_table_value_bound(tmp_path, capsys):
+    # (2 * 1e64)**4 is finite, so every statistic of a table within the bound is
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"q": 2, "n": 1, "values": [MAX_ABS_OBJECTIVE, -MAX_ABS_OBJECTIVE]}))
+    for command, extra in (
+        ("analyze", ()), ("verify", ()), ("simulate", ("--samples", "64")),
+        ("sweep", ("--depths", "1,2", "--samples", "32", "--format", "json")),
+    ):
+        code, out, err = run_cli(capsys, command, "--table", str(table), *extra)
+        assert code == 0, command
+        assert err == ""
+        _strict_json(out)
+    above = math.nextafter(MAX_ABS_OBJECTIVE, math.inf)
+    table.write_text(json.dumps({"q": 2, "n": 1, "values": [0.0, -above]}))
+    for command in ("analyze", "verify", "simulate"):
+        code, out, err = run_cli(capsys, command, "--table", str(table))
+        assert code == 2, command
+        assert out == ""
+        assert "|F| <= 1e+64" in err
+
+
 def test_tol_zero_dropping_weight_is_named(tmp_path, capsys):
     # the cut-0 level of P3 at weight 0.005 falls below --tol-zero 0.01
     table = maxcut_objective(parse_graph((DATA / "p3.graph").read_text()))
@@ -600,3 +640,55 @@ def test_csv_header_and_p3_row(capsys, command):
         estimates = [0.9853475053126929, 0.16888803109535294, 0.018162032808392105, 0.008286910215115963]
         assert [float(cell) for cell in row[8:12]] == pytest.approx(estimates, rel=1e-9)
         assert row[12:] == ["1.0", "0.16666666666666666", "true", "true"]
+
+
+def _csv_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _at_path(report, path):
+    if callable(path):
+        return path(report)
+    for key in path.split("."):
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "command, columns, extra",
+    [
+        ("analyze", cli._ANALYZE_COLUMNS, ()),
+        ("verify", cli._VERIFY_COLUMNS, ()),
+        ("simulate", cli._SIMULATE_COLUMNS, ("--depth", "4", "--samples", "64")),
+        ("sweep", cli._SWEEP_COLUMNS, ("--depths", "1,3", "--samples", "32")),
+    ],
+)
+def test_out_file_and_csv_cells_match_the_report(tmp_path, capsys, command, columns, extra, fmt):
+    argv = [command, "--maxcut", str(DATA / "house.graph"), *extra]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    target = tmp_path / "report.out"
+    code, printed, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == 0
+    assert printed == ""
+    assert target.read_bytes() == out.encode()
+    if fmt == "json":
+        return
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    report = json.loads(json_out)
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == [name for name, _ in columns]
+    if command == "sweep":
+        # a sweep row's paths point into its per-depth record; the JSON keeps the rows flat
+        expected = [[_csv_text(row[name]) for name in header] for row in report["rows"]]
+        for name, path in columns:
+            if path.startswith("loss_stats."):
+                assert {row[name] for row in report["rows"]} == {_at_path(report, path)}
+    else:
+        expected = [[_csv_text(_at_path(report, path)) for _, path in columns]]
+    assert rows == expected

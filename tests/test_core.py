@@ -39,12 +39,9 @@ def test_house_graph_has_five_levels():
     assert spectrum.r == 5
 
 
-def test_level_merging_with_tolerance():
+def test_levels_group_by_exact_equality():
     table = ObjectiveTable(n=1, q=3, values=[1.0, 1.0 + 1e-7, 0.0])
     assert build_spectrum(table).r == 3
-    merged = build_spectrum(table, tol_level=1e-3)
-    assert merged.r == 2
-    assert merged.levels[0] == (1.0 + 1e-7, 2)
 
 
 def test_uniform_state_examples():

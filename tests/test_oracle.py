@@ -439,9 +439,10 @@ def test_grover_commutant_rejects_bad_inputs():
         grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])
 def test_commutant_solvers_refuse_bad_tol_rank(tol):
-    # -1 counts no eigenvalue as null and inf every one; nan misreads the rank either way
+    # -1 counts no eigenvalue as null and inf every one; nan misreads the rank either way;
+    # at 0 round-off picks the null eigenvalues, and zero padding would count toward the rank
     amps = np.full(4, 0.5)
     with pytest.raises(ValueError, match="tol_rank"):
         grover_commutant_dimension([0.0, 1.0, 1.0, 2.0], amps, tol_rank=tol)
