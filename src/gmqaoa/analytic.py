@@ -73,8 +73,6 @@ def _supported_values(spectrum: Spectrum, overlaps: LevelOverlaps) -> np.ndarray
 
 def restricted_generators(spectrum: Spectrum, overlaps: LevelOverlaps) -> RestrictedGenerators:
     """Restrict the problem Hamiltonian and Grover mixer to the supported span."""
-    if overlaps.d < 1:
-        raise ValueError("need at least one supported level")
     lam = _supported_values(spectrum, overlaps)
     c_sup = overlaps.c[overlaps.supported_levels]
     return RestrictedGenerators(h_p0=np.diag(lam), g_m0=-np.outer(c_sup, c_sup))
@@ -92,8 +90,6 @@ def predict_dla(spectrum: Spectrum, overlaps: LevelOverlaps) -> DlaPrediction:
     phases.
     """
     d = overlaps.d
-    if d < 1:
-        raise ValueError("state has no supported levels")
     outside = (overlaps.c == 0) | (spectrum.multiplicities > 1)
     center_dim = 1 + bool(np.any((spectrum.values != 0) & outside))
     algebra = f"su_{d}" + " + u_1" * center_dim
@@ -121,8 +117,6 @@ def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStats
     """
     lam = _supported_values(spectrum, overlaps)
     d = overlaps.d
-    if d < 1:
-        raise ValueError("state has no supported levels")
     zeta_mean = float(np.mean(lam))
     zeta_var = float(np.var(lam))
     l1 = float(np.sum(lam))
@@ -160,29 +154,18 @@ def slocal_bound(n: int, s: int, m: int, terms: int) -> int:
 def complement_invariant_lines(spectrum: Spectrum, overlaps: LevelOverlaps) -> List[np.ndarray]:
     """Predicted one-dimensional invariant subspaces outside the irreducible block.
 
-    For each supported level, an orthonormal basis of the level block
-    orthogonal to the state's component; for each unsupported level, the
-    computational basis lines of the whole block.  Returns q**n - d unit
-    vectors of full length.
+    Level j's lines are the columns of the identity on its strings, or for
+    a supported level the QR factor of [xi_j | identity] without its first
+    column (which spans xi_j).  Returns q**n - d unit vectors of full length.
     """
-    supported = set(overlaps.supported_levels)
     lines: List[np.ndarray] = []
     for j in range(spectrum.r):
         idx = np.flatnonzero(spectrum.level_of == j)
-        nj = len(idx)
-        if j in supported:
-            if nj == 1:
-                continue
-            u = overlaps.component(j)[idx]
-            stacked = np.concatenate([u[:, None], np.eye(nj, dtype=complex)], axis=1)
-            qmat, _ = np.linalg.qr(stacked)
-            for k in range(1, nj):
-                vec = np.zeros(spectrum.n_states, dtype=complex)
-                vec[idx] = qmat[:, k]
-                lines.append(vec)
-        else:
-            for s in idx:
-                vec = np.zeros(spectrum.n_states, dtype=complex)
-                vec[s] = 1.0
-                lines.append(vec)
+        block = np.eye(len(idx), dtype=complex)
+        if overlaps.c[j]:
+            block = np.linalg.qr(np.column_stack([overlaps.component(j)[idx], block]))[0][:, 1:]
+        for col in block.T:
+            vec = np.zeros(spectrum.n_states, dtype=complex)
+            vec[idx] = col
+            lines.append(vec)
     return lines

@@ -41,7 +41,6 @@ from .core import (
 )
 from .oracle import (
     DIM_CAP,
-    ORACLE_DIM_LIMIT,
     TOL_INDEP,
     TOL_RANK,
     OracleCapError,
@@ -239,6 +238,10 @@ def _load_problem(args):
     if len(chosen) != 1:
         raise ValueError("exactly one of --maxcut/--cnf/--coloring/--table is required")
     kind, path = chosen[0]
+    if args.colors is not None and kind != "coloring":
+        raise ValueError("--colors requires --coloring")
+    if args.threshold_strict and args.threshold is None:
+        raise ValueError("--threshold-strict requires --threshold")
     data = _read_file(path)
     text = data.decode("utf-8")
     if kind == "maxcut":
@@ -409,10 +412,6 @@ def cmd_verify(args):
     report, table, state, spectrum, overlaps = _analysis(
         args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap}
     )
-    if table.size > ORACLE_DIM_LIMIT:
-        raise OracleCapError(
-            f"instance dimension {table.size} exceeds the oracle cap {ORACLE_DIM_LIMIT}"
-        )
     h_p, g_m = gm_generators(table, state)
     if args.mixer == "x":
         if table.q != 2:

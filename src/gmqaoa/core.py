@@ -135,19 +135,15 @@ class InitialState:
             raise ValueError(f"state norm {nrm!r} differs from 1 beyond {TOL_NORM}")
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class LevelOverlaps:
     """Per-level weights of an initial state.
 
     ``c[j] = ||P_j xi||`` is the weight of the state on level j (zero
-    where unsupported).  The unit component xi_j = P_j xi / c_j is formed
-    on demand by ``component(j)`` from the state's amplitudes and
-    ``level_of``.
+    where unsupported); sum(c**2) = 1, so at least one level is
+    supported.  The unit component xi_j = P_j xi / c_j is formed on demand
+    by ``component(j)`` from the state's amplitudes and ``level_of``.
     """
 
     c: np.ndarray

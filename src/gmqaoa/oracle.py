@@ -94,6 +94,11 @@ class CommutantReport:
     min_nonnull: Optional[float]
 
 
+def _check_oracle_size(n: int) -> None:
+    if n > ORACLE_DIM_LIMIT:
+        raise OracleCapError(f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got {n}")
+
+
 def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.ndarray, np.ndarray]:
     """Dense Hermitian problem Hamiltonian and Grover mixer.
 
@@ -102,8 +107,7 @@ def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.nd
     1j to obtain the skew-Hermitian closure generators.
     """
     size = objective.size
-    if size > ORACLE_DIM_LIMIT:
-        raise OracleCapError(f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got {size}")
+    _check_oracle_size(size)
     amps = state.amplitudes
     if amps.shape[0] != size:
         raise ValueError("state and objective dimensions disagree")
@@ -211,10 +215,7 @@ def lie_closure(
             raise ValueError("generators must be finite")
         if np.max(np.abs(g + g.conj().T)) > _TOL_SKEW:
             raise ValueError("generators must be skew-Hermitian")
-    if dim_space > ORACLE_DIM_LIMIT:
-        raise OracleCapError(
-            f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got {dim_space}"
-        )
+    _check_oracle_size(dim_space)
 
     size2 = dim_space * dim_space
     capacity = min(dim_cap, size2)
@@ -326,21 +327,12 @@ def _basis_array(basis) -> np.ndarray:
     return elements
 
 
-def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
-    """Complex dimension of {X : [X, B_k] = 0 for all k}.
-
-    ``basis`` is any (k, N, N) array-like, such as the closure basis or a
-    list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
-    acting on complex N x N matrices; eigenvalues below ``tol_rank``
-    count as null; ``tol_rank`` must be finite and > 0.
-    """
-    _check_tol_rank(tol_rank)
+def _commutant_operator(basis) -> np.ndarray:
+    """sum_k ad_k^dag ad_k over a (k, N, N) array-like, as a Hermitian
+    N**2 x N**2 matrix acting on row-major vec(X)."""
     elements = _basis_array(basis)
     n = elements.shape[1]
-    if n > ORACLE_DIM_LIMIT:
-        raise OracleCapError(
-            f"commutant solver capped at {ORACLE_DIM_LIMIT} dimensions, got {n}"
-        )
+    _check_oracle_size(n)
     eye = np.eye(n)
     acc = np.zeros((n * n, n * n), dtype=complex)
     for b in elements:
@@ -351,7 +343,19 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
         acc += np.kron(eye, (b @ bh).T)
         acc -= np.kron(bh, b.T)
         acc -= np.kron(b, bh.T)
-    eigs = np.linalg.eigvalsh(0.5 * (acc + acc.conj().T))
+    return 0.5 * (acc + acc.conj().T)
+
+
+def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
+    """Complex dimension of {X : [X, B_k] = 0 for all k}.
+
+    ``basis`` is any (k, N, N) array-like, such as the closure basis or a
+    list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
+    acting on complex N x N matrices; eigenvalues below ``tol_rank``
+    count as null; ``tol_rank`` must be finite and > 0.
+    """
+    _check_tol_rank(tol_rank)
+    eigs = np.linalg.eigvalsh(_commutant_operator(basis))
     return int(np.count_nonzero(eigs < tol_rank))
 
 
@@ -381,10 +385,7 @@ def grover_commutant_dimension(
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
         raise ValueError("values and amplitudes must be non-empty 1-d arrays of one length")
     n = lam.size
-    if n > ORACLE_DIM_LIMIT:
-        raise OracleCapError(
-            f"commutant solver capped at {ORACLE_DIM_LIMIT} dimensions, got {n}"
-        )
+    _check_oracle_size(n)
     if not np.all(np.isfinite(lam)):
         raise ValueError("values must be finite")
     nrm = float(np.linalg.norm(amps))
@@ -460,12 +461,12 @@ def extract_matrix_units(
     nonzero (0, d-1) and (d-1, 0) entries, which the construction divides
     by.  Spectral selectors are entrywise masks keeping exactly the
     entries whose eigenvalue difference lam_k - lam_l matches the target
-    (zero-difference diagonal entries are always dropped); equality is
-    exact integer arithmetic for integer-valued spectra and 1e-9
-    otherwise.  Only the extreme difference is guaranteed to be attained
-    once; whenever an intermediate mask keeps a nonzero entry besides its
-    target, the instance is rejected with
-    :class:`AmbiguousSelectorError` rather than guessed at.
+    (zero-difference diagonal entries are always dropped), by
+    |Delta - target| < 1e-9 for every spectrum, integer-valued or not.
+    Only the extreme difference is guaranteed to be attained once;
+    whenever an intermediate mask keeps a nonzero entry besides its
+    target, the instance is rejected with :class:`AmbiguousSelectorError`
+    rather than guessed at.
 
     Returns a dict keyed by 0-indexed (i, j), i != j, containing all
     d**2 - d units; raises :class:`MatrixUnitError` if any of them
@@ -489,17 +490,10 @@ def extract_matrix_units(
         )
 
     diffs = lam[:, None] - lam[None, :]
-    int_mode = bool(np.all(lam == np.rint(lam)))
-    ikeys = np.rint(diffs).astype(np.int64) if int_mode else None
     offdiag = ~np.eye(d, dtype=bool)
 
     def select(mat: np.ndarray, i: int, j: int) -> np.ndarray:
-        if int_mode:
-            keep = ikeys == ikeys[i, j]
-        else:
-            keep = np.abs(diffs - diffs[i, j]) < 1e-9
-        keep = keep & offdiag
-        picked = np.where(keep, mat, 0.0)
+        picked = np.where((np.abs(diffs - diffs[i, j]) < 1e-9) & offdiag, mat, 0.0)
         scale = max(1.0, float(np.max(np.abs(mat))))
         stray = picked.copy()
         stray[i, j] = 0.0

@@ -116,12 +116,14 @@ def _stream_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _draw_angles(p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """p betas uniform on [0, 2pi), then p gammas uniform on [0, pi)."""
+    return rng.uniform(0.0, BETA_MAX, p), rng.uniform(0.0, GAMMA_MAX, p)
+
+
 def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
-    """Draw one parameter set, betas uniform on [0, 2pi) then gammas on [0, pi)."""
-    return ParameterSet(
-        betas=rng.uniform(0.0, BETA_MAX, p),
-        gammas=rng.uniform(0.0, GAMMA_MAX, p),
-    )
+    """Draw one parameter set by ``_draw_angles``, as the Monte Carlo does."""
+    return ParameterSet(*_draw_angles(p, rng))
 
 
 def _sample_losses(
@@ -143,10 +145,8 @@ def _sample_losses(
         betas = np.empty((stop - start, p))
         gammas = np.empty((stop - start, p))
         for row, i in enumerate(range(start, stop)):
-            # the draws of sample_parameters, without building a ParameterSet
             rng = np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
-            betas[row] = rng.uniform(0.0, BETA_MAX, p)
-            gammas[row] = rng.uniform(0.0, GAMMA_MAX, p)
+            betas[row], gammas[row] = _draw_angles(p, rng)
         a = np.tile(w.astype(complex), (stop - start, 1))
         for k in range(p):
             a *= np.exp(-1j * gammas[:, k, None] * lam)

@@ -13,7 +13,14 @@ import numpy as np
 import scipy.linalg
 
 from gmqaoa import CnfFormula, Graph, InitialState, ObjectiveTable, gm_generators
-from gmqaoa.oracle import _ZERO_FLOOR, DIM_CAP, TOL_INDEP, TOL_RANK, ClosureReport
+from gmqaoa.oracle import (
+    _ZERO_FLOOR,
+    DIM_CAP,
+    TOL_INDEP,
+    TOL_RANK,
+    ClosureReport,
+    _commutant_operator,
+)
 
 
 def bits_of(index: int, n: int) -> list[int]:
@@ -88,17 +95,11 @@ def exact_unit(d: int, i: int, j: int) -> np.ndarray:
 def commutant_null_space(generators) -> np.ndarray:
     """Orthonormal basis (columns, row-major vec(X)) of {X : [X, B] = 0 for all B}.
 
-    Null space of sum_B ad_B^dag ad_B in the same Kronecker form as
-    ``oracle.commutant_dimension``; eigenvalues below ``TOL_RANK`` count as null.
+    Null space of the operator sum_B ad_B^dag ad_B that
+    ``oracle.commutant_dimension`` builds; eigenvalues below ``TOL_RANK``
+    count as null.
     """
-    n = generators[0].shape[0]
-    eye = np.eye(n)
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for b in generators:
-        bh = b.conj().T
-        acc += np.kron(bh @ b, eye) + np.kron(eye, (b @ bh).T)
-        acc -= np.kron(bh, b.T) + np.kron(b, bh.T)
-    eigs, vecs = np.linalg.eigh(0.5 * (acc + acc.conj().T))
+    eigs, vecs = np.linalg.eigh(_commutant_operator(generators))
     return vecs[:, eigs < TOL_RANK]
 
 

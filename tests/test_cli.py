@@ -350,6 +350,22 @@ def test_verify_x_mixer_rejects_nonbinary(capsys):
     assert code == 2
 
 
+def test_threshold_strict_requires_threshold(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--threshold-strict"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--threshold" in err
+
+
+def test_colors_requires_coloring(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--colors", "3")
+    assert code == 2
+    assert out == ""
+    assert "--coloring" in err
+
+
 def test_verify_oracle_cap(tmp_path, capsys):
     lines = ["10 9"] + [f"{i} {i + 1}" for i in range(1, 10)]
     big = tmp_path / "p10.graph"

@@ -524,6 +524,16 @@ def test_extract_units_commutation_relations():
             assert np.max(np.abs(bracket - expected)) < 1e-9
 
 
+def test_extract_units_beyond_int64_range():
+    # differences above 2**63 do not fit an int64 key; the 1e-9 mask must
+    # still select each one alone, with no cast warning
+    lam = np.array([3e19, 1e19, 0.0])
+    units = extract_matrix_units(lam, np.ones((3, 3)) - np.eye(3))
+    assert len(units) == 6
+    for (i, j), mat in units.items():
+        assert np.max(np.abs(mat - exact_unit(3, i, j))) < 1e-10
+
+
 def test_extract_units_requires_frame_and_corners():
     lam = [2.0, 1.0, 0.0]
     bad_frame = np.ones((3, 3))
