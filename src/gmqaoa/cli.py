@@ -146,11 +146,11 @@ def _positive_tolerance(text: str) -> float:
 
 def _depths(text: str) -> list:
     try:
-        depths = [int(tok) for tok in text.split(",") if tok.strip()]
+        depths = [int(tok) for tok in text.split(",")]
     except ValueError:
         depths = []
     if not depths or min(depths) < 1:
-        raise ValueError(f"--depths must list positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need a comma-separated list of integers >= 1, got {text!r}")
     return depths
 
 
@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte Carlo statistics across depths")
     _add_common_args(sweep)
-    sweep.add_argument("--depths", metavar="a,b,c", required=True)
+    sweep.add_argument("--depths", type=_depths, metavar="a,b,c", required=True)
     sweep.add_argument("--samples", type=int, default=4096)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -412,10 +412,10 @@ def cmd_verify(args):
     report, table, state, spectrum, overlaps = _analysis(
         args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap}
     )
+    if args.mixer == "x" and table.q != 2:
+        raise ValueError("--mixer x requires a binary alphabet (q = 2)")
     h_p, g_m = gm_generators(table, state)
     if args.mixer == "x":
-        if table.q != 2:
-            raise ValueError("--mixer x requires a binary alphabet (q = 2)")
         # comparison dimensions are defined for the traceless coupling form
         generators = [1j * traceless_part(h_p), 1j * x_mixer_generator(table.n)]
     else:
@@ -492,10 +492,10 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    depths = _depths(args.depths)
-    report, _, _, spectrum, overlaps = _analysis(args, "sweep", _mc_config(args, depths=depths))
+    config = _mc_config(args, depths=args.depths)
+    report, _, _, spectrum, overlaps = _analysis(args, "sweep", config)
     rows, stats = [], report["loss_stats"]
-    for p in depths:
+    for p in args.depths:
         row = {"monte_carlo": _monte_carlo(args, spectrum, overlaps, p), "loss_stats": stats}
         rows.append(_flat_row(_SWEEP_COLUMNS, row))
     report["rows"] = rows

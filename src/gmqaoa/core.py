@@ -9,7 +9,8 @@ oracle's commutant solver groups its own input, independently);
 stored.  The string-to-index encoding is fixed
 everywhere: a configuration (x_0, ..., x_{n-1}) over a q-letter alphabet
 maps to the integer sum_i x_i * q**i, i.e. site 0 is the least
-significant digit.
+significant digit.  The built-in builders apply this rule in one place,
+``problems._local_objective``.
 """
 
 from __future__ import annotations

@@ -97,20 +97,31 @@ def house_graph() -> Graph:
     return Graph(5, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (4, 5)))
 
 
+def _local_objective(n: int, q: int, terms) -> ObjectiveTable:
+    """Dense table of a sum of local terms over q-ary strings on n sites.
+
+    Each term is ``(sites, table)``: distinct 0-based sites and a
+    ``(q,) * len(sites)`` array indexed by their digits in that order.
+    Site i is axis n-1-i of a ``(q,) * n`` array, so its C-order ravel is
+    the string index with site 0 the least significant digit; this is the
+    one place that maps sites to string indices.
+    """
+    dense_size(n, q)
+    values = np.zeros((q,) * n)
+    for sites, table in terms:
+        axes = [n - 1 - site for site in sites]
+        shape = [q if axis in axes else 1 for axis in range(n)]
+        values += np.transpose(table, np.argsort(axes)).reshape(shape)
+    return ObjectiveTable(n=n, q=q, values=values.reshape(-1))
+
+
 def maxcut_objective(graph: Graph) -> ObjectiveTable:
     """Number of edges whose endpoints land on opposite sides of the cut.
 
     Vertex i corresponds to bit i-1 of the string index.
     """
-    n = graph.vertex_count
-    size = dense_size(n, 2)
-    idx = np.arange(size)
-    values = np.zeros(size)
-    for u, v in graph.edges:
-        bu = (idx >> (u - 1)) & 1
-        bv = (idx >> (v - 1)) & 1
-        values += bu ^ bv
-    return ObjectiveTable(n=n, q=2, values=values)
+    cut = 1.0 - np.eye(2)
+    return _local_objective(graph.vertex_count, 2, [((u - 1, v - 1), cut) for u, v in graph.edges])
 
 
 def coloring_objective(graph: Graph, q: int) -> ObjectiveTable:
@@ -120,14 +131,8 @@ def coloring_objective(graph: Graph, q: int) -> ObjectiveTable:
     """
     if q < 2:
         raise ValueError("need at least 2 colors")
-    n = graph.vertex_count
-    size = dense_size(n, q)
-    idx = np.arange(size)
-    digits = [(idx // q**site) % q for site in range(n)]
-    values = np.zeros(size)
-    for u, v in graph.edges:
-        values += digits[u - 1] == digits[v - 1]
-    return ObjectiveTable(n=n, q=q, values=values)
+    same = np.eye(q) if graph.edges else None  # q reaches 2**20 only on one vertex, with no edge
+    return _local_objective(graph.vertex_count, q, [((u - 1, v - 1), same) for u, v in graph.edges])
 
 
 def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
@@ -136,18 +141,15 @@ def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
     Variable i is bit i-1 of the string index; a positive literal is true
     when its bit is 1.
     """
-    n = formula.variable_count
-    size = dense_size(n, 2)
-    idx = np.arange(size)
-    values = np.zeros(size)
+    terms = []
     for clause in formula.clauses:
-        violated = np.ones(size, dtype=bool)
+        variables = sorted({abs(lit) for lit in clause})
+        falsified = np.ones((2,) * len(variables))
         for lit in clause:
-            bit = (idx >> (abs(lit) - 1)) & 1
-            lit_true = bit == 1 if lit > 0 else bit == 0
-            violated &= ~lit_true
-        values += violated
-    return ObjectiveTable(n=n, q=2, values=values)
+            # the assignments on which the literal holds satisfy the clause
+            np.moveaxis(falsified, variables.index(abs(lit)), 0)[int(lit > 0)] = 0.0
+        terms.append(([v - 1 for v in variables], falsified))
+    return _local_objective(formula.variable_count, 2, terms)
 
 
 def threshold_transform(objective: ObjectiveTable, t: float, strict: bool = False) -> ObjectiveTable:

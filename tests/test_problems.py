@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,10 @@ def test_maxcut_matches_naive_evaluator():
         table = maxcut_objective(g)
         for x in range(table.size):
             assert table.values[x] == naive_cut_value(g, bits_of(x, g.vertex_count))
+        # every edge is either cut or monochromatic
+        both = table.values + coloring_objective(g, 2).values
+        assert np.all(both == g.edge_count)
+    assert maxcut_objective(Graph(1, ())).values.tolist() == [0.0, 0.0]
 
 
 def test_maxcut_complement_symmetry():
@@ -100,10 +106,17 @@ def test_coloring_examples():
 
 
 def test_coloring_matches_naive_evaluator():
-    g = random_graph(np.random.default_rng(3), 4)
-    table = coloring_objective(g, 3)
-    for x in range(table.size):
-        assert table.values[x] == naive_coloring_violations(g, digits_of(x, 4, 3))
+    graphs = (
+        random_graph(np.random.default_rng(3), 4),
+        Graph(4, ((1, 3), (3, 4))),  # vertex 2 is isolated
+        Graph(3, ()),
+    )
+    for g in graphs:
+        for q in (2, 3, 4):
+            table = coloring_objective(g, q)
+            for x in range(table.size):
+                coloring = digits_of(x, g.vertex_count, q)
+                assert table.values[x] == naive_coloring_violations(g, coloring)
 
 
 def test_cnf_examples():
@@ -116,6 +129,7 @@ def test_cnf_examples():
 
 def test_cnf_matches_naive_evaluator():
     rng = np.random.default_rng(17)
+    formulas = []
     for _ in range(10):
         n = int(rng.integers(2, 6))
         clauses = []
@@ -123,11 +137,41 @@ def test_cnf_matches_naive_evaluator():
             width = int(rng.integers(1, min(n, 3) + 1))
             variables = rng.choice(n, size=width, replace=False) + 1
             clauses.append(tuple(int(v) if rng.random() < 0.5 else -int(v) for v in variables))
-        formula = CnfFormula(n, tuple(clauses))
+        formulas.append(CnfFormula(n, tuple(clauses)))
+    # clauses that name a variable twice
+    formulas.append(CnfFormula(3, ((1, 1, -2),)))  # repeated literal
+    formulas.append(CnfFormula(3, ((2, -2), (1, 3))))  # tautology
+    formulas.append(CnfFormula(3, ((3,), (-3,))))  # opposite unit clauses
+    formulas.append(CnfFormula(3, ((-3, 1, -3, 2), (2, -1, 1))))
+    for formula in formulas:
+        n = formula.variable_count
         table = cnf_objective(formula)
         assert table.values.max() <= formula.clause_count
         for x in range(table.size):
             assert table.values[x] == naive_cnf_violations(formula, bits_of(x, n))
+
+
+def test_builders_allocate_one_table():
+    # bound fixed before measuring: three full-length float arrays
+    rng = np.random.default_rng(7)
+    clauses = tuple(
+        tuple(int(v) * int(rng.choice([-1, 1])) for v in rng.choice(16, size=3, replace=False) + 1)
+        for _ in range(48)
+    )
+    builds = [
+        lambda: maxcut_objective(random_graph(np.random.default_rng(3), 16)),
+        lambda: cnf_objective(CnfFormula(16, clauses)),
+        lambda: coloring_objective(random_graph(np.random.default_rng(5), 10), 3),
+    ]
+    for build in builds:
+        tracemalloc.start()
+        try:
+            table = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.size >= 2**15
+        assert peak <= 3 * 8 * table.size
 
 
 def test_threshold_transform():
