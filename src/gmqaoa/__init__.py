@@ -7,7 +7,6 @@ from .analytic import (
     DlaPrediction,
     LossStatsPrediction,
     RestrictedGenerators,
-    complement_invariant_lines,
     isotypic_summary,
     predict_commutant,
     predict_dla,
@@ -38,6 +37,7 @@ from .oracle import (
     gm_generators,
     grover_commutant_dimension,
     invariant_subspace_residual,
+    isotypic_split,
     lie_closure,
     x_mixer_generator,
 )

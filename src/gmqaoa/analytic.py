@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -149,23 +149,3 @@ def slocal_bound(n: int, s: int, m: int, terms: int) -> int:
     if not (0 <= terms <= math.comb(n, s)):
         raise ValueError(f"term count {terms} exceeds C({n},{s})")
     return m * terms + 1
-
-
-def complement_invariant_lines(spectrum: Spectrum, overlaps: LevelOverlaps) -> List[np.ndarray]:
-    """Predicted one-dimensional invariant subspaces outside the irreducible block.
-
-    Level j's lines are the columns of the identity on its strings, or for
-    a supported level the QR factor of [xi_j | identity] without its first
-    column (which spans xi_j).  Returns q**n - d unit vectors of full length.
-    """
-    lines: List[np.ndarray] = []
-    for j in range(spectrum.r):
-        idx = np.flatnonzero(spectrum.level_of == j)
-        block = np.eye(len(idx), dtype=complex)
-        if overlaps.c[j]:
-            block = np.linalg.qr(np.column_stack([overlaps.component(j)[idx], block]))[0][:, 1:]
-        for col in block.T:
-            vec = np.zeros(spectrum.n_states, dtype=complex)
-            vec[idx] = col
-            lines.append(vec)
-    return lines

@@ -25,13 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    complement_invariant_lines,
-    isotypic_summary,
-    predict_commutant,
-    predict_dla,
-    predict_loss_stats,
-)
+from .analytic import isotypic_summary, predict_commutant, predict_dla, predict_loss_stats
 from .core import (
     TOL_ZERO,
     InitialState,
@@ -47,6 +41,7 @@ from .oracle import (
     gm_generators,
     grover_commutant_dimension,
     invariant_subspace_residual,
+    isotypic_split,
     lie_closure,
     traceless_part,
     x_mixer_generator,
@@ -409,16 +404,18 @@ def cmd_verify(args):
         "tol_rank": args.tol_rank,
         "tol_invariant": TOL_INVARIANT,
     }
-    report, table, state, spectrum, overlaps = _analysis(
+    report, table, state, *_ = _analysis(
         args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap}
     )
-    if args.mixer == "x" and table.q != 2:
-        raise ValueError("--mixer x requires a binary alphabet (q = 2)")
-    h_p, g_m = gm_generators(table, state)
     if args.mixer == "x":
+        if table.q != 2:
+            raise ValueError("--mixer x requires a binary alphabet (q = 2)")
+        # the mixer first: it checks the oracle cap before diag(F) is built;
         # comparison dimensions are defined for the traceless coupling form
-        generators = [1j * traceless_part(h_p), 1j * x_mixer_generator(table.n)]
+        x_mixer = x_mixer_generator(table.n)
+        generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer]
     else:
+        h_p, g_m = gm_generators(table, state)
         generators = [1j * h_p, 1j * g_m]
     basis, closure = lie_closure(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
 
@@ -428,10 +425,10 @@ def cmd_verify(args):
         commutant = grover_commutant_dimension(
             table.values, state.amplitudes, tol_rank=args.tol_rank, tol_zero=args.tol_zero
         )
-        w0 = [overlaps.component(j) for j in overlaps.supported_levels]
+        w0, lines = isotypic_split(table.values, state.amplitudes, tol_zero=args.tol_zero)
         w0_residual = invariant_subspace_residual(basis, w0)
         line_residual = 0.0
-        for line in complement_invariant_lines(spectrum, overlaps):
+        for line in lines:
             line_residual = max(line_residual, invariant_subspace_residual(basis, [line]))
         oracle.update(
             commutant_dim=commutant.dimension,

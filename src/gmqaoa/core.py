@@ -2,11 +2,10 @@
 
 Shared encodings for objective tables, spectra (distinct values with
 multiplicities) and the decomposition of an initial state into per-level
-components.  ``build_spectrum`` groups objective values into levels (the
-oracle's commutant solver groups its own input, independently);
+weights.  ``build_spectrum`` groups objective values into levels (the
+oracle groups its own input, independently);
 ``decompose_initial_state`` reads the per-level weights off
-``Spectrum.level_of``, and level components are formed on demand, never
-stored.  The string-to-index encoding is fixed
+``Spectrum.level_of``.  The string-to-index encoding is fixed
 everywhere: a configuration (x_0, ..., x_{n-1}) over a q-letter alphabet
 maps to the integer sum_i x_i * q**i, i.e. site 0 is the least
 significant digit.  The built-in builders apply this rule in one place,
@@ -143,13 +142,10 @@ class LevelOverlaps:
 
     ``c[j] = ||P_j xi||`` is the weight of the state on level j (zero
     where unsupported); sum(c**2) = 1, so at least one level is
-    supported.  The unit component xi_j = P_j xi / c_j is formed on demand
-    by ``component(j)`` from the state's amplitudes and ``level_of``.
+    supported.
     """
 
     c: np.ndarray
-    amplitudes: np.ndarray
-    level_of: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -167,19 +163,6 @@ class LevelOverlaps:
     def d(self) -> int:
         """Number of supported levels."""
         return int(np.count_nonzero(self.c))
-
-    def component(self, j: int) -> np.ndarray:
-        """Unit vector xi_j = P_j xi / c_j, full length."""
-        if self.c[j] == 0.0:
-            raise ValueError(f"level {j} is not supported by the state")
-        mask = self.level_of == j
-        out = np.zeros_like(self.amplitudes)
-        out[mask] = self.amplitudes[mask] / self.c[j]
-        return out
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of c_j * xi_j over the supported levels (at least one, as sum(c**2) = 1)."""
-        return sum(self.c[j] * self.component(j) for j in self.supported_levels)
 
 
 def build_spectrum(objective: ObjectiveTable) -> Spectrum:
@@ -230,4 +213,4 @@ def decompose_initial_state(
             f"tol_zero = {tol_zero!r} drops level weights up to {dropped:.3g}, "
             f"so the kept weights give sum(c**2) = {kept!r} < 1 - {TOL_WEIGHT_SUM:g}"
         )
-    return LevelOverlaps(c=coeff, amplitudes=amps, level_of=spectrum.level_of)
+    return LevelOverlaps(c=coeff)

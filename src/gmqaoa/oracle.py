@@ -121,6 +121,7 @@ def x_mixer_generator(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     size = 1 << n
+    _check_oracle_size(size)
     idx = np.arange(size)
     b = np.zeros((size, size), dtype=complex)
     for j in range(n):
@@ -359,6 +360,28 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     return int(np.count_nonzero(eigs < tol_rank))
 
 
+def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
+    """Objective values and amplitudes as parallel 1-d arrays within the oracle cap."""
+    lam = np.asarray(values, dtype=float)
+    amps = np.asarray(amplitudes, dtype=complex)
+    if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
+        raise ValueError("values and amplitudes must be non-empty 1-d arrays of one length")
+    _check_oracle_size(lam.size)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("values must be finite")
+    return lam, amps
+
+
+def _level_split(values: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Level of every string and the norm ||P_j vec|| of each level; levels
+    are the distinct values, largest first, by exact equality (the oracle's
+    own grouping, independent of ``build_spectrum``)."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    level_of = (len(uniq) - 1) - inverse
+    level_norms = np.sqrt(np.bincount(level_of, weights=vec.real**2 + vec.imag**2))
+    return level_of, level_norms
+
+
 def grover_commutant_dimension(
     values, amplitudes, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO
 ) -> CommutantReport:
@@ -380,21 +403,14 @@ def grover_commutant_dimension(
     ``tol_rank`` must be finite and > 0.
     """
     _check_tol_rank(tol_rank)
-    lam = np.asarray(values, dtype=float)
-    amps = np.asarray(amplitudes, dtype=complex)
-    if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
-        raise ValueError("values and amplitudes must be non-empty 1-d arrays of one length")
+    lam, amps = _level_input(values, amplitudes)
     n = lam.size
-    _check_oracle_size(n)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("values must be finite")
     nrm = float(np.linalg.norm(amps))
     if not (math.isfinite(nrm) and nrm > 0.0):
         raise ValueError("amplitudes must have a finite nonzero norm")
     u = amps / nrm
 
-    _, level_of = np.unique(lam, return_inverse=True)
-    level_norms = np.sqrt(np.bincount(level_of, weights=u.real**2 + u.imag**2))
+    level_of, level_norms = _level_split(lam, u)
     scale = np.zeros_like(level_norms)
     np.divide(1.0, level_norms, out=scale, where=level_norms > tol_zero)
     v = u * scale[level_of]
@@ -411,6 +427,31 @@ def grover_commutant_dimension(
         max_null=float(eigs[null - 1]) if null else None,
         min_nonnull=float(eigs[null]) if null < 2 * n else None,
     )
+
+
+def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list, list]:
+    """W0 and the invariant lines of the predicted isotypic split of C^N.
+
+    W0 is spanned by the level components xi_j = P_j xi / ||P_j xi|| with
+    ||P_j xi|| > ``tol_zero``, largest value first.  Level j's lines are
+    the identity's columns on its strings, or for a supported level the QR
+    factor of [xi_j | identity] without its first column (which spans
+    xi_j).  Returns d + (N - d) unit vectors of full length."""
+    lam, amps = _level_input(values, amplitudes)
+    level_of, level_norms = _level_split(lam, amps)
+    w0, lines = [], []
+    for j, norm in enumerate(level_norms):
+        idx = np.flatnonzero(level_of == j)
+        block = np.eye(len(idx), dtype=complex)
+        if norm > tol_zero:
+            xi = np.zeros(lam.size, dtype=complex)
+            xi[idx] = amps[idx] / norm
+            w0.append(xi)
+            block = np.linalg.qr(np.column_stack([xi[idx], block]))[0][:, 1:]
+        full = np.zeros((lam.size, block.shape[1]), dtype=complex)
+        full[idx] = block
+        lines.extend(full.T)
+    return w0, lines
 
 
 def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:
@@ -430,7 +471,7 @@ def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:
     return float(np.max(np.linalg.norm(outside, axis=1)))
 
 
-def frame_condition(a: np.ndarray, tol_zero: float = TOL_ZERO) -> bool:
+def frame_condition(a: np.ndarray) -> bool:
     """True iff the first/last row and column entries (corners excluded)
     are all nonzero; vacuously true for 2 x 2 matrices."""
     a = np.asarray(a)
@@ -439,10 +480,10 @@ def frame_condition(a: np.ndarray, tol_zero: float = TOL_ZERO) -> bool:
     k = a.shape[0]
     for j in range(1, k - 1):
         if (
-            abs(a[0, j]) <= tol_zero
-            or abs(a[j, 0]) <= tol_zero
-            or abs(a[j, k - 1]) <= tol_zero
-            or abs(a[k - 1, j]) <= tol_zero
+            abs(a[0, j]) <= TOL_ZERO
+            or abs(a[j, 0]) <= TOL_ZERO
+            or abs(a[j, k - 1]) <= TOL_ZERO
+            or abs(a[k - 1, j]) <= TOL_ZERO
         ):
             return False
     return True
@@ -452,7 +493,6 @@ def extract_matrix_units(
     diag: np.ndarray,
     a: np.ndarray,
     tol: float = 1e-9,
-    tol_zero: float = TOL_ZERO,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Recover all off-diagonal matrix units from a diagonal/frame pair.
 
@@ -481,10 +521,10 @@ def extract_matrix_units(
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValueError(f"matrix must be {d} x {d}")
-    if not frame_condition(a, tol_zero=tol_zero):
+    if not frame_condition(a):
         raise FrameConditionError("frame entries must all be nonzero")
     last = d - 1
-    if abs(a[0, last]) <= tol_zero or abs(a[last, 0]) <= tol_zero:
+    if abs(a[0, last]) <= TOL_ZERO or abs(a[last, 0]) <= TOL_ZERO:
         raise FrameConditionError(
             "the construction divides by the (1,d) and (d,1) entries; both must be nonzero"
         )

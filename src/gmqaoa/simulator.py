@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitialState, ObjectiveTable, SizeLimitError
+from .core import MAX_ABS_OBJECTIVE, TOL_WEIGHT_SUM, InitialState, ObjectiveTable, SizeLimitError
 
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
@@ -161,7 +161,10 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
 
     ``values`` and ``weights`` are the supported levels' objective values
     lambda_j and weights ||P_j xi||, in spectrum order: the nonzero
-    entries of ``LevelOverlaps.c`` and the matching ``Spectrum.values``.
+    entries of ``LevelOverlaps.c`` and the matching ``Spectrum.values``;
+    the values must lie within ``MAX_ABS_OBJECTIVE``, as an objective
+    table's do, and the weights satisfy sum(w**2) = 1 to within
+    ``TOL_WEIGHT_SUM``, as a level decomposition's do.
     Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``
     for a ``seed`` in [0, 2**64), and the reductions run over the
     sample-ordered array, so the report is a pure function of the
@@ -173,6 +176,11 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
         raise ValueError("values and weights must be parallel non-empty 1-d arrays")
+    if not np.all(np.abs(values) <= MAX_ABS_OBJECTIVE):  # also refuses NaN
+        raise ValueError(f"values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}")
+    total = float(np.sum(weights**2))
+    if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses NaN and infinite weights
+        raise ValueError(f"weights must satisfy sum(w**2) = 1, got {total!r}")
     if samples < 2:
         raise ValueError("need at least two samples")
     if p < 1:

@@ -23,7 +23,6 @@ from gmqaoa import (
     slocal_bound,
     uniform_state,
 )
-from gmqaoa.analytic import complement_invariant_lines
 from gmqaoa.simulator import sample_parameters
 from helpers import random_graph, twirled_mean_loss
 
@@ -259,39 +258,3 @@ def test_barren_plateau_bound_for_maxcut():
         floor = stats.zeta_var / (slocal_bound(g.vertex_count, 2, 1, g.edge_count) + 1)
         assert stats.loss_variance >= floor > 0
 
-
-def _basis_state(size: int, index: int) -> InitialState:
-    amps = np.zeros(size, dtype=complex)
-    amps[index] = 1.0
-    return InitialState(amps)
-
-
-def _random_complex_state(size: int, seed: int) -> InitialState:
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return InitialState(amps / np.linalg.norm(amps))
-
-
-def test_complement_invariant_lines_structure():
-    cases = [
-        (maxcut_objective(path_graph(3)), uniform_state(3, 2)),
-        # string 1 has cut 1: the cut-2 and cut-0 levels are unsupported
-        (maxcut_objective(path_graph(3)), _basis_state(8, 1)),
-        (maxcut_objective(house_graph()), _random_complex_state(32, 11)),
-        # one-string supported levels 2 and 0 around a two-string level 1
-        (ObjectiveTable(n=2, q=2, values=[0.0, 1.0, 1.0, 2.0]), uniform_state(2, 2)),
-    ]
-    for table, state in cases:
-        spectrum = build_spectrum(table)
-        overlaps = decompose_initial_state(state, spectrum)
-        lines = complement_invariant_lines(spectrum, overlaps)
-        assert len(lines) == spectrum.n_states - overlaps.d
-        for v in lines:
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            for j in overlaps.supported_levels:
-                assert abs(np.vdot(overlaps.component(j), v)) < 1e-12
-        # W0's components and the lines together: an orthonormal basis of C^N
-        w0 = [overlaps.component(j) for j in overlaps.supported_levels]
-        frame = np.column_stack(w0 + lines)
-        assert frame.shape == (spectrum.n_states, spectrum.n_states)
-        assert np.max(np.abs(frame.conj().T @ frame - np.eye(spectrum.n_states))) < 1e-12

@@ -334,6 +334,17 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
     assert report["oracle"]["verdicts"]["commutant_dim"]["verdict"] == "mismatch"
 
 
+def test_verify_isotypic_mismatch_exits_one(capsys, monkeypatch):
+    # the standard basis split of p3 is orthonormal but not invariant under the Grover DLA
+    eye = list(np.eye(8, dtype=complex))
+    monkeypatch.setattr(cli, "isotypic_split", lambda *a, **k: (eye[:1], eye[1:]))
+    code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "p3.graph"))
+    assert code == 1
+    isotypic = json.loads(out)["oracle"]["verdicts"]["isotypic"]
+    assert isotypic["verdict"] == "mismatch"
+    assert isotypic["w0_residual"] > 0.1 and isotypic["line_residual"] > 0.1
+
+
 def test_verify_dim_cap_marks_dla_not_run(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--dim-cap", "4"
@@ -393,6 +404,17 @@ def test_verify_oracle_cap(tmp_path, capsys):
     big.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, "verify", "--maxcut", str(big))
     assert code == 3
+
+
+def test_verify_x_mixer_oracle_cap(tmp_path, capsys):
+    # the x mixer is built, and capped, before the 2**20 x 2**20 diag(F)
+    lines = ["20 19"] + [f"{i} {i + 1}" for i in range(1, 20)]
+    big = tmp_path / "p20.graph"
+    big.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--maxcut", str(big), "--mixer", "x")
+    assert code == 3
+    assert out == ""
+    assert "dense oracle capped at 64 dimensions, got 1048576" in err
 
 
 def test_simulate_requires_two_samples(capsys):

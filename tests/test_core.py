@@ -13,6 +13,7 @@ from gmqaoa import (
     decompose_initial_state,
     maxcut_objective,
     house_graph,
+    isotypic_split,
     uniform_state,
 )
 from helpers import random_graph, reference_decomposition
@@ -89,7 +90,8 @@ def test_decompose_signed_coefficients():
     state = InitialState(np.array([1.0, -1.0]) / np.sqrt(2))
     overlaps = decompose_initial_state(state, spectrum)
     assert overlaps.c == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
-    assert overlaps.component(0) == pytest.approx([0.0, -1.0])  # level of value 1 = string 1
+    w0, _ = isotypic_split([0.0, 1.0], state.amplitudes)
+    assert w0[0] == pytest.approx([0.0, -1.0])  # level of value 1 = string 1
 
 
 def test_decompose_accepts_complex_phase():
@@ -97,9 +99,10 @@ def test_decompose_accepts_complex_phase():
     state = InitialState(np.array([1.0, 1.0j]) / np.sqrt(2))
     overlaps = decompose_initial_state(state, spectrum)
     assert overlaps.c == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
-    assert overlaps.component(0) == pytest.approx([0.0, 1.0j])
-    assert overlaps.component(1) == pytest.approx([1.0, 0.0])
-    assert overlaps.reconstruct() == pytest.approx(state.amplitudes)
+    w0, _ = isotypic_split([0.0, 1.0], state.amplitudes)
+    assert w0[0] == pytest.approx([0.0, 1.0j])
+    assert w0[1] == pytest.approx([1.0, 0.0])
+    assert overlaps.c[0] * w0[0] + overlaps.c[1] * w0[1] == pytest.approx(state.amplitudes)
 
 
 def test_decompose_refuses_nan_coefficients():
@@ -134,8 +137,10 @@ def test_decompose_matches_per_string_reference(amp, tol_zero):
     c, components = reference_decomposition(amp, P3_VALUES, tol_zero)
     assert np.max(np.abs(overlaps.c - c)) <= 1e-12
     assert overlaps.supported_levels == sorted(components)
-    for j, xi in components.items():
-        assert np.max(np.abs(overlaps.component(j) - xi)) <= 1e-12
+    w0, _ = isotypic_split(P3_VALUES, amp, tol_zero=tol_zero)
+    assert len(w0) == len(components)
+    for j, xi in zip(overlaps.supported_levels, w0):
+        assert np.max(np.abs(xi - components[j])) <= 1e-12
 
 
 def test_decompose_allocates_no_per_level_arrays():
@@ -205,8 +210,11 @@ def test_reconstruction_and_counts(table, seed):
     spectrum = build_spectrum(table)
     overlaps = decompose_initial_state(InitialState(amp.astype(complex)), spectrum)
     assert overlaps.d <= spectrum.r <= table.size
-    assert np.max(np.abs(overlaps.reconstruct() - amp)) < 1e-12
-    for j in overlaps.supported_levels:
-        xi = overlaps.component(j)
+    # the oracle's level components, weighted by the coefficients, sum back to the state
+    w0, _ = isotypic_split(table.values, amp)
+    assert len(w0) == overlaps.d
+    sup = overlaps.supported_levels
+    assert np.max(np.abs(sum(c * xi for c, xi in zip(overlaps.c[sup], w0)) - amp)) < 1e-12
+    for j, xi in zip(sup, w0):
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
         assert np.all(xi[spectrum.level_of != j] == 0)

@@ -18,7 +18,9 @@ from gmqaoa import (
     frame_condition,
     gm_generators,
     grover_commutant_dimension,
+    house_graph,
     invariant_subspace_residual,
+    isotypic_split,
     lie_closure,
     maxcut_objective,
     parse_cnf,
@@ -60,6 +62,14 @@ def test_gm_generators_cap():
     table = ObjectiveTable(n=7, q=2, values=np.zeros(128))
     with pytest.raises(OracleCapError):
         gm_generators(table, uniform_state(7, 2))
+
+
+def test_x_mixer_generator_cap():
+    # refused before the 2**n x 2**n matrix is allocated
+    with pytest.raises(OracleCapError, match="got 128"):
+        x_mixer_generator(7)
+    with pytest.raises(OracleCapError):
+        x_mixer_generator(40)
 
 
 def test_x_mixer_generator():
@@ -458,7 +468,7 @@ def test_invariant_subspace_residual():
     full = [np.eye(8, dtype=complex)[:, k] for k in range(8)]
     assert invariant_subspace_residual(basis, full) == 0.0
 
-    w0 = [overlaps.component(j) for j in overlaps.supported_levels]
+    w0, _ = isotypic_split(table.values, state.amplitudes)
     assert invariant_subspace_residual(basis, w0) < 1e-9
 
     rng = np.random.default_rng(3)
@@ -471,10 +481,10 @@ def test_invariant_subspace_residual():
 
 
 def test_oracles_accept_matrix_lists_and_refuse_empty_bases():
-    table, state, _, overlaps = p3_setup()
+    table, state, _, _ = p3_setup()
     h_p, g_m = gm_generators(table, state)
     basis, _ = lie_closure([1j * h_p, 1j * g_m])
-    w0 = [overlaps.component(j) for j in overlaps.supported_levels]
+    w0, _ = isotypic_split(table.values, state.amplitudes)
     assert invariant_subspace_residual(list(basis), w0) == invariant_subspace_residual(basis, w0)
     with pytest.raises(ValueError, match="at least one basis element"):
         invariant_subspace_residual([], w0)
@@ -631,3 +641,59 @@ def test_x_mixer_affine_shift_can_add_identity_direction():
     _, traceless = lie_closure([1j * traceless_part(h_p), 1j * b])
     assert affine.dimension == 10
     assert traceless.dimension == 9
+
+
+def _basis_state(size: int, index: int) -> InitialState:
+    amps = np.zeros(size, dtype=complex)
+    amps[index] = 1.0
+    return InitialState(amps)
+
+
+def _random_complex_state(size: int, seed: int) -> InitialState:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return InitialState(amps / np.linalg.norm(amps))
+
+
+def test_isotypic_split_structure():
+    cases = [
+        (maxcut_objective(path_graph(3)), uniform_state(3, 2)),
+        # string 1 has cut 1: the cut-2 and cut-0 levels are unsupported
+        (maxcut_objective(path_graph(3)), _basis_state(8, 1)),
+        (maxcut_objective(house_graph()), _random_complex_state(32, 11)),
+        # one-string supported levels 2 and 0 around a two-string level 1
+        (ObjectiveTable(n=2, q=2, values=[0.0, 1.0, 1.0, 2.0]), uniform_state(2, 2)),
+    ]
+    for table, state in cases:
+        spectrum = build_spectrum(table)
+        overlaps = decompose_initial_state(state, spectrum)
+        w0, lines = isotypic_split(table.values, state.amplitudes)
+        assert len(w0) == overlaps.d
+        assert len(lines) == spectrum.n_states - overlaps.d
+        for v in lines:
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            for xi in w0:
+                assert abs(np.vdot(xi, v)) < 1e-12
+        # W0's components and the lines together: an orthonormal basis of C^N
+        frame = np.column_stack(w0 + lines)
+        assert frame.shape == (spectrum.n_states, spectrum.n_states)
+        assert np.max(np.abs(frame.conj().T @ frame - np.eye(spectrum.n_states))) < 1e-12
+
+
+def test_isotypic_split_fails_against_the_x_mixer_closure():
+    # negative control: the Grover split of p3 is not the x-mixer's, so the
+    # isotypic verdict's residuals can exceed its bound
+    table = bundled_table("p3.graph")
+    basis, _ = lie_closure(uniform_generators("p3.graph", "x"))
+    w0, lines = isotypic_split(table.values, uniform_state(3, 2).amplitudes)
+    assert invariant_subspace_residual(basis, w0) < 1e-8
+    assert max(invariant_subspace_residual(basis, [line]) for line in lines) > 0.1
+
+
+def test_isotypic_split_cap_and_bad_inputs():
+    with pytest.raises(OracleCapError):
+        isotypic_split(np.zeros(128), np.full(128, 128**-0.5))
+    with pytest.raises(ValueError, match="one length"):
+        isotypic_split([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        isotypic_split([np.nan, 1.0], [1.0, 0.0])

@@ -198,6 +198,19 @@ def test_monte_carlo_size_mismatch():
             monte_carlo_stats(values, weights, p=2, samples=8, seed=0)
 
 
+def test_monte_carlo_refuses_out_of_range_levels():
+    # unnormalized weights gave a mean of 66.46 outside the values' range [0, 1],
+    # a NaN an all-NaN report, and 1e200 an infinite variance
+    with pytest.raises(ValueError, match="sum"):
+        monte_carlo_stats([1.0, 0.0], [1.0, 1.0], p=2, samples=8, seed=0)
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_stats([bad, 0.0], [0.6, 0.8], p=2, samples=8, seed=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sum"):
+            monte_carlo_stats([1.0, 0.0], [bad, 0.8], p=2, samples=8, seed=0)
+
+
 def test_monte_carlo_validation():
     levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
     with pytest.raises(ValueError):
