@@ -38,6 +38,7 @@ from .oracle import (
     grover_commutant_dimension,
     invariant_subspace_residual,
     isotypic_split,
+    level_span_generators,
     lie_closure,
     x_mixer_generator,
 )

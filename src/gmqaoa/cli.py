@@ -42,6 +42,7 @@ from .oracle import (
     grover_commutant_dimension,
     invariant_subspace_residual,
     isotypic_split,
+    level_span_generators,
     lie_closure,
     traceless_part,
     x_mixer_generator,
@@ -139,6 +140,14 @@ def _positive_tolerance(text: str) -> float:
     return value
 
 
+def _indep_tolerance(text: str) -> float:
+    value = _positive_tolerance(text)
+    if value >= 1.0:
+        # a unit candidate's residual never exceeds 1, so every commutator would be discarded
+        raise argparse.ArgumentTypeError(f"tolerance must be < 1, got {text!r}")
+    return value
+
+
 def _depths(text: str) -> list:
     try:
         depths = [int(tok) for tok in text.split(",")]
@@ -199,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=_positive_tolerance, default=TOL_INDEP)
+    verify.add_argument("--tol-indep", type=_indep_tolerance, default=TOL_INDEP)
     verify.add_argument("--tol-rank", type=_positive_tolerance, default=TOL_RANK)
     verify.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
@@ -415,9 +424,8 @@ def cmd_verify(args):
         x_mixer = x_mixer_generator(table.n)
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer]
     else:
-        h_p, g_m = gm_generators(table, state)
-        generators = [1j * h_p, 1j * g_m]
-    basis, closure = lie_closure(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
+        generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
+    _, closure = lie_closure(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
 
     oracle = {"mixer": args.mixer, "closure": {**asdict(closure), "tol_indep": args.tol_indep}}
     if args.mixer == "grover":
@@ -425,11 +433,14 @@ def cmd_verify(args):
         commutant = grover_commutant_dimension(
             table.values, state.amplitudes, tol_rank=args.tol_rank, tol_zero=args.tol_zero
         )
+        # likewise a subspace is invariant under the DLA iff it is invariant
+        # under its generators, taken at unit norm
+        units = [g / np.linalg.norm(g) for g in gm_generators(table, state) if np.any(g)]
         w0, lines = isotypic_split(table.values, state.amplitudes, tol_zero=args.tol_zero)
-        w0_residual = invariant_subspace_residual(basis, w0)
+        w0_residual = invariant_subspace_residual(units, w0)
         line_residual = 0.0
         for line in lines:
-            line_residual = max(line_residual, invariant_subspace_residual(basis, [line]))
+            line_residual = max(line_residual, invariant_subspace_residual(units, [line]))
         oracle.update(
             commutant_dim=commutant.dimension,
             commutant_margin={"max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull},

@@ -39,10 +39,6 @@ _TOL_ORTH = 1e-8
 #: new directions; normalizing them would amplify noise into fake dimensions.
 _ZERO_FLOOR = 1e-10
 
-#: Commutator entries screened at once: one block of candidates per
-#: frontier element (64 candidates at N = 32).
-_SCREEN_ENTRIES = 1 << 16
-
 
 class OracleCapError(ValueError):
     """Instance exceeds the dense-oracle size caps."""
@@ -72,7 +68,7 @@ class ClosureReport:
     around ``tol_indep``: the largest relative residual of a discarded
     candidate, and the smallest of an accepted element (None when no
     element was tested against a non-empty basis).  ``candidates`` counts
-    the commutators screened.
+    the commutators formed.
     """
 
     dimension: int
@@ -143,21 +139,6 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
     return h - (np.trace(h) / n) * np.eye(n)
 
 
-def _packed_commutators(y: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Packed real coordinates of Y^dag - Y for each Y of a (k, N, N) stack.
-
-    A skew-Hermitian C packs into the real N x N matrix Re C + Im C, its
-    antisymmetric plus its symmetric part.  Their Frobenius cross term
-    vanishes, so packed matrices have the dot product Re tr(A^dag B) in N**2
-    floats instead of 2 N**2.  For C = Y^dag - Y the packed matrix is
-    (Re Y - Im Y)^T - (Re Y + Im Y); ``out`` and ``work`` are real
-    (k, N, N) buffers.
-    """
-    np.subtract(y.real, y.imag, out=work)
-    np.add(y.real, y.imag, out=out)
-    return np.subtract(work.transpose(0, 2, 1), out, out=out)
-
-
 def lie_closure(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
@@ -173,38 +154,30 @@ def lie_closure(
     per element, whose dot product is Re tr(A^dag B): classical
     Gram-Schmidt against the whole basis, with a second pass for
     survivors.  Deterministic schedule: the generators are
-    orthonormalized in input order; then, per round, every element of the
-    previous round's additions is commuted with every basis element
-    present at the round's start, in index order, except the frontier
-    elements up to and including itself: [f_i, f_j] = -[f_j, f_i] for
-    j < i was tested already, and [f_i, f_i] = 0.  Each candidate is
-    rescaled to unit Hilbert-Schmidt norm, projected against the current
-    basis, and appended when the residual exceeds ``tol_indep``.
-    Commutators whose norm sits at the round-off floor are treated as
-    zero rather than normalized.
-
-    The commutators of one frontier element f are screened in blocks of
-    ``_SCREEN_ENTRIES`` entries.  For skew-Hermitian f and B, [f, B] =
-    Y^dag - Y with Y = B f, so one stacked product per block gives the
-    candidates; they are packed into N**2 real coordinates
-    (``_packed_commutators``) and projected with two GEMMs against a
-    packed mirror of the basis at the block's start.  That
-    basis is contained in the one the per-candidate test sees, so a
-    candidate screened out would be discarded there too; only the
-    survivors, in index order, are formed again as f B - B f and take
-    the per-candidate test, and the accepted elements are the same, bit
-    for bit.
+    orthonormalized in input order into S; then, per round, every element
+    f of the previous round's additions, in index order, is commuted with
+    every element s of S, in index order, as [s, f].  The algebra
+    generated by S is spanned by the left-normed brackets
+    [s_1, [s_2, ..., s_k]], so V <- V + [S, V] reaches it, and its fixed
+    point is closed under the commutator by the Jacobi identity; only the
+    frontier is new to each round, so |S| commutators per element are
+    formed in all.  Each candidate is rescaled to unit Hilbert-Schmidt
+    norm, projected against the current basis, and appended when the
+    residual exceeds ``tol_indep``.  Commutators whose norm sits at the
+    round-off floor are treated as zero rather than normalized.
 
     Stops when a round adds nothing, when the basis spans all N**2 real
     dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
     are reached (flagged as ``hit_cap``, not fatal).  ``tol_indep`` must
-    be finite and > 0 (at 0 round-off residuals count as new
-    directions), and the generators finite.
+    be finite and in (0, 1): at 0 round-off residuals count as new
+    directions, and at 1 or above every candidate is discarded, since a
+    unit candidate's residual never exceeds 1.  The generators must be
+    finite.
     """
     if dim_cap < 1:
         raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
-    if not (math.isfinite(tol_indep) and tol_indep > 0.0):
-        raise ValueError(f"tol_indep must be finite and > 0, got {tol_indep}")
+    if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
+        raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -222,18 +195,13 @@ def lie_closure(
     capacity = min(dim_cap, size2)
     basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
     rows = basis.reshape(capacity, size2).view(float)
-    block = max(1, _SCREEN_ENTRIES // size2)
-    # the packed mirror grows by doubling: at full capacity (8 MiB at N = 32)
-    # numpy would request huge pages for it, and each one touched adds
-    # 2 MiB to peak RSS
-    packed = np.zeros((min(capacity, block), size2))
     count = 0
     candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
 
     def try_add(mat: np.ndarray, floor: float = 0.0) -> bool:
-        nonlocal count, packed, max_discarded, min_accepted
+        nonlocal count, max_discarded, min_accepted
         nrm = float(np.linalg.norm(mat))
         if nrm <= floor:
             return False
@@ -249,52 +217,23 @@ def lie_closure(
         new = res.view(complex).reshape(dim_space, dim_space)
         new = 0.5 * (new - new.conj().T)
         basis[count] = new / np.linalg.norm(new)
-        if count == len(packed):
-            packed = np.vstack([packed, np.zeros_like(packed)])
-        packed[count] = (basis[count].real + basis[count].imag).ravel()
         count += 1
         return True
-
-    prods = np.empty((block, dim_space, dim_space), dtype=complex)
-    cand_buf = np.empty((block, dim_space, dim_space))
-    resid_buf = np.empty_like(cand_buf)
-
-    def screened(f: np.ndarray, spans):
-        """Commutators [f, B_k], k in ``spans``, that survive the screen, in index order."""
-        nonlocal candidates, max_discarded
-        for span in spans:
-            for lo in range(span.start, span.stop, block):
-                hi = min(lo + block, span.stop)
-                k = hi - lo
-                candidates += k
-                part = basis[lo:hi]
-                y = np.matmul(part, f, out=prods[:k])
-                cand = _packed_commutators(y, cand_buf[:k], resid_buf[:k]).reshape(k, size2)
-                known = packed[:count]
-                proj = np.matmul(cand @ known.T, known, out=resid_buf[:k].reshape(k, size2))
-                resid = np.linalg.norm(np.subtract(cand, proj, out=proj), axis=1)
-                norms = np.linalg.norm(cand, axis=1)
-                live = norms > _ZERO_FLOOR
-                rel = np.divide(resid, norms, out=np.zeros_like(resid), where=live)
-                dependent = live & (rel <= tol_indep)
-                if dependent.any():
-                    max_discarded = max(max_discarded, float(rel[dependent].max()))
-                for j in np.flatnonzero(live & (rel > tol_indep)):
-                    b = basis[lo + j]
-                    yield f @ b - b @ f
 
     for g in mats:
         if count == capacity:
             break
         try_add(g)
+    gens = basis[:count]
     frontier = range(count)
     rounds = 0
     while frontier and count < capacity:
         rounds += 1
         start = count
         for fi in frontier:
-            spans = (range(frontier.start), range(fi + 1, start))
-            for mat in screened(basis[fi], spans):
+            f = basis[fi]
+            candidates += len(gens)
+            for mat in np.matmul(gens, f) - np.matmul(f, gens):
                 if try_add(mat, floor=_ZERO_FLOOR) and count == capacity:
                     break
             if count == capacity:
@@ -361,7 +300,7 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
 
 
 def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
-    """Objective values and amplitudes as parallel 1-d arrays within the oracle cap."""
+    """Objective values and normalized amplitudes as parallel 1-d arrays within the oracle cap."""
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
@@ -369,7 +308,10 @@ def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     _check_oracle_size(lam.size)
     if not np.all(np.isfinite(lam)):
         raise ValueError("values must be finite")
-    return lam, amps
+    nrm = float(np.linalg.norm(amps))
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        raise ValueError("amplitudes must have a finite nonzero norm")
+    return lam, amps / nrm
 
 
 def _level_split(values: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -403,13 +345,8 @@ def grover_commutant_dimension(
     ``tol_rank`` must be finite and > 0.
     """
     _check_tol_rank(tol_rank)
-    lam, amps = _level_input(values, amplitudes)
+    lam, u = _level_input(values, amplitudes)
     n = lam.size
-    nrm = float(np.linalg.norm(amps))
-    if not (math.isfinite(nrm) and nrm > 0.0):
-        raise ValueError("amplitudes must have a finite nonzero norm")
-    u = amps / nrm
-
     level_of, level_norms = _level_split(lam, u)
     scale = np.zeros_like(level_norms)
     np.divide(1.0, level_norms, out=scale, where=level_norms > tol_zero)
@@ -429,6 +366,21 @@ def grover_commutant_dimension(
     )
 
 
+def _level_span(lam: np.ndarray, u: np.ndarray, tol_zero: float):
+    """Each string's level, the per-level norms ||P_j u||, and the (N, d)
+    matrix Q whose columns are the unit components P_j u / ||P_j u|| of the
+    levels with norm above ``tol_zero``, largest value first."""
+    level_of, level_norms = _level_split(lam, u)
+    supported = level_norms > tol_zero
+    if not supported.any():
+        raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
+    column = np.cumsum(supported) - 1
+    on = supported[level_of]
+    q = np.zeros((lam.size, column[-1] + 1), dtype=complex)
+    q[on, column[level_of[on]]] = u[on] / level_norms[level_of[on]]
+    return level_of, level_norms, q
+
+
 def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list, list]:
     """W0 and the invariant lines of the predicted isotypic split of C^N.
 
@@ -437,21 +389,49 @@ def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list
     the identity's columns on its strings, or for a supported level the QR
     factor of [xi_j | identity] without its first column (which spans
     xi_j).  Returns d + (N - d) unit vectors of full length."""
-    lam, amps = _level_input(values, amplitudes)
-    level_of, level_norms = _level_split(lam, amps)
-    w0, lines = [], []
+    lam, u = _level_input(values, amplitudes)
+    level_of, level_norms, q = _level_span(lam, u, tol_zero)
+    lines = []
+    column = 0
     for j, norm in enumerate(level_norms):
         idx = np.flatnonzero(level_of == j)
         block = np.eye(len(idx), dtype=complex)
         if norm > tol_zero:
-            xi = np.zeros(lam.size, dtype=complex)
-            xi[idx] = amps[idx] / norm
-            w0.append(xi)
-            block = np.linalg.qr(np.column_stack([xi[idx], block]))[0][:, 1:]
+            block = np.linalg.qr(np.column_stack([q[idx, column], block]))[0][:, 1:]
+            column += 1
         full = np.zeros((lam.size, block.shape[1]), dtype=complex)
         full[idx] = block
         lines.extend(full.T)
-    return w0, lines
+    return list(q.T), lines
+
+
+def level_span_generators(
+    values, amplitudes, tol_zero: float = TOL_ZERO
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The Grover generators i H_p and -i u u^dag on d + 1 dimensions.
+
+    K = span{P_j u} over the levels of norm above ``tol_zero`` holds u and
+    is H_p-invariant, so every commutator acts on K alone, and the part of
+    any DLA element on K's complement is a multiple of H_p there.  With Q
+    the W0 columns of ``isotypic_split``, returns the block-diagonal
+    i (Q^dag H_p Q + [h]) and i (-Q^dag u u^dag Q + [0]), h = ||(I - Q
+    Q^dag) H_p||_F: an isometry of the DLA, so their closure has its
+    dimension at the same ``tol_indep``.  Within level j, I - Q Q^dag is a
+    projector of rank n_j - 1 (supported) or n_j, so h is exactly 0 when
+    H_p vanishes off K.
+    """
+    lam, u = _level_input(values, amplitudes)
+    level_of, level_norms, q = _level_span(lam, u, tol_zero)
+    # each string's share of its level's rank off K
+    off = 1.0 - (level_norms > tol_zero) / np.bincount(level_of)
+    d = q.shape[1]
+    h_p = np.zeros((d + 1, d + 1), dtype=complex)
+    h_p[:d, :d] = q.conj().T @ (lam[:, None] * q)
+    h_p[d, d] = math.sqrt(float(np.sum(lam**2 * off[level_of])))
+    w = q.conj().T @ u
+    g_m = np.zeros_like(h_p)
+    g_m[:d, :d] = -np.outer(w, w.conj())
+    return 1j * h_p, 1j * g_m
 
 
 def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:

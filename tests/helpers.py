@@ -159,11 +159,14 @@ def level_state(values, coefficients: dict[float, complex]) -> InitialState:
 
 
 def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int = DIM_CAP):
-    """``oracle.lie_closure`` with every commutator tested on its own.
+    """An all-pairs Lie closure with ``oracle.lie_closure``'s per-candidate test.
 
-    The same schedule and the same per-candidate Gram-Schmidt test, but no
-    block screen: each commutator of the round takes two GEMV passes
-    against the whole current basis.  Inputs are not validated.
+    Per round, every element of the previous round's additions is commuted
+    with every basis element present at the round's start, not only with
+    the generators; each commutator takes the same two-pass Gram-Schmidt
+    test against the whole current basis.  It forms about D**2 / 2
+    candidates for a D-dimensional algebra and reaches the same algebra.
+    Inputs are not validated.
     """
     mats = [np.asarray(g, dtype=complex) for g in generators]
     dim_space = mats[0].shape[0]

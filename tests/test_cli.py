@@ -256,8 +256,8 @@ def test_verify_p3(capsys):
     report = json.loads(out)
     oracle = report["oracle"]
     assert oracle["closure"]["dimension"] == 10
-    # every pair of the 10 elements screened once; the CSV leaves the count out
-    assert oracle["closure"]["candidates"] == 45
+    # each of the 10 elements commuted with the 2 generators; the CSV leaves the count out
+    assert oracle["closure"]["candidates"] == 20
     assert oracle["commutant_dim"] == 12
     verdicts = oracle["verdicts"]
     assert verdicts["dla_dim"]["verdict"] == "match"
@@ -298,6 +298,53 @@ def test_verify_faint_supported_level(tmp_path, capsys):
     assert report["overlaps"]["d"] == 2
     assert report["oracle"]["commutant_dim"] == report["commutant"]["dim"] == 15
     assert report["oracle"]["verdicts"]["commutant_dim"]["verdict"] == "match"
+
+
+@pytest.mark.parametrize("graph", ["p3", "house", "c6"])
+def test_verify_faint_lowest_level(tmp_path, capsys, graph):
+    # the lowest level at norm eps, the rest uniform: the closure on the
+    # level span finds the predicted algebra where the dense one does not
+    values = maxcut_objective(parse_graph((DATA / f"{graph}.graph").read_text())).values
+    low = values == values.min()
+    for eps in (1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-8):
+        amps = np.where(low, eps / np.sqrt(low.sum()), np.sqrt((1 - eps**2) / (~low).sum()))
+        init = write_init(tmp_path / "init.json", amps.astype(complex))
+        code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / f"{graph}.graph"), "--init", init)
+        report = json.loads(out)
+        assert code == 0, eps
+        assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"], eps
+        assert all(v["verdict"] == "match" for v in report["oracle"]["verdicts"].values()), eps
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--maxcut", "p3.graph"], ["--maxcut", "p4.graph"], ["--maxcut", "c4.graph"],
+        ["--maxcut", "c6.graph"], ["--maxcut", "k4.graph"], ["--maxcut", "triangle.graph"],
+        ["--maxcut", "house.graph"], ["--cnf", "example.cnf"], ["--table", "identity_n1.json"],
+        ["--coloring", "triangle.graph", "--colors", "3"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_verify_closure_margin_spans_six_decades(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", argv[0], str(DATA / argv[1]), *argv[2:])
+    assert code == 0
+    closure = json.loads(out)["oracle"]["closure"]
+    assert closure["max_residual_discarded"] <= 1e-6 * closure["min_residual_accepted"]
+
+
+def test_verify_dim_cap_keeps_isotypic_residuals(capsys):
+    # the invariance residuals come from the generators, not from the
+    # closure basis, so a capped closure does not change them
+    reports = []
+    for extra in ((), ("--dim-cap", "3")):
+        code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "house.graph"), *extra)
+        assert code == 0
+        reports.append(json.loads(out)["oracle"])
+    full, capped = reports
+    assert capped["closure"]["hit_cap"] and capped["closure"]["dimension"] == 3
+    for key in ("w0_residual", "complement_line_residual"):
+        assert capped[key] == full[key] < 1e-8
 
 
 def test_verify_x_mixer(capsys):
@@ -586,6 +633,18 @@ def test_verify_closure_stops_at_full_algebra(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol-indep" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1", "1e300"])
+def test_verify_refuses_tol_indep_of_one(capsys, value):
+    # a unit candidate's residual never exceeds 1: at 1 or above every
+    # commutator would be discarded, and the closure would stop at 1 against 10
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--maxcut", str(DATA / "p3.graph"), "--tol-indep", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol-indep" in captured.err and "must be < 1" in captured.err
 
 
 def test_verify_refuses_zero_tol_rank(capsys):
