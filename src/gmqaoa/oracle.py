@@ -39,6 +39,9 @@ _TOL_ORTH = 1e-8
 #: new directions; normalizing them would amplify noise into fake dimensions.
 _ZERO_FLOOR = 1e-10
 
+#: Floats per block of commutators on the all-pairs schedule (32 MiB).
+_BLOCK_FLOATS = 1 << 22
+
 
 class OracleCapError(ValueError):
     """Instance exceeds the dense-oracle size caps."""
@@ -68,7 +71,9 @@ class ClosureReport:
     around ``tol_indep``: the largest relative residual of a discarded
     candidate, and the smallest of an accepted element (None when no
     element was tested against a non-empty basis).  ``candidates`` counts
-    the commutators formed.
+    the commutators formed.  ``schedule`` is ``"generators"`` or, when
+    that run met an ill-conditioned acceptance, ``"all-pairs"``, whose
+    residuals are those of unscaled commutators of unit elements.
     """
 
     dimension: int
@@ -77,6 +82,7 @@ class ClosureReport:
     max_residual_discarded: float
     min_residual_accepted: Optional[float]
     hit_cap: bool
+    schedule: str = "generators"
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,19 @@ def lie_closure(
     residual exceeds ``tol_indep``.  Commutators whose norm sits at the
     round-off floor are treated as zero rather than normalized.
 
+    An element accepted at residual r carries its candidate's round-off
+    amplified by 1/r, and so do the brackets formed from it.  When the
+    generators hold a direction only at a small weight (a faint supported
+    level), every bracket with a generator reaches it at such a residual
+    and round-off compounds into fake directions.  So an acceptance below
+    ``sqrt(eps / tol_indep)`` (eps the float64 round-off unit; 4.7e-4 at
+    the default ``tol_indep``), where two chained acceptances can lift
+    round-off above ``tol_indep``, abandons this run for the all-pairs
+    schedule (``_all_pairs_closure``), which reaches such a direction
+    through brackets of elements already at unit norm.  The report's
+    ``schedule`` says which run produced the basis; ``rounds`` and
+    ``candidates`` count that run.
+
     Stops when a round adds nothing, when the basis spans all N**2 real
     dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
     are reached (flagged as ``hit_cap``, not fatal).  ``tol_indep`` must
@@ -193,6 +212,7 @@ def lie_closure(
 
     size2 = dim_space * dim_space
     capacity = min(dim_cap, size2)
+    trusted = math.sqrt(np.finfo(float).eps / tol_indep)
     basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
     rows = basis.reshape(capacity, size2).view(float)
     count = 0
@@ -227,15 +247,93 @@ def lie_closure(
     gens = basis[:count]
     frontier = range(count)
     rounds = 0
-    while frontier and count < capacity:
+    while frontier and count < capacity and min_accepted >= trusted:
         rounds += 1
         start = count
         for fi in frontier:
             f = basis[fi]
             candidates += len(gens)
             for mat in np.matmul(gens, f) - np.matmul(f, gens):
-                if try_add(mat, floor=_ZERO_FLOOR) and count == capacity:
+                if try_add(mat, floor=_ZERO_FLOOR) and (count == capacity or min_accepted < trusted):
                     break
+            if count == capacity or min_accepted < trusted:
+                break
+        frontier = range(start, count)
+    if min_accepted < trusted:
+        return _all_pairs_closure(basis[: len(gens)], tol_indep, dim_cap)
+    report = ClosureReport(
+        dimension=count,
+        rounds=rounds,
+        candidates=candidates,
+        max_residual_discarded=max_discarded,
+        min_residual_accepted=min_accepted if min_accepted < math.inf else None,
+        # N**2 elements span all of u(N): the exact answer, not a lower bound
+        hit_cap=count == dim_cap < size2,
+    )
+    return basis[:count], report
+
+
+def _all_pairs_closure(
+    gens: np.ndarray, tol_indep: float, dim_cap: int
+) -> Tuple[np.ndarray, ClosureReport]:
+    """The closure of orthonormal generators on the all-pairs schedule.
+
+    Per round, every element of the previous round's additions is
+    commuted with every element present at the round's start, so a
+    direction the generators hold only at a small weight is reached
+    through brackets of unit-norm elements.  A round's commutators are
+    projected against the basis and accepted largest residual first; the
+    residual of a commutator of unit elements is taken unscaled, since
+    its round-off scales with the unit norms of its factors and not with
+    its own norm.  The round is formed in blocks of at most
+    ``_BLOCK_FLOATS`` floats, each accepted on its own.
+    """
+    dim_space = gens.shape[1]
+    size2 = dim_space * dim_space
+    capacity = min(dim_cap, size2)
+    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
+    rows = basis.reshape(capacity, size2).view(float)
+    count = len(gens)
+    basis[:count] = gens
+    candidates = 0
+    max_discarded = 0.0
+    min_accepted = math.inf
+
+    def accept(batch: np.ndarray) -> None:
+        nonlocal count, max_discarded, min_accepted
+        res = batch.reshape(len(batch), size2).view(float)
+        res = res - (res @ rows[:count].T) @ rows[:count]
+        while len(res) and count < capacity:
+            norms = np.linalg.norm(res, axis=1)
+            k = int(np.argmax(norms))
+            if norms[k] <= tol_indep:
+                max_discarded = max(max_discarded, float(norms[k]))
+                return
+            vec = res[k] - (rows[:count] @ res[k]) @ rows[:count]
+            res = np.delete(res, k, axis=0)
+            rnorm = float(np.linalg.norm(vec))
+            if rnorm <= tol_indep:
+                max_discarded = max(max_discarded, rnorm)
+                continue
+            min_accepted = min(min_accepted, rnorm)
+            new = vec.view(complex).reshape(dim_space, dim_space)
+            new = 0.5 * (new - new.conj().T)
+            basis[count] = new / np.linalg.norm(new)
+            res = res - np.outer(res @ rows[count], rows[count])
+            count += 1
+
+    frontier = range(count)
+    rounds = 0
+    while frontier and count < capacity:
+        rounds += 1
+        start = count
+        span = basis[:start]
+        block = max(1, _BLOCK_FLOATS // (2 * size2 * start))
+        for lo in range(frontier.start, frontier.stop, block):
+            f = basis[lo : min(lo + block, frontier.stop), None]
+            batch = np.matmul(span, f) - np.matmul(f, span)
+            candidates += batch.shape[0] * batch.shape[1]
+            accept(batch.reshape(-1, dim_space, dim_space))
             if count == capacity:
                 break
         frontier = range(start, count)
@@ -245,8 +343,8 @@ def lie_closure(
         candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
-        # N**2 elements span all of u(N): the exact answer, not a lower bound
         hit_cap=count == dim_cap < size2,
+        schedule="all-pairs",
     )
     return basis[:count], report
 

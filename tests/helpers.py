@@ -166,7 +166,10 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
     the generators; each commutator takes the same two-pass Gram-Schmidt
     test against the whole current basis.  It forms about D**2 / 2
     candidates for a D-dimensional algebra and reaches the same algebra.
-    Inputs are not validated.
+    Like ``lie_closure``, a run that accepts a residual below
+    sqrt(eps / tol_indep) is redone with each round's commutators accepted
+    largest unscaled residual first (``_pivoted_closure``).  Inputs are
+    not validated.
     """
     mats = [np.asarray(g, dtype=complex) for g in generators]
     dim_space = mats[0].shape[0]
@@ -203,6 +206,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
         if count == capacity:
             break
         try_add(g)
+    n_gens = count
     frontier = range(count)
     rounds = 0
     while frontier and count < capacity:
@@ -227,4 +231,51 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         hit_cap=count == dim_cap < size2,
     )
+    if min_accepted < math.sqrt(np.finfo(float).eps / tol_indep):
+        return _pivoted_closure(basis[:n_gens], tol_indep, dim_cap)
     return basis[:count], report
+
+
+def _pivoted_closure(gens, tol_indep, dim_cap):
+    """All-pairs rounds of unit generators, each round's commutators taken
+    largest unscaled residual first, one round at a time.
+
+    Only the dimension, span and ``hit_cap`` are meant to be compared: the
+    other report fields count this run alone.
+    """
+    dim_space = gens.shape[1]
+    size2 = dim_space * dim_space
+    capacity = min(dim_cap, size2)
+    basis = list(gens.reshape(len(gens), size2).view(float))
+    frontier = list(range(len(basis)))
+    rounds = 0
+    while frontier and len(basis) < capacity:
+        rounds += 1
+        start = len(basis)
+        span = np.array(basis).view(complex).reshape(start, dim_space, dim_space)
+        cands = np.concatenate([np.matmul(span, span[i]) - np.matmul(span[i], span) for i in frontier])
+        cands = cands.reshape(len(cands), size2).view(float)
+        while len(cands) and len(basis) < capacity:
+            rows = np.array(basis)
+            for _ in range(2):
+                cands = cands - (cands @ rows.T) @ rows
+            norms = np.linalg.norm(cands, axis=1)
+            k = int(np.argmax(norms))
+            if norms[k] <= tol_indep:
+                break
+            new = cands[k].view(complex).reshape(dim_space, dim_space)
+            new = 0.5 * (new - new.conj().T)
+            basis.append((new / np.linalg.norm(new)).ravel().view(float))
+            cands = np.delete(cands, k, axis=0)
+        frontier = list(range(start, len(basis)))
+    count = len(basis)
+    report = ClosureReport(
+        dimension=count,
+        rounds=rounds,
+        candidates=0,
+        max_residual_discarded=0.0,
+        min_residual_accepted=None,
+        hit_cap=count == dim_cap < size2,
+        schedule="all-pairs",
+    )
+    return np.array(basis).view(complex).reshape(count, dim_space, dim_space), report
