@@ -31,6 +31,7 @@ from .core import (
     InitialState,
     build_spectrum,
     decompose_initial_state,
+    uniform_overlaps,
     uniform_state,
 )
 from .oracle import (
@@ -50,10 +51,12 @@ from .oracle import (
 from .problems import (
     ParseError,
     ValidationError,
-    cnf_objective,
-    coloring_objective,
+    _local_objective,
+    cnf_terms,
+    coloring_terms,
     is_json_number,
-    maxcut_objective,
+    local_spectrum,
+    maxcut_terms,
     parse_cnf,
     parse_custom_table,
     parse_graph,
@@ -237,6 +240,12 @@ def _read_file(path: str) -> bytes:
 
 
 def _load_problem(args):
+    """The problem as ``(n, q, terms, table, descriptor, digest)``.
+
+    ``terms`` are the local terms of --maxcut/--cnf/--coloring, with
+    ``table`` None; --table and --threshold give the dense ``table``, with
+    ``terms`` None.
+    """
     chosen = [(kind, getattr(args, kind)) for kind in ("maxcut", "cnf", "coloring", "table")
               if getattr(args, kind) is not None]
     if len(chosen) != 1:
@@ -248,24 +257,30 @@ def _load_problem(args):
         raise ValueError("--threshold-strict requires --threshold")
     data = _read_file(path)
     text = data.decode("utf-8")
+    table = terms = None
     if kind == "maxcut":
-        table = maxcut_objective(parse_graph(text))
+        graph = parse_graph(text)
+        n, q, terms = graph.vertex_count, 2, maxcut_terms(graph)
     elif kind == "coloring":
         if args.colors is None:
             raise ValueError("--coloring requires --colors")
-        table = coloring_objective(parse_graph(text), args.colors)
+        graph = parse_graph(text)
+        n, q, terms = graph.vertex_count, args.colors, coloring_terms(graph, args.colors)
     elif kind == "cnf":
-        table = cnf_objective(parse_cnf(text))
+        formula = parse_cnf(text)
+        n, q, terms = formula.variable_count, 2, cnf_terms(formula)
     else:
         table = parse_custom_table(text)
+        n, q = table.n, table.q
     if args.threshold is not None:
-        table = threshold_transform(table, args.threshold, strict=args.threshold_strict)
+        table = _local_objective(n, q, terms) if table is None else table
+        table, terms = threshold_transform(table, args.threshold, strict=args.threshold_strict), None
     descriptor = {"kind": kind, "path": path}
     if kind == "coloring":
         descriptor["colors"] = args.colors
     if args.threshold is not None:
         descriptor["threshold"] = {"t": args.threshold, "strict": args.threshold_strict}
-    return table, descriptor, hashlib.sha256(data).hexdigest()
+    return n, q, terms, table, descriptor, hashlib.sha256(data).hexdigest()
 
 
 def _load_init(args, table):
@@ -289,15 +304,32 @@ def _load_init(args, table):
     return InitialState(np.asarray(amps, dtype=complex)), hashlib.sha256(data).hexdigest()
 
 
-def _analysis(args, command: str, config: dict):
+def _analysis(args, command: str, config: dict, dense: bool = False):
     """Load the problem and state, run the closed forms and open the report.
 
-    ``config`` adds the command's settings; its ``tolerances`` replace the common ones.
+    ``config`` adds the command's settings; its ``tolerances`` replace the
+    common ones.  Returns the report, the dense table and state, the
+    spectrum and the overlaps.  Local terms under the uniform state are
+    counted by ``local_spectrum``, with no table, unless its plan needs a
+    factor larger than the table; the uniform weights come from the
+    multiplicities whichever way the spectrum was built, so the state is
+    loaded only for another init.  ``dense`` builds the table and state
+    all the same, for the oracles; otherwise an unbuilt one is None.
     """
-    table, descriptor, problem_digest = _load_problem(args)
-    state, init_digest = _load_init(args, table)
-    spectrum = build_spectrum(table)
-    overlaps = decompose_initial_state(state, spectrum, tol_zero=args.tol_zero)
+    n, q, terms, table, descriptor, problem_digest = _load_problem(args)
+    uniform = args.init == "uniform"
+    spectrum = local_spectrum(n, q, terms) if terms is not None and uniform else None
+    if dense or spectrum is None:
+        table = _local_objective(n, q, terms) if table is None else table
+    state = init_digest = None
+    if dense or not uniform:
+        state, init_digest = _load_init(args, table)
+    if spectrum is None:
+        spectrum = build_spectrum(table)
+    if uniform:
+        overlaps = uniform_overlaps(spectrum, tol_zero=args.tol_zero)
+    else:
+        overlaps = decompose_initial_state(state, spectrum, tol_zero=args.tol_zero)
     dla = predict_dla(spectrum, overlaps)
     commutant = predict_commutant(spectrum, overlaps)
     stats = predict_loss_stats(spectrum, overlaps)
@@ -314,7 +346,7 @@ def _analysis(args, command: str, config: dict):
             **config,
         },
         "inputs": {"problem_sha256": problem_digest, "init_sha256": init_digest},
-        "problem": {"n": table.n, "q": table.q, "n_states": table.size},
+        "problem": {"n": n, "q": q, "n_states": spectrum.n_states},
         "spectrum": {
             "r": spectrum.r,
             "levels": [{"value": v, "multiplicity": m} for v, m in spectrum.levels],
@@ -414,7 +446,8 @@ def cmd_verify(args):
         "tol_invariant": TOL_INVARIANT,
     }
     report, table, state, *_ = _analysis(
-        args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap}
+        args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap},
+        dense=True,
     )
     if args.mixer == "x":
         if table.q != 2:

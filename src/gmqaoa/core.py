@@ -2,10 +2,15 @@
 
 Shared encodings for objective tables, spectra (distinct values with
 multiplicities) and the decomposition of an initial state into per-level
-weights.  ``build_spectrum`` groups objective values into levels (the
-oracle groups its own input, independently);
-``decompose_initial_state`` reads the per-level weights off
-``Spectrum.level_of``.  The string-to-index encoding is fixed
+weights.  ``build_spectrum`` groups a dense table into levels (the
+oracle groups its own input, independently); ``problems.local_spectrum``
+counts the same levels from local terms without a table, and its
+spectrum has no ``level_of``.  The uniform state's weights depend on the
+multiplicities alone, c_j = sqrt(n_j / q**n), and ``uniform_overlaps``
+takes them from there whichever way the spectrum was built; any other
+state goes through ``decompose_initial_state``, which sums its weights
+over ``Spectrum.level_of``.  Both apply the one ``tol_zero`` rule of
+``_level_overlaps``.  The string-to-index encoding is fixed
 everywhere: a configuration (x_0, ..., x_{n-1}) over a q-letter alphabet
 maps to the integer sum_i x_i * q**i, i.e. site 0 is the least
 significant digit.  The built-in builders apply this rule in one place,
@@ -15,7 +20,7 @@ significant digit.  The built-in builders apply this rule in one place,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -85,29 +90,31 @@ class Spectrum:
     """Distinct objective values, strictly descending, with multiplicities.
 
     ``level_of[x]`` is the level index of string ``x``, so
-    ``values[level_of[x]]`` recovers the objective value of ``x``.
+    ``values[level_of[x]]`` recovers the objective value of ``x``; it is
+    None for a spectrum counted without a dense table.
     """
 
     values: np.ndarray
     multiplicities: np.ndarray
-    level_of: np.ndarray
     n_states: int
+    level_of: Optional[np.ndarray] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         mult = np.asarray(self.multiplicities, dtype=int)
-        lev = np.asarray(self.level_of, dtype=int)
         if vals.ndim != 1 or vals.shape != mult.shape:
             raise ValueError("values and multiplicities must be parallel 1-d arrays")
         if np.any(np.diff(vals) >= 0):
             raise ValueError("values must be strictly decreasing")
         if int(mult.sum()) != self.n_states:
             raise ValueError("multiplicities must sum to the state-space dimension")
-        if lev.shape != (self.n_states,):
-            raise ValueError("level_of must map every string index")
+        if self.level_of is not None:
+            lev = np.asarray(self.level_of, dtype=int)
+            if lev.shape != (self.n_states,):
+                raise ValueError("level_of must map every string index")
+            object.__setattr__(self, "level_of", lev)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "multiplicities", mult)
-        object.__setattr__(self, "level_of", lev)
 
     @property
     def r(self) -> int:
@@ -170,14 +177,15 @@ def build_spectrum(objective: ObjectiveTable) -> Spectrum:
 
     Grouping uses exact equality, as the oracle's commutant solver does;
     the built-in problem builders emit integer-valued objectives, for
-    which this is always safe.
+    which this is always safe.  The values are sorted once; each string
+    finds its level by binary search in the sorted distinct values.
     """
-    uniq, inverse, counts = np.unique(objective.values, return_inverse=True, return_counts=True)
+    uniq, counts = np.unique(objective.values, return_counts=True)
     return Spectrum(
         values=uniq[::-1],
         multiplicities=counts[::-1],
-        level_of=(len(uniq) - 1) - inverse,
         n_states=objective.size,
+        level_of=(len(uniq) - 1) - np.searchsorted(uniq, objective.values),
     )
 
 
@@ -194,17 +202,35 @@ def decompose_initial_state(
 ) -> LevelOverlaps:
     """Split a state into its weights along the level-set blocks.
 
-    The weights ``||P_j xi||`` are summed in one pass over ``level_of``.
-    A level is supported when its weight exceeds ``tol_zero``; its
-    coefficient c_j is that weight.  The phases inside a level stay in
-    its component xi_j: a per-level phase commutes with both generators,
-    so no prediction depends on it.
+    The weights ``||P_j xi||`` are summed in one pass over ``level_of``,
+    so the spectrum must come from a dense table.  A level is supported
+    when its weight exceeds ``tol_zero``; its coefficient c_j is that
+    weight.  The phases inside a level stay in its component xi_j: a
+    per-level phase commutes with both generators, so no prediction
+    depends on it.
     """
     amps = state.amplitudes
     if amps.shape[0] != spectrum.n_states:
         raise ValueError("state and spectrum dimensions disagree")
+    if spectrum.level_of is None:
+        raise ValueError("the spectrum has no level_of: build it from a dense table")
     mags_sq = amps.real**2 + amps.imag**2
     weights = np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
+    return _level_overlaps(weights, tol_zero)
+
+
+def uniform_overlaps(spectrum: Spectrum, tol_zero: float = TOL_ZERO) -> LevelOverlaps:
+    """Per-level weights of the uniform state, c_j = sqrt(n_j / q**n).
+
+    They depend on the multiplicities alone, so this needs no state and
+    no ``level_of``; ``tol_zero`` acts as in ``decompose_initial_state``.
+    """
+    return _level_overlaps(np.sqrt(spectrum.multiplicities / spectrum.n_states), tol_zero)
+
+
+def _level_overlaps(weights: np.ndarray, tol_zero: float) -> LevelOverlaps:
+    """Keep the weights above ``tol_zero`` as the coefficients c_j, or
+    refuse when the dropped ones leave sum(c**2) short of 1."""
     coeff = np.where(weights > tol_zero, weights, 0.0)
     kept = float(np.sum(coeff**2))
     if not kept >= 1.0 - TOL_WEIGHT_SUM:  # also refuses a NaN tol_zero

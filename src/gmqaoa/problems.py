@@ -9,7 +9,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ObjectiveTable, SizeLimitError, dense_size
+from .core import ObjectiveTable, SizeLimitError, Spectrum, dense_size
+
+#: Largest sum over the terms of max |t| that ``local_spectrum`` counts:
+#: up to 2**53 every partial sum of integer terms is exact in a float, so
+#: its levels are those of the dense table.
+MAX_EXACT_TERM_SUM = 2**53
 
 
 class ParseError(ValueError):
@@ -115,28 +120,165 @@ def _local_objective(n: int, q: int, terms) -> ObjectiveTable:
     return ObjectiveTable(n=n, q=q, values=values.reshape(-1))
 
 
-def maxcut_objective(graph: Graph) -> ObjectiveTable:
-    """Number of edges whose endpoints land on opposite sides of the cut.
+def local_spectrum(n: int, q: int, terms):
+    """Levels of a sum of integer local terms, counted by variable elimination.
+
+    Gives the ``values`` and ``multiplicities`` of
+    ``build_spectrum(_local_objective(n, q, terms))`` without the q**n
+    table, as a ``Spectrum`` with no ``level_of``, or None when the
+    elimination would need a factor larger than that table.
+
+    The multiplicities are the coefficients of the counting polynomial
+    sum_x z**(F(x) - F_min), F_min the sum of the term minima (Dechter,
+    "Bucket elimination", 1999).  Each term is a factor whose entries are
+    polynomials in z, one-hot along a trailing degree axis.  The sites are
+    summed out one at a time in min-degree order, ties to the lowest site:
+    each step multiplies the factors that hold the site and sums it out,
+    so the cost is exponential in the elimination width, not in n.  The
+    plan needs only the scopes and the terms' ranges, so it is made before
+    any product; None is returned when its largest factor, q**|scope|
+    entries times the length of the degree axis, exceeds q**n.
+
+    Term tables must be integer-valued with sum of max |t| at most
+    ``MAX_EXACT_TERM_SUM``, and q**n within the dense-table limit, so every
+    count, at most q**n, is exact in int64.
+    """
+    size = dense_size(n, q)
+    scopes, tables, spans, offset, bound = [], [], [], 0, 0
+    for sites, table in terms:
+        sites = tuple(int(site) for site in sites)
+        table = np.asarray(table, dtype=float)
+        if len(set(sites)) != len(sites) or not all(0 <= site < n for site in sites):
+            raise ValueError(f"term sites {sites} must be distinct and lie in 0..{n - 1}")
+        if table.shape != (q,) * len(sites):
+            raise ValueError(f"term on sites {sites} needs a table of shape {(q,) * len(sites)}")
+        if not np.all(np.isfinite(table) & (table == np.round(table))):
+            raise ValueError("local_spectrum counts integer-valued terms only")
+        low, high = int(table.min()), int(table.max())
+        scopes.append(sites)
+        tables.append(table - low)
+        spans.append(high - low)
+        offset += low
+        bound += max(-low, high)
+    if bound > MAX_EXACT_TERM_SUM:
+        raise ValueError(f"the terms' sum of max |t| exceeds {MAX_EXACT_TERM_SUM}")
+    steps, largest = _elimination_plan(n, q, scopes, spans)
+    if largest > size:
+        return None
+    factors = [
+        (shifted[..., None] == np.arange(span + 1)).astype(np.int64)
+        for shifted, span in zip(tables, spans)
+    ]
+    absorbed_any = set()
+    for site, absorbed, scope in steps:
+        axes = (site,) + scope
+        product = np.ones((q,) + (1,) * len(scope) + (1,), dtype=np.int64)
+        for i in absorbed:
+            product = _polynomial_product(product, _on_axes(factors[i], scopes[i], axes, q))
+        factors.append(product.sum(axis=0))
+        scopes.append(scope)
+        absorbed_any.update(absorbed)
+    counts = np.ones(1, dtype=np.int64)
+    for i, factor in enumerate(factors):
+        if i not in absorbed_any:  # every scope is empty by now
+            counts = _polynomial_product(counts, factor)
+    degrees = np.flatnonzero(counts)[::-1]
+    return Spectrum(
+        values=(offset + degrees).astype(float), multiplicities=counts[degrees], n_states=size
+    )
+
+
+def _elimination_plan(n: int, q: int, scopes, spans):
+    """Min-degree elimination order on the term scopes, ties to the lowest site.
+
+    Returns the steps ``(site, absorbed, scope)`` and the entries of the
+    largest factor a step multiplies out.  Factor i < len(scopes) is term
+    i and step k makes factor len(scopes) + k: the product of the
+    ``absorbed`` factors, which hold ``site``, with ``site`` summed out,
+    over the sites ``scope``.  A site's degree is the number of other
+    sites it shares a live factor with.
+    """
+    neighbours = [set() for _ in range(n)]
+    holders = [set() for _ in range(n)]
+    for i, scope in enumerate(scopes):
+        for site in scope:
+            neighbours[site].update(scope)
+            holders[site].add(i)
+    for site in range(n):
+        neighbours[site].discard(site)
+    spans = list(spans)
+    remaining = set(range(n))
+    steps, largest = [], 0
+    while remaining:
+        site = min(remaining, key=lambda s: (len(neighbours[s]), s))
+        remaining.remove(site)
+        absorbed = sorted(holders[site])
+        scope = tuple(sorted(neighbours[site]))
+        span = sum(spans[i] for i in absorbed)
+        largest = max(largest, q ** (len(scope) + 1) * (span + 1))
+        for other in scope:
+            holders[other].difference_update(absorbed)
+            holders[other].add(len(spans))
+            neighbours[other].update(scope)
+            neighbours[other].difference_update((other, site))
+        spans.append(span)
+        steps.append((site, absorbed, scope))
+    return steps, largest
+
+
+def _on_axes(factor: np.ndarray, scope, axes, q: int) -> np.ndarray:
+    """A factor over ``scope`` as an array over ``axes`` (a superset),
+    length 1 on the axes it does not hold; the degree axis stays last."""
+    order = sorted(range(len(scope)), key=lambda a: axes.index(scope[a]))
+    shape = [q if site in scope else 1 for site in axes] + [factor.shape[-1]]
+    return np.transpose(factor, order + [len(scope)]).reshape(shape)
+
+
+def _polynomial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two broadcastable factors whose entries are
+    integer polynomials along the last axis."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1] + b.shape[-1] - 1,)
+    out = np.zeros(shape, dtype=np.int64)
+    for k in range(a.shape[-1]):
+        out[..., k : k + b.shape[-1]] += a[..., k : k + 1] * b
+    return out
+
+
+def maxcut_terms(graph: Graph) -> list:
+    """One term per edge: 1 where its endpoints land on opposite sides of the cut.
 
     Vertex i corresponds to bit i-1 of the string index.
     """
     cut = 1.0 - np.eye(2)
-    return _local_objective(graph.vertex_count, 2, [((u - 1, v - 1), cut) for u, v in graph.edges])
+    return [((u - 1, v - 1), cut) for u, v in graph.edges]
 
 
-def coloring_objective(graph: Graph, q: int) -> ObjectiveTable:
-    """Number of edges whose endpoints receive the same of q colors.
+def maxcut_objective(graph: Graph) -> ObjectiveTable:
+    """Number of edges whose endpoints land on opposite sides of the cut."""
+    return _local_objective(graph.vertex_count, 2, maxcut_terms(graph))
+
+
+def coloring_terms(graph: Graph, q: int) -> list:
+    """One term per edge: 1 where its endpoints receive the same of q colors.
 
     One q-ary dit per vertex; vertex i is digit i-1 of the string index.
     """
     if q < 2:
         raise ValueError("need at least 2 colors")
+    dense_size(graph.vertex_count, q)  # before the q x q table: any edge then means q <= 2**10
     same = np.eye(q) if graph.edges else None  # q reaches 2**20 only on one vertex, with no edge
-    return _local_objective(graph.vertex_count, q, [((u - 1, v - 1), same) for u, v in graph.edges])
+    return [((u - 1, v - 1), same) for u, v in graph.edges]
 
 
-def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
-    """Number of clauses falsified by each assignment.
+def coloring_objective(graph: Graph, q: int) -> ObjectiveTable:
+    """Number of edges whose endpoints receive the same of q colors."""
+    return _local_objective(graph.vertex_count, q, coloring_terms(graph, q))
+
+
+def cnf_terms(formula: CnfFormula) -> list:
+    """One term per clause: 1 on the assignments that falsify it.
 
     Variable i is bit i-1 of the string index; a positive literal is true
     when its bit is 1.
@@ -149,7 +291,12 @@ def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
             # the assignments on which the literal holds satisfy the clause
             np.moveaxis(falsified, variables.index(abs(lit)), 0)[int(lit > 0)] = 0.0
         terms.append(([v - 1 for v in variables], falsified))
-    return _local_objective(formula.variable_count, 2, terms)
+    return terms
+
+
+def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
+    """Number of clauses falsified by each assignment."""
+    return _local_objective(formula.variable_count, 2, cnf_terms(formula))
 
 
 def threshold_transform(objective: ObjectiveTable, t: float, strict: bool = False) -> ObjectiveTable:

@@ -2,8 +2,10 @@
 
 The Monte Carlo runs in W0, the span of the d level components
 u_j = P_j xi / ||P_j xi|| of the initial state, and takes only the
-supported levels' values lambda_j and weights w_j = ||P_j xi|| that
-``core.decompose_initial_state`` computes.  Both layers leave W0
+supported levels' values lambda_j and weights w_j = ||P_j xi||: for
+the uniform state w_j = sqrt(n_j / q**n) from the multiplicities
+(``core.uniform_overlaps``), for any other state the weights that
+``core.decompose_initial_state`` sums.  Both layers leave W0
 invariant, so a state there is a coefficient vector a over the u_j,
 starting at w: the phase layer scales a_j by exp(-i gamma lambda_j),
 the Grover mixer adds (e^{i beta} - 1)(w.a) w, and the loss is

@@ -8,11 +8,13 @@ against genuinely independent oracles.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
 
-from gmqaoa import CnfFormula, Graph, InitialState, ObjectiveTable, gm_generators
+from gmqaoa import CnfFormula, Graph, InitialState, ObjectiveTable, gm_generators, problems
 from gmqaoa.oracle import (
     _ZERO_FLOOR,
     DIM_CAP,
@@ -21,6 +23,14 @@ from gmqaoa.oracle import (
     ClosureReport,
     _commutant_operator,
 )
+
+
+@contextmanager
+def elimination_forced():
+    """Lift ``local_spectrum``'s width rule, so it eliminates every plan."""
+    plan = problems._elimination_plan
+    with mock.patch.object(problems, "_elimination_plan", lambda *args: (plan(*args)[0], 0)):
+        yield
 
 
 def bits_of(index: int, n: int) -> list[int]:

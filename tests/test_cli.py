@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import cli, maxcut_objective, parse_graph
+from gmqaoa import build_spectrum, cli, maxcut_objective, parse_graph
 from gmqaoa.cli import main
 from gmqaoa.core import MAX_ABS_OBJECTIVE
-from helpers import level_state
+from helpers import elimination_forced, level_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -103,6 +103,16 @@ def test_analyze_coloring(capsys):
 def test_analyze_coloring_requires_colors(capsys):
     code, _, _ = run_cli(capsys, "analyze", "--coloring", str(DATA / "triangle.graph"))
     assert code == 2
+
+
+def test_analyze_coloring_refuses_large_alphabet_before_its_table(capsys):
+    # 10**5 colors on the triangle: q**n is refused before the q x q term table
+    code, out, err = run_cli(
+        capsys, "analyze", "--coloring", str(DATA / "triangle.graph"), "--colors", "100000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "dense-table limit" in err
 
 
 def test_analyze_cnf_and_table(capsys):
@@ -273,6 +283,67 @@ def test_verify_c6(capsys):
     margin = oracle["commutant_margin"]
     assert margin["max_null"] < oracle["tol_rank"] < margin["min_nonnull"]
     assert all(v["verdict"] == "match" for v in oracle["verdicts"].values())
+
+
+def test_verify_reduced_grover_closure_at_d13(tmp_path, capsys):
+    # 13 distinct values: the level-span closure has d**2 + 1 = 170 elements
+    table = tmp_path / "d13.json"
+    values = list(range(13)) + [0, 1, 2]
+    table.write_text(json.dumps({"q": 2, "n": 4, "values": values}))
+    code, out, _ = run_cli(capsys, "verify", "--table", str(table))
+    assert code == 0
+    assert json.loads(out)["oracle"]["closure"]["dimension"] == 170
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on the elimination path")
+
+
+_LEVEL_PATH_COMMANDS = (
+    ("analyze",),
+    ("simulate", "--depth", "4", "--samples", "64", "--seed", "3"),
+    ("sweep", "--depths", "1,3", "--samples", "32", "--format", "json"),
+    ("verify",),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("--maxcut", f"{g}.graph") for g in ("p3", "p4", "c4", "c6", "k4", "triangle", "house")]
+    + [("--cnf", "example.cnf")],
+    ids=lambda value: value.lstrip("-"),
+)
+def test_reports_equal_on_both_level_paths(capsys, monkeypatch, kind, name):
+    # elimination, forced past its width rule, builds no table or state
+    # outside verify's oracles, and its reports equal the dense path's byte for byte
+    reports = {}
+    for command, *extra in _LEVEL_PATH_COMMANDS:
+        argv = (command, kind, str(DATA / name), *extra)
+        with monkeypatch.context() as patched, elimination_forced():
+            patched.setattr(cli, "build_spectrum", _refuse)
+            if command != "verify":
+                patched.setattr(cli, "_local_objective", _refuse)
+                patched.setattr(cli, "uniform_state", _refuse)
+            eliminated = run_cli(capsys, *argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "local_spectrum", lambda *args: None)
+            dense = run_cli(capsys, *argv)
+        assert eliminated == dense and dense[0] == 0
+        reports[command] = json.loads(dense[1])
+    for key in ("problem", "spectrum", "overlaps", "dla", "commutant", "isotypic", "loss_stats"):
+        assert reports["verify"][key] == reports["analyze"][key]
+
+
+def test_level_path_follows_the_width_rule(tmp_path, capsys, monkeypatch):
+    # c6 is counted by elimination; K4's first factor would span all four
+    # sites, and --threshold and --init need the dense table
+    built = []
+    monkeypatch.setattr(cli, "build_spectrum", lambda table: built.append(table.n) or build_spectrum(table))
+    init = write_init(tmp_path / "init.json", np.full(64, 0.125, dtype=complex))
+    for extra in (("c6",), ("k4",), ("c6", "--threshold", "4"), ("c6", "--init", init)):
+        code, *_ = run_cli(capsys, "analyze", "--maxcut", str(DATA / f"{extra[0]}.graph"), *extra[1:])
+        assert code == 0
+    assert built == [4, 6, 6]
 
 
 def test_verify_faint_supported_level(tmp_path, capsys):
@@ -716,7 +787,7 @@ _ANALYZE_HEADER = [
 
 _P3_ANALYZE_ROW = [
     "gmqaoa", "0.1.0", "analyze", "maxcut", str(DATA / "p3.graph"),
-    "3", "2", "8", "3", "2:2|1:4|0:2", "3", "0.9999999999999998",
+    "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
     "1.0", "0.6666666666666666", "0.6666666666666667", "2.0", "1.0",

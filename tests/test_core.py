@@ -9,11 +9,13 @@ from gmqaoa import (
     InitialState,
     ObjectiveTable,
     SizeLimitError,
+    Spectrum,
     build_spectrum,
     decompose_initial_state,
     maxcut_objective,
     house_graph,
     isotypic_split,
+    uniform_overlaps,
     uniform_state,
 )
 from helpers import random_graph, reference_decomposition
@@ -199,6 +201,37 @@ def test_uniform_coefficients_are_multiplicity_weights(table):
         overlaps.c, np.sqrt(spectrum.multiplicities / spectrum.n_states)
     )
     assert np.all(overlaps.c > 0)
+    weights = uniform_overlaps(spectrum)
+    assert weights.c.tolist() == np.sqrt(spectrum.multiplicities / spectrum.n_states).tolist()
+    assert np.max(np.abs(weights.c - overlaps.c)) <= 1e-15
+
+
+def test_uniform_overlaps_of_p3_are_exact():
+    spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
+    overlaps = uniform_overlaps(spectrum)
+    assert overlaps.c.tolist() == [0.5, np.sqrt(0.5), 0.5]
+    assert float(np.sum(overlaps.c**2)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "tol_zero, message",
+    [(0.3, r"tol_zero = 0.3 drops level weights up to 0.25, so .* = 0.937"), (float("nan"), "tol_zero = nan")],
+)
+def test_uniform_overlaps_share_the_tol_zero_rule(tol_zero, message):
+    # house's cut-0 level weighs sqrt(2/32) = 0.25
+    spectrum = build_spectrum(maxcut_objective(house_graph()))
+    with pytest.raises(ValueError, match=message):
+        uniform_overlaps(spectrum, tol_zero=tol_zero)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        decompose_initial_state(uniform_state(5, 2), spectrum, tol_zero=tol_zero)
+    assert uniform_overlaps(spectrum, tol_zero=0.2).d == 5
+
+
+def test_decompose_needs_level_of():
+    spectrum = Spectrum(values=[2.0, 1.0, 0.0], multiplicities=[2, 4, 2], n_states=8)
+    assert uniform_overlaps(spectrum).d == 3
+    with pytest.raises(ValueError, match="level_of"):
+        decompose_initial_state(uniform_state(3, 2), spectrum)
 
 
 @given(objective_tables(), st.integers(min_value=0, max_value=2**31 - 1))

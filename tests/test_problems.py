@@ -1,7 +1,10 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmqaoa import (
     CnfFormula,
@@ -11,12 +14,16 @@ from gmqaoa import (
     ValidationError,
     build_spectrum,
     cnf_objective,
+    cnf_terms,
     coloring_objective,
+    coloring_terms,
     complete_graph,
     cycle_graph,
     decompose_initial_state,
     house_graph,
+    local_spectrum,
     maxcut_objective,
+    maxcut_terms,
     parse_cnf,
     parse_custom_table,
     parse_graph,
@@ -25,14 +32,19 @@ from gmqaoa import (
     threshold_transform,
     uniform_state,
 )
+from gmqaoa.problems import _local_objective
 from helpers import (
     bits_of,
     digits_of,
+    elimination_forced,
     naive_cnf_violations,
     naive_coloring_violations,
     naive_cut_value,
     random_graph,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+GRAPHS = ("p3", "p4", "c4", "c6", "k4", "triangle", "house")
 
 
 def test_graph_validation():
@@ -287,3 +299,99 @@ def test_parse_custom_table_rejects_booleans(text):
 def test_parse_custom_table_refuses_huge_n_before_forming_q_to_the_n():
     with pytest.raises(SizeLimitError):
         parse_custom_table('{"q": 3, "n": 1000000000, "values": [0]}')
+
+
+def assert_eliminated_levels(n, q, terms):
+    """The eliminated levels, width rule lifted, equal the dense table's."""
+    with elimination_forced():
+        spectrum = local_spectrum(n, q, terms)
+    dense = build_spectrum(_local_objective(n, q, terms))
+    assert spectrum.level_of is None and spectrum.n_states == q**n
+    assert spectrum.values.tolist() == dense.values.tolist()
+    assert spectrum.multiplicities.tolist() == dense.multiplicities.tolist()
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_local_spectrum_of_bundled_graphs(name):
+    graph = parse_graph((DATA / f"{name}.graph").read_text())
+    assert_eliminated_levels(graph.vertex_count, 2, maxcut_terms(graph))
+    for q in (2, 3, 4):
+        assert_eliminated_levels(graph.vertex_count, q, coloring_terms(graph, q))
+
+
+def test_local_spectrum_of_formulas():
+    formulas = [
+        parse_cnf((DATA / "example.cnf").read_text()),
+        CnfFormula(3, ((1, 1, -2),)),  # repeated literal
+        CnfFormula(3, ((2, -2), (1, 3))),  # tautology
+        CnfFormula(3, ((3,), (-3,))),  # opposite unit clauses
+        CnfFormula(4, ((1, -2), (2, 3))),  # variable 4 unused
+        CnfFormula(2, ()),
+    ]
+    for formula in formulas:
+        assert_eliminated_levels(formula.variable_count, 2, cnf_terms(formula))
+
+
+def test_local_spectrum_of_edgeless_and_isolated_sites():
+    for graph in (Graph(4, ((1, 3), (3, 4))), Graph(3, ()), Graph(1, ())):
+        assert_eliminated_levels(graph.vertex_count, 2, maxcut_terms(graph))
+        assert_eliminated_levels(graph.vertex_count, 3, coloring_terms(graph, 3))
+    # one vertex at the dense-table limit: a single level, counted without the rule lifted
+    spectrum = local_spectrum(1, 2**20, coloring_terms(Graph(1, ()), 2**20))
+    assert spectrum.levels == [(0.0, 2**20)]
+    assert_eliminated_levels(1, 2**20, [])
+
+
+def test_local_spectrum_of_seeded_random_graphs():
+    rng = np.random.default_rng(11)
+    for n, m in ((6, 9), (10, 20), (14, 30), (17, 34), (20, 40)):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        picks = rng.choice(len(pairs), size=m, replace=False)
+        graph = Graph(n, tuple(pairs[i] for i in sorted(picks)))
+        assert_eliminated_levels(n, 2, maxcut_terms(graph))
+    # the sparse 20-vertex graph is well within the width rule
+    assert local_spectrum(n, 2, maxcut_terms(graph)) is not None
+
+
+@st.composite
+def term_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    q = draw(st.integers(min_value=2, max_value=3))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        width = draw(st.integers(min_value=0, max_value=min(n, 3)))
+        sites = draw(st.permutations(range(n)))[:width]
+        entries = draw(st.lists(st.integers(-3, 3), min_size=q**width, max_size=q**width))
+        terms.append((sites, np.array(entries, dtype=float).reshape((q,) * width)))
+    return n, q, terms
+
+
+@given(term_lists())
+@settings(max_examples=80, deadline=None)
+def test_local_spectrum_matches_dense_levels(problem):
+    assert_eliminated_levels(*problem)
+
+
+def test_local_spectrum_refuses_a_plan_wider_than_the_table():
+    # K_n: the first site eliminated takes every edge at it, so its factor
+    # spans all n sites and a degree axis longer than one
+    for n in (3, 4, 8, 20):
+        assert local_spectrum(n, 2, maxcut_terms(complete_graph(n))) is None
+
+
+def test_local_spectrum_refuses_bad_terms():
+    cut = 1.0 - np.eye(2)
+    with pytest.raises(ValueError, match="integer"):
+        local_spectrum(2, 2, [((0, 1), 0.5 * cut)])
+    with pytest.raises(ValueError, match="integer"):
+        local_spectrum(2, 2, [((0, 1), np.where(cut > 0, np.nan, 0.0))])
+    with pytest.raises(ValueError, match="max"):
+        local_spectrum(2, 2, [((0,), np.array([0.0, 2.0**53])), ((1,), np.array([1.0, 0.0]))])
+    with pytest.raises(ValueError, match="distinct"):
+        local_spectrum(2, 2, [((0, 0), cut)])
+    with pytest.raises(ValueError, match="distinct"):
+        local_spectrum(2, 2, [((0, 2), cut)])
+    with pytest.raises(ValueError, match="shape"):
+        local_spectrum(2, 3, [((0, 1), cut)])
+    with pytest.raises(SizeLimitError):
+        local_spectrum(21, 2, [])
