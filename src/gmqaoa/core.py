@@ -74,7 +74,8 @@ class ObjectiveTable:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (size,):
             raise ValueError(f"values must have length q**n = {size}, got {vals.shape}")
-        if not np.all(np.abs(vals) <= MAX_ABS_OBJECTIVE):  # also refuses NaN
+        # min and max need no |F| temporary; NaN fails both comparisons
+        if not (vals.min() >= -MAX_ABS_OBJECTIVE and vals.max() <= MAX_ABS_OBJECTIVE):
             raise ValueError(
                 f"objective values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}"
             )
@@ -177,15 +178,34 @@ def build_spectrum(objective: ObjectiveTable) -> Spectrum:
 
     Grouping uses exact equality, as the oracle's commutant solver does;
     the built-in problem builders emit integer-valued objectives, for
-    which this is always safe.  The values are sorted once; each string
-    finds its level by binary search in the sorted distinct values.
+    which this is always safe.  When every value is, bit for bit, the
+    table's minimum plus an integer k <= q**n, as for any integer-valued
+    table with range at most q**n and no -0.0, the levels are counted by
+    one ``np.bincount`` over k and each string's level is a rank lookup.
+    Any other table is sorted once and each string finds its level by
+    binary search in the sorted distinct values.
     """
-    uniq, counts = np.unique(objective.values, return_counts=True)
+    values, size = objective.values, objective.size
+    low = values.min()
+    if values.max() - low <= size:  # first, as a range up to 2e64 would overflow the cast
+        shift = (values - low).astype(np.int64)
+        if np.array_equal((shift + low).view(np.int64), values.view(np.int64)):
+            counts = np.bincount(shift)
+            present = np.flatnonzero(counts)[::-1]
+            rank = np.zeros(len(counts), dtype=np.int64)
+            rank[present] = np.arange(len(present))
+            return Spectrum(
+                values=present + low,
+                multiplicities=counts[present],
+                n_states=size,
+                level_of=rank[shift],
+            )
+    uniq, counts = np.unique(values, return_counts=True)
     return Spectrum(
         values=uniq[::-1],
         multiplicities=counts[::-1],
-        n_states=objective.size,
-        level_of=(len(uniq) - 1) - np.searchsorted(uniq, objective.values),
+        n_states=size,
+        level_of=(len(uniq) - 1) - np.searchsorted(uniq, values),
     )
 
 
@@ -214,7 +234,8 @@ def decompose_initial_state(
         raise ValueError("state and spectrum dimensions disagree")
     if spectrum.level_of is None:
         raise ValueError("the spectrum has no level_of: build it from a dense table")
-    mags_sq = amps.real**2 + amps.imag**2
+    mags_sq = amps.real**2
+    mags_sq += amps.imag**2
     weights = np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
     return _level_overlaps(weights, tol_zero)
 

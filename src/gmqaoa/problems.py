@@ -11,9 +11,10 @@ import numpy as np
 
 from .core import ObjectiveTable, SizeLimitError, Spectrum, dense_size
 
-#: Largest sum over the terms of max |t| that ``local_spectrum`` counts:
-#: up to 2**53 every partial sum of integer terms is exact in a float, so
-#: its levels are those of the dense table.
+#: Largest sum over the terms of max |t| that ``local_spectrum`` and
+#: ``_local_objective`` accept: up to 2**53 every partial sum of integer
+#: terms is exact in a float, so the dense table does not depend on the
+#: order of the sums and its levels are those that elimination counts.
 MAX_EXACT_TERM_SUM = 2**53
 
 
@@ -102,21 +103,119 @@ def house_graph() -> Graph:
     return Graph(5, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (4, 5)))
 
 
+#: Most column pairs that a term straddling the split in
+#: ``_local_objective`` adds to its product.  r pairs cost 2r flops per
+#: entry of the product and a broadcast add costs about as much as 20, so
+#: a wider term is broadcast-added onto the product instead.
+MAX_STRADDLE_RANK = 16
+
+#: Entries of a term table checked at a time, so that a large table (one
+#: clause on 20 variables) needs no full-size temporary.
+_CHECK_SLICE = 2**15
+
+
+def _checked_terms(n: int, q: int, terms) -> list:
+    """The terms as ``(sites, table)`` pairs with int sites and float tables.
+
+    Refuses a term unless its sites are distinct and lie in 0..n-1 and its
+    table has shape ``(q,) * len(sites)`` and integer values, and refuses
+    the list when the sum over the terms of max |t| exceeds
+    ``MAX_EXACT_TERM_SUM``, so that every partial sum of terms is exact in
+    a float.
+    """
+    checked, bound = [], 0
+    for sites, table in terms:
+        sites = tuple(int(site) for site in sites)
+        table = np.asarray(table, dtype=float)
+        if len(set(sites)) != len(sites) or not all(0 <= site < n for site in sites):
+            raise ValueError(f"term sites {sites} must be distinct and lie in 0..{n - 1}")
+        if table.shape != (q,) * len(sites):
+            raise ValueError(f"term on sites {sites} needs a table of shape {(q,) * len(sites)}")
+        flat = table.reshape(-1)
+        for start in range(0, flat.size, _CHECK_SLICE):
+            part = flat[start : start + _CHECK_SLICE]
+            if not np.all(np.isfinite(part) & (part == np.round(part))):
+                raise ValueError("local terms must be integer-valued")
+        bound += max(-int(table.min()), int(table.max()))
+        checked.append((sites, table))
+    if bound > MAX_EXACT_TERM_SUM:
+        raise ValueError(f"the terms' sum of max |t| exceeds {MAX_EXACT_TERM_SUM}")
+    return checked
+
+
+def _on_grid(table: np.ndarray, axes, ndim: int, q: int) -> np.ndarray:
+    """``table`` as a broadcastable array on a ``(q,) * ndim`` grid: its
+    leading axes land on grid ``axes``, length 1 on the others, and any
+    further axis stays last."""
+    k = len(axes)
+    shape = [q if axis in axes else 1 for axis in range(ndim)] + list(table.shape[k:])
+    return np.transpose(table, list(np.argsort(axes)) + list(range(k, table.ndim))).reshape(shape)
+
+
+def _columns(block: np.ndarray, axes, ndim: int, q: int) -> np.ndarray:
+    """The ``(q**ndim, r)`` matrix of a ``block`` whose last axis, of
+    length r, indexes the columns and whose other axes land on ``axes`` of a
+    ``(q,) * ndim`` grid."""
+    grid = _on_grid(block, axes, ndim, q)
+    return np.broadcast_to(grid, (q,) * ndim + grid.shape[-1:]).reshape(q**ndim, -1)
+
+
 def _local_objective(n: int, q: int, terms) -> ObjectiveTable:
-    """Dense table of a sum of local terms over q-ary strings on n sites.
+    """Dense table of a sum of integer local terms over q-ary strings on n sites.
 
     Each term is ``(sites, table)``: distinct 0-based sites and a
-    ``(q,) * len(sites)`` array indexed by their digits in that order.
-    Site i is axis n-1-i of a ``(q,) * n`` array, so its C-order ravel is
-    the string index with site 0 the least significant digit; this is the
-    one place that maps sites to string indices.
+    ``(q,) * len(sites)`` integer array indexed by their digits in that
+    order, checked as in ``local_spectrum``.  Site i is axis n-1-i of a
+    ``(q,) * n`` array, so its C-order ravel is the string index with site
+    0 the least significant digit; this is the one place that maps sites
+    to string indices.
+
+    The table is one matrix product V @ U.T, viewed as a
+    ``(q**(n-h), q**h)`` matrix whose rows are the digits of the high sites
+    h..n-1 and whose columns are those of the low sites 0..h-1, h = n // 2.
+    The terms inside each half are added up into a half-table, which gives
+    one column pair: (ones, low half-table) and (high half-table, ones).  A
+    term that straddles the split, with k sites on its smaller side, gives
+    r = q**k pairs, one per digit assignment a of those k sites: the term
+    fixed at a, spread over the other half, and the one-hot indicator of
+    a.  A straddling term with r > ``MAX_STRADDLE_RANK`` is broadcast-added
+    onto the product instead.  The terms are integers whose partial sums
+    stay within ``MAX_EXACT_TERM_SUM``, so every product and partial sum is
+    exact and the table does not depend on the summation order.  Every
+    entry sums a product with the low half-table, which holds no -0.0, so
+    the table holds none either.
     """
     dense_size(n, q)
-    values = np.zeros((q,) * n)
-    for sites, table in terms:
-        axes = [n - 1 - site for site in sites]
-        shape = [q if axis in axes else 1 for axis in range(n)]
-        values += np.transpose(table, np.argsort(axes)).reshape(shape)
+    h = n // 2
+    sizes = (n - h, h)  # sites in the high half (rows), in the low half (columns)
+    halves = [np.zeros((q,) * m) for m in sizes]
+    blocks, wide = ([], []), []
+    for sites, table in _checked_terms(n, q, terms):
+        upper = [i for i, site in enumerate(sites) if site >= h]
+        lower = [i for i, site in enumerate(sites) if site < h]
+        sides = (upper, lower)
+        axes = [n - 1 - site if site >= h else h - 1 - site for site in sites]
+        if not (upper and lower):
+            half = int(not upper)  # a term on no site joins the low half
+            halves[half] += _on_grid(table, axes, sizes[half], q)
+        elif q ** min(len(upper), len(lower)) > MAX_STRADDLE_RANK:
+            wide.append((sites, table))
+        else:
+            cut = int(len(sides[1]) <= len(sides[0]))  # the half with fewer of its sites
+            fixed, kept = sides[cut], sides[1 - cut]
+            r = q ** len(fixed)
+            # last axis: the digit assignment of the fixed sites, in C order
+            sliced = np.moveaxis(table, fixed, range(len(kept), len(sites)))
+            sliced = sliced.reshape((q,) * len(kept) + (r,))
+            one_hot = np.eye(r).reshape((q,) * len(fixed) + (r,))
+            blocks[1 - cut].append(_columns(sliced, [axes[i] for i in kept], sizes[1 - cut], q))
+            blocks[cut].append(_columns(one_hot, [axes[i] for i in fixed], sizes[cut], q))
+    rows = np.hstack([np.ones((q ** sizes[0], 1)), halves[0].reshape(-1, 1), *blocks[0]])
+    cols = np.hstack([halves[1].reshape(-1, 1), np.ones((q ** sizes[1], 1)), *blocks[1]])
+    values = rows @ cols.T
+    grid = values.reshape((q,) * n)
+    for sites, table in wide:
+        grid += _on_grid(table, [n - 1 - site for site in sites], n, q)
     return ObjectiveTable(n=n, q=q, values=values.reshape(-1))
 
 
@@ -140,28 +239,18 @@ def local_spectrum(n: int, q: int, terms):
     entries times the length of the degree axis, exceeds q**n.
 
     Term tables must be integer-valued with sum of max |t| at most
-    ``MAX_EXACT_TERM_SUM``, and q**n within the dense-table limit, so every
-    count, at most q**n, is exact in int64.
+    ``MAX_EXACT_TERM_SUM`` (``_checked_terms``, as for the dense table),
+    and q**n within the dense-table limit, so every count, at most q**n,
+    is exact in int64.
     """
     size = dense_size(n, q)
-    scopes, tables, spans, offset, bound = [], [], [], 0, 0
-    for sites, table in terms:
-        sites = tuple(int(site) for site in sites)
-        table = np.asarray(table, dtype=float)
-        if len(set(sites)) != len(sites) or not all(0 <= site < n for site in sites):
-            raise ValueError(f"term sites {sites} must be distinct and lie in 0..{n - 1}")
-        if table.shape != (q,) * len(sites):
-            raise ValueError(f"term on sites {sites} needs a table of shape {(q,) * len(sites)}")
-        if not np.all(np.isfinite(table) & (table == np.round(table))):
-            raise ValueError("local_spectrum counts integer-valued terms only")
+    scopes, tables, spans, offset = [], [], [], 0
+    for sites, table in _checked_terms(n, q, terms):
         low, high = int(table.min()), int(table.max())
         scopes.append(sites)
         tables.append(table - low)
         spans.append(high - low)
         offset += low
-        bound += max(-low, high)
-    if bound > MAX_EXACT_TERM_SUM:
-        raise ValueError(f"the terms' sum of max |t| exceeds {MAX_EXACT_TERM_SUM}")
     steps, largest = _elimination_plan(n, q, scopes, spans)
     if largest > size:
         return None

@@ -33,6 +33,17 @@ def elimination_forced():
         yield
 
 
+def broadcast_objective(n: int, q: int, terms) -> np.ndarray:
+    """Dense table of a sum of local terms, added one term at a time onto
+    a ``(q,) * n`` array by broadcasting; site i is axis n-1-i."""
+    values = np.zeros((q,) * n)
+    for sites, table in terms:
+        axes = [n - 1 - site for site in sites]
+        shape = [q if axis in axes else 1 for axis in range(n)]
+        values += np.transpose(np.asarray(table, dtype=float), np.argsort(axes)).reshape(shape)
+    return values.reshape(-1)
+
+
 def bits_of(index: int, n: int) -> list[int]:
     """Bit i of the string index is the value at site i (site 0 least significant)."""
     return [(index >> i) & 1 for i in range(n)]

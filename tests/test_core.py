@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from gmqaoa import (
     maxcut_objective,
     house_graph,
     isotypic_split,
+    parse_custom_table,
     uniform_overlaps,
     uniform_state,
 )
+from gmqaoa.oracle import _level_split
 from helpers import random_graph, reference_decomposition
 
 # [0,1,2,1,1,2,1,0]: cut sizes of the 3-vertex path, enumerated by hand
@@ -47,6 +50,45 @@ def test_levels_group_by_exact_equality():
     assert build_spectrum(table).r == 3
 
 
+def assert_grouped_as_sorted(table, counted):
+    """build_spectrum gives np.unique's levels, bit for bit, and the
+    oracle's level of every string; ``counted`` says whether it took
+    the bincount path, which sorts nothing."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        spectrum = build_spectrum(table)
+    assert unique.called != counted
+    uniq, counts = np.unique(table.values, return_counts=True)
+    assert spectrum.values.view(np.int64).tolist() == uniq[::-1].view(np.int64).tolist()
+    assert spectrum.multiplicities.tolist() == counts[::-1].tolist()
+    assert spectrum.level_of.tolist() == _level_split(table.values, np.ones(table.size))[0].tolist()
+
+
+@pytest.mark.parametrize(
+    "values, counted",
+    [
+        ([-4.0, -3.0, 0.0, 2.0, -4.0, 2.0, 2.0, 0.0], True),  # negative, range 6 <= 2**3
+        ([0.0, 4.0, 1.0, 1.0], True),  # range exactly q**n
+        ([2.0**53, 2.0**53 + 4, 2.0**53 + 2, 2.0**53], True),  # spacing 2 above 2**53
+        ([0.5, 1.5, 2.5, 0.5], True),  # the minimum plus integers
+        ([0.0, 5.0, 1.0, 1.0], False),  # range above q**n
+        ([1e64, -1e64, 0.0, 0.0], False),  # a range that the cast would overflow
+        ([0.5, 0.25, 1.0, 0.5], False),
+        ([1e-300, -2.0, 0.0, -2.0], False),  # 1e-300 - (-2) rounds to 2
+        ([0.0, -0.0, 1.0, 1.0], False),
+        ([-3.0, -0.0, 1.0, -3.0], False),
+    ],
+)
+def test_bincount_grouping_matches_the_sorted_grouping(values, counted):
+    table = ObjectiveTable(n=len(values).bit_length() - 1, q=2, values=values)
+    assert_grouped_as_sorted(table, counted)
+
+
+def test_grouping_of_a_table_holding_negative_zero():
+    table = parse_custom_table('{"q": 2, "n": 2, "values": [-0.0, 1, 2, -0.0]}')
+    assert_grouped_as_sorted(table, counted=False)
+    assert np.signbit(build_spectrum(table).values[-1])
+
+
 def test_uniform_state_examples():
     assert np.allclose(uniform_state(1, 2).amplitudes, [1 / np.sqrt(2)] * 2)
     assert np.allclose(uniform_state(3, 2).amplitudes, [1 / np.sqrt(8)] * 8)
@@ -61,8 +103,9 @@ def test_uniform_state_size_limit():
 def test_objective_table_validation():
     with pytest.raises(ValueError):
         ObjectiveTable(n=2, q=2, values=[0.0, 1.0])
-    with pytest.raises(ValueError):
-        ObjectiveTable(n=1, q=2, values=[0.0, np.inf])
+    for bad in ([0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan], [np.nan, 1e65]):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveTable(n=1, q=2, values=bad)
     with pytest.raises(SizeLimitError):
         ObjectiveTable(n=21, q=2, values=np.zeros(2**21))
 
@@ -189,6 +232,7 @@ def test_spectrum_invariants(table):
     assert int(spectrum.multiplicities.sum()) == table.size
     assert np.all(np.diff(spectrum.values) < 0)
     assert np.allclose(spectrum.values[spectrum.level_of], table.values)
+    assert_grouped_as_sorted(table, counted=np.ptp(table.values) <= table.size)
 
 
 @given(objective_tables())

@@ -35,6 +35,7 @@ from gmqaoa import (
 from gmqaoa.problems import _local_objective
 from helpers import (
     bits_of,
+    broadcast_objective,
     digits_of,
     elimination_forced,
     naive_cnf_violations,
@@ -184,6 +185,48 @@ def test_builders_allocate_one_table():
             tracemalloc.stop()
         assert table.size >= 2**15
         assert peak <= 3 * 8 * table.size
+
+
+def assert_broadcast_sum(n, q, terms):
+    """The product table equals the term-by-term broadcast sum bit for bit,
+    signed zeros included."""
+    values = _local_objective(n, q, terms).values
+    assert np.array_equal(values.view(np.int64), broadcast_objective(n, q, terms).view(np.int64))
+
+
+def _random_clauses(rng, n, m, width):
+    return tuple(
+        tuple(int(v) * int(rng.choice([-1, 1])) for v in rng.choice(n, size=width, replace=False) + 1)
+        for _ in range(m)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, q, terms",
+    [
+        (20, 2, maxcut_terms(complete_graph(20))),
+        (16, 2, cnf_terms(CnfFormula(16, _random_clauses(np.random.default_rng(2), 16, 64, 3)))),
+        (10, 3, coloring_terms(random_graph(np.random.default_rng(4), 10), 3)),
+        (8, 4, coloring_terms(complete_graph(8), 4)),
+        # two sites on the smaller side of the split: r = 4 or 9 column pairs
+        (10, 2, cnf_terms(CnfFormula(10, _random_clauses(np.random.default_rng(6), 10, 24, 5)))),
+        (8, 2, cnf_terms(CnfFormula(8, ((1, 2, -5, 6, 7, -8), (8, 1, -2, 7))))),
+        (
+            6,
+            3,
+            [((4, 0, 5, 1), np.random.default_rng(8).integers(-5, 6, (3,) * 4)), ((5, 2, 0), np.ones((3,) * 3))],
+        ),
+        # 5 sites on each side of the split: 2**5 column pairs, so broadcast-added
+        (10, 2, cnf_terms(CnfFormula(10, ((1, -2, 3, 4, -5, 6, 7, -8, 9, 10), (2, -7), (4,))))),
+        (4, 2, [((0, 3), np.array([[-0.0, -3.0], [2.0, -0.0]])), ((), -0.0), ((1,), [-0.0, 1.0])]),
+    ],
+    ids=[
+        "K20", "3sat-n16", "3-coloring", "4-coloring-K8", "5sat-n10", "straddling-clauses", "q3-scrambled-sites",
+        "wide-clause", "negative-zeros",
+    ],
+)
+def test_local_objective_is_the_broadcast_sum(n, q, terms):
+    assert_broadcast_sum(n, q, terms)
 
 
 def test_threshold_transform():
@@ -372,6 +415,12 @@ def test_local_spectrum_matches_dense_levels(problem):
     assert_eliminated_levels(*problem)
 
 
+@given(term_lists())
+@settings(max_examples=80, deadline=None)
+def test_local_objective_of_term_lists_is_the_broadcast_sum(problem):
+    assert_broadcast_sum(*problem)
+
+
 def test_local_spectrum_refuses_a_plan_wider_than_the_table():
     # K_n: the first site eliminated takes every edge at it, so its factor
     # spans all n sites and a degree axis longer than one
@@ -380,18 +429,27 @@ def test_local_spectrum_refuses_a_plan_wider_than_the_table():
 
 
 def test_local_spectrum_refuses_bad_terms():
+    # _local_objective applies the same term check
     cut = 1.0 - np.eye(2)
-    with pytest.raises(ValueError, match="integer"):
-        local_spectrum(2, 2, [((0, 1), 0.5 * cut)])
-    with pytest.raises(ValueError, match="integer"):
-        local_spectrum(2, 2, [((0, 1), np.where(cut > 0, np.nan, 0.0))])
-    with pytest.raises(ValueError, match="max"):
-        local_spectrum(2, 2, [((0,), np.array([0.0, 2.0**53])), ((1,), np.array([1.0, 0.0]))])
-    with pytest.raises(ValueError, match="distinct"):
-        local_spectrum(2, 2, [((0, 0), cut)])
-    with pytest.raises(ValueError, match="distinct"):
-        local_spectrum(2, 2, [((0, 2), cut)])
-    with pytest.raises(ValueError, match="shape"):
-        local_spectrum(2, 3, [((0, 1), cut)])
-    with pytest.raises(SizeLimitError):
-        local_spectrum(21, 2, [])
+    late = np.zeros(2**16)
+    late[-1] = 0.5  # past the first slice that is checked
+    late = late.reshape((2,) * 16)
+    for build in (local_spectrum, _local_objective):
+        with pytest.raises(ValueError, match="integer"):
+            build(2, 2, [((0, 1), 0.5 * cut)])
+        with pytest.raises(ValueError, match="integer"):
+            build(2, 2, [((0, 1), np.where(cut > 0, np.nan, 0.0))])
+        with pytest.raises(ValueError, match="integer"):
+            build(2, 2, [((0, 1), np.where(cut > 0, np.inf, 0.0))])
+        with pytest.raises(ValueError, match="integer"):
+            build(16, 2, [(range(16), late)])
+        with pytest.raises(ValueError, match="max"):
+            build(2, 2, [((0,), np.array([0.0, 2.0**53])), ((1,), np.array([1.0, 0.0]))])
+        with pytest.raises(ValueError, match="distinct"):
+            build(2, 2, [((0, 0), cut)])
+        with pytest.raises(ValueError, match="distinct"):
+            build(2, 2, [((0, 2), cut)])
+        with pytest.raises(ValueError, match="shape"):
+            build(2, 3, [((0, 1), cut)])
+        with pytest.raises(SizeLimitError):
+            build(21, 2, [])
