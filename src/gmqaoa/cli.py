@@ -367,18 +367,9 @@ def _analysis(args, command: str, config: dict, dense: bool = False):
 
 def _monte_carlo(args, spectrum, overlaps, p: int) -> dict:
     sup = overlaps.supported_levels
-    mc = monte_carlo_stats(
+    return asdict(monte_carlo_stats(
         spectrum.values[sup], overlaps.c[sup], p=p, samples=args.samples, seed=args.seed
-    )
-    return {
-        "depth": mc.p,
-        "samples": mc.samples,
-        "seed": mc.seed,
-        "mean": mc.mean,
-        "variance": mc.variance,
-        "stderr_mean": mc.stderr_mean,
-        "stderr_variance": mc.stderr_variance,
-    }
+    ))
 
 
 def _mc_config(args, **depth) -> dict:

@@ -263,7 +263,8 @@ def local_spectrum(n: int, q: int, terms):
         axes = (site,) + scope
         product = np.ones((q,) + (1,) * len(scope) + (1,), dtype=np.int64)
         for i in absorbed:
-            product = _polynomial_product(product, _on_axes(factors[i], scopes[i], axes, q))
+            grid_axes = [axes.index(s) for s in scopes[i]]
+            product = _polynomial_product(product, _on_grid(factors[i], grid_axes, len(axes), q))
         factors.append(product.sum(axis=0))
         scopes.append(scope)
         absorbed_any.update(absorbed)
@@ -313,14 +314,6 @@ def _elimination_plan(n: int, q: int, scopes, spans):
         spans.append(span)
         steps.append((site, absorbed, scope))
     return steps, largest
-
-
-def _on_axes(factor: np.ndarray, scope, axes, q: int) -> np.ndarray:
-    """A factor over ``scope`` as an array over ``axes`` (a superset),
-    length 1 on the axes it does not hold; the degree axis stays last."""
-    order = sorted(range(len(scope)), key=lambda a: axes.index(scope[a]))
-    shape = [q if site in scope else 1 for site in axes] + [factor.shape[-1]]
-    return np.transpose(factor, order + [len(scope)]).reshape(shape)
 
 
 def _polynomial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

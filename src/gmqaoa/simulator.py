@@ -29,11 +29,10 @@ from .core import MAX_ABS_OBJECTIVE, TOL_WEIGHT_SUM, InitialState, ObjectiveTabl
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
 
-_MASK64 = (1 << 64) - 1
-
-#: Coefficient entries (samples x d) evolved at once; bounds the memory
-#: of the Monte Carlo for any sample count.
-_BLOCK_ENTRIES = 1 << 18
+#: Entries per block of samples, each row holding its d coefficients and
+#: its 2p angles; bounds the memory of the Monte Carlo for any sample
+#: count and depth.
+_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,16 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class McReport:
-    """Monte Carlo estimates; reproducible from (problem, p, samples, seed)."""
+    """Monte Carlo estimates, in report order; reproducible from
+    (problem, depth, samples, seed)."""
 
-    p: int
+    depth: int
     samples: int
+    seed: int
     mean: float
     variance: float
     stderr_mean: float
     stderr_variance: float
-    seed: int
 
 
 def apply_phase_layer(state: np.ndarray, objective: ObjectiveTable, gamma: float) -> np.ndarray:
@@ -103,29 +103,20 @@ def loss(state: np.ndarray, objective: ObjectiveTable) -> float:
     return float(np.sum(objective.values * (state.conj() * state).real))
 
 
-def _stream_seed(seed: int, index: int) -> int:
-    """Bit-generator seed for one sample: the (index+1)-th SplitMix64 output.
-
-    SplitMix64 advances its 64-bit state by the golden-ratio increment
-    0x9e3779b97f4a7c15 and mixes with two xor-multiply rounds
-    (0xbf58476d1ce4e5b9, 0x94d049bb133111eb).  Making every sample's
-    stream a pure function of (seed, index) keeps results identical for
-    any block split of the samples.
-    """
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def _draw_angles(p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """p betas uniform on [0, 2pi), then p gammas uniform on [0, pi)."""
-    return rng.uniform(0.0, BETA_MAX, p), rng.uniform(0.0, GAMMA_MAX, p)
+def _draw_angles(p: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` rows of angles, each the next 2p doubles of ``rng``:
+    p betas uniform on [0, 2pi), then p gammas uniform on [0, pi)."""
+    angles = rng.random((count, 2, p))
+    angles[:, 0] *= BETA_MAX
+    angles[:, 1] *= GAMMA_MAX
+    return angles[:, 0], angles[:, 1]
 
 
 def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
-    """Draw one parameter set by ``_draw_angles``, as the Monte Carlo does."""
-    return ParameterSet(*_draw_angles(p, rng))
+    """Draw one parameter set by ``_draw_angles``; repeated calls on one
+    generator give the Monte Carlo's samples in order."""
+    betas, gammas = _draw_angles(p, rng, 1)
+    return ParameterSet(betas[0], gammas[0])
 
 
 def _sample_losses(
@@ -135,20 +126,17 @@ def _sample_losses(
 
     ``values`` and ``weights`` are the supported levels in spectrum
     (descending) order; the evolution runs over them in ascending order.
-    Sample i draws its parameters from ``_stream_seed(seed, i)``.  Every
-    operation acts row by row, so a sample's loss does not depend on the
-    block it is evolved in.
+    One ``PCG64(seed)`` stream gives the samples' angles in sample
+    order, and every operation acts row by row, so a sample's loss does
+    not depend on the block it is evolved in.
     """
     lam, w = values[::-1], weights[::-1]
-    rows = max(1, _BLOCK_ENTRIES // len(w))
+    rows = max(1, _BLOCK_ENTRIES // (len(w) + 2 * p))
+    rng = np.random.Generator(np.random.PCG64(seed))
     losses = np.empty(samples)
     for start in range(0, samples, rows):
         stop = min(start + rows, samples)
-        betas = np.empty((stop - start, p))
-        gammas = np.empty((stop - start, p))
-        for row, i in enumerate(range(start, stop)):
-            rng = np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
-            betas[row], gammas[row] = _draw_angles(p, rng)
+        betas, gammas = _draw_angles(p, rng, stop - start)
         a = np.tile(w.astype(complex), (stop - start, 1))
         for k in range(p):
             a *= np.exp(-1j * gammas[:, k, None] * lam)
@@ -167,12 +155,11 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
     the values must lie within ``MAX_ABS_OBJECTIVE``, as an objective
     table's do, and the weights satisfy sum(w**2) = 1 to within
     ``TOL_WEIGHT_SUM``, as a level decomposition's do.
-    Sample i uses an independent stream seeded by ``_stream_seed(seed, i)``
-    for a ``seed`` in [0, 2**64), and the reductions run over the
-    sample-ordered array, so the report is a pure function of the
-    arguments.  The variance is the unbiased sample variance; its
-    standard error uses the plug-in fourth-central-moment formula
-    sqrt((m4 - s^4 (M-3)/(M-1)) / M).
+    The angles come from one ``PCG64(seed)`` stream for a ``seed`` in
+    [0, 2**64), and the reductions run over the sample-ordered array, so
+    the report is a pure function of the arguments.  The variance is the
+    unbiased sample variance; its standard error uses the plug-in
+    fourth-central-moment formula sqrt((m4 - s^4 (M-3)/(M-1)) / M).
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -187,8 +174,7 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
         raise ValueError("need at least two samples")
     if p < 1:
         raise ValueError("depth must be at least 1")
-    if not 0 <= seed <= _MASK64:
-        # _stream_seed works modulo 2**64, so other seeds would alias these
+    if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     losses = _sample_losses(values, weights, p, samples, seed)
     mean = float(np.mean(losses))
@@ -197,13 +183,13 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
     m4 = float(np.mean(centered**4))
     var_of_var = (m4 - variance**2 * (samples - 3) / (samples - 1)) / samples
     return McReport(
-        p=p,
+        depth=p,
         samples=samples,
+        seed=int(seed),
         mean=mean,
         variance=variance,
         stderr_mean=float(np.sqrt(variance / samples)),
         stderr_variance=float(np.sqrt(max(var_of_var, 0.0))),
-        seed=int(seed),
     )
 
 

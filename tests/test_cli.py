@@ -786,7 +786,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.1.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.2.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -803,7 +803,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.1.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.2.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW
@@ -826,7 +826,7 @@ def test_csv_header_and_p3_row(capsys, command):
             "mean_within_3_stderr", "variance_within_3_stderr",
         ]
         assert row[:8] == head + ["32", "512", "7"]
-        estimates = [0.9853475053126929, 0.16888803109535294, 0.018162032808392105, 0.008286910215115963]
+        estimates = [1.0055330524428072, 0.156968399062067, 0.017509394747337773, 0.008507240890758662]
         assert [float(cell) for cell in row[8:12]] == pytest.approx(estimates, rel=1e-9)
         assert row[12:] == ["1.0", "0.16666666666666666", "true", "true"]
 

@@ -490,6 +490,18 @@ def test_level_span_closure_of_faint_level(eps):
     assert level_span_dim(values, faint_p3_state(eps).amplitudes) == 10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the faint-acceptance guard fires on the Vandermonde-conditioned brackets "
+    "of a correct closure and reruns it on the all-pairs schedule",
+)
+def test_level_span_closure_of_twelve_levels_stays_on_generator_brackets():
+    # d = 11 closes on generator brackets in 0.02 s; d = 12 reruns all
+    # pairs and takes 1.3-1.7 s, though both closures reach d**2
+    _, report = lie_closure(level_span_generators(np.arange(12.0), np.full(12, 12**-0.5)))
+    assert report.schedule == "generators"
+
+
 def test_level_span_generators_are_an_isometry():
     # p3, uniform: H_p is 2, 1, 0 on levels of 2, 4 and 2 strings, so its
     # norm off the level span is sqrt(4 * 1 + 1 * 3) and both generators

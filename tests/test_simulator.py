@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from gmqaoa import (
     uniform_state,
 )
 from gmqaoa import simulator
-from gmqaoa.simulator import _sample_losses, _stream_seed, sample_parameters
+from gmqaoa.simulator import _sample_losses, sample_parameters
 from helpers import dense_circuit_reference
 
 
@@ -126,13 +128,6 @@ def test_loss_examples():
     assert loss(np.exp(0.4j) * state, table) == pytest.approx(value, abs=1e-12)
 
 
-def test_stream_seed_splitmix_vectors():
-    # published SplitMix64 outputs for initial state 0
-    assert _stream_seed(0, 0) == 0xE220A8397B1DCDAF
-    assert _stream_seed(0, 1) == 0x6E789E6AA1B965F4
-    assert _stream_seed(0, 2) == 0x06C45D188009454F
-
-
 def test_monte_carlo_constant_objective():
     table = ObjectiveTable(n=2, q=2, values=[2.5] * 4)
     values, weights = supported_levels(uniform_state(2, 2), table)
@@ -174,21 +169,37 @@ def test_reduced_losses_match_dense_oracle(build, d):
     assert len(values) == len(weights) == d
     p, samples, seed = 6, 40, 123
     reduced = _sample_losses(values, weights, p, samples, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     dense = [
-        loss(run_circuit(xi, table, sample_parameters(
-            p, np.random.Generator(np.random.PCG64(_stream_seed(seed, i)))
-        )), table)
-        for i in range(samples)
+        loss(run_circuit(xi, table, sample_parameters(p, rng)), table) for _ in range(samples)
     ]
     assert np.max(np.abs(reduced - dense)) <= 1e-12
 
 
 def test_sample_losses_do_not_depend_on_the_block_split(monkeypatch):
     levels = supported_levels(uniform_state(5, 2), maxcut_objective(house_graph()))
-    whole = _sample_losses(*levels, 5, 50, 8)
-    # five levels, so blocks of 3 rows: 16 full blocks and a 2-row tail
-    monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", 17)
-    assert np.array_equal(_sample_losses(*levels, 5, 50, 8), whole)
+    # five levels and 2p angles a row: blocks of 3 rows (16 and a 2-row tail)
+    # at p = 5, of 16 rows (3 and a 2-row tail) at p = 4000
+    for p, rows in ((5, 3), (4000, 16)):
+        whole = _sample_losses(*levels, p, 50, 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_BLOCK_ENTRIES", rows * (5 + 2 * p))
+            assert np.array_equal(_sample_losses(*levels, p, 50, 8), whole)
+
+
+def test_sample_losses_memory_is_bounded_at_large_depth(monkeypatch):
+    # three levels and 8000 angles a row, so blocks of 65 rows; drawing all
+    # 195 samples' angles at once would take 12.5 MB, each block's 4.2 MB
+    levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
+    entries = 1 << 19
+    monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", entries)
+    tracemalloc.start()
+    try:
+        _sample_losses(*levels, 4000, 195, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * entries
 
 
 def test_monte_carlo_size_mismatch():
