@@ -138,7 +138,8 @@ class InitialState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-d array")
-        nrm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
+            nrm = float(np.linalg.norm(amp))
         if not abs(nrm - 1.0) <= TOL_NORM:  # also refuses a NaN norm
             raise ValueError(f"state norm {nrm!r} differs from 1 beyond {TOL_NORM}")
         object.__setattr__(self, "amplitudes", amp)
@@ -157,7 +158,8 @@ class LevelOverlaps:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        total = float(np.sum(c**2))
+        with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
+            total = float(np.sum(c**2))
         if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses a NaN norm
             raise ValueError(f"coefficients must satisfy sum(c**2) = 1, got {total!r}")
         object.__setattr__(self, "c", c)

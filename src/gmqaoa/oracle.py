@@ -68,12 +68,14 @@ class ClosureReport:
     """Outcome of a closure run; if hit_cap, dimension is a lower bound only.
 
     ``max_residual_discarded`` and ``min_residual_accepted`` are the margin
-    around ``tol_indep``: the largest relative residual of a discarded
-    candidate, and the smallest of an accepted element (None when no
-    element was tested against a non-empty basis).  ``candidates`` counts
-    the commutators formed.  ``schedule`` is ``"generators"`` or, when
-    that run met an ill-conditioned acceptance, ``"all-pairs"``, whose
-    residuals are those of unscaled commutators of unit elements.
+    around ``tol_indep``: the largest residual of a discarded candidate,
+    and the smallest of an accepted element (None when no element was
+    tested against a non-empty basis), each that of the candidate as fed
+    to the one acceptance routine of ``lie_closure``: normalized to unit
+    norm on generator brackets, unscaled commutators of unit elements on
+    all pairs.  ``candidates`` counts the commutators formed.
+    ``schedule`` is ``"generators"`` or, when that run met an
+    ill-conditioned acceptance, ``"all-pairs"``.
     """
 
     dimension: int
@@ -157,20 +159,29 @@ def lie_closure(
 
     The basis lives in one preallocated array of ``min(dim_cap, N**2)``
     rows.  Gram-Schmidt runs on its real view, one row of 2 N**2 floats
-    per element, whose dot product is Re tr(A^dag B): classical
-    Gram-Schmidt against the whole basis, with a second pass for
-    survivors.  Deterministic schedule: the generators are
-    orthonormalized in input order into S; then, per round, every element
-    f of the previous round's additions, in index order, is commuted with
-    every element s of S, in index order, as [s, f].  The algebra
-    generated by S is spanned by the left-normed brackets
-    [s_1, [s_2, ..., s_k]], so V <- V + [S, V] reaches it, and its fixed
-    point is closed under the commutator by the Jacobi identity; only the
-    frontier is new to each round, so |S| commutators per element are
-    formed in all.  Each candidate is rescaled to unit Hilbert-Schmidt
-    norm, projected against the current basis, and appended when the
-    residual exceeds ``tol_indep``.  Commutators whose norm sits at the
-    round-off floor are treated as zero rather than normalized.
+    per element, whose dot product is Re tr(A^dag B).  One acceptance
+    routine takes every candidate: it projects a batch against the whole
+    basis, then, largest residual first, projects each pick once more and
+    appends it when that second residual exceeds ``tol_indep``, projecting
+    the rest of the batch off the new element.  It is fed two ways.  The
+    generators, and on the generator-bracket schedule each commutator, go
+    in alone at unit Hilbert-Schmidt norm, so a lone candidate takes
+    classical Gram-Schmidt with a second pass; commutators whose norm
+    sits at the round-off floor are treated as zero rather than
+    normalized.  On the all-pairs schedule the commutators go in unscaled,
+    in blocks of at most ``_BLOCK_FLOATS`` floats, since the round-off of
+    a commutator of unit elements scales with the unit norms of its
+    factors and not with its own norm.
+
+    Deterministic schedule: the generators are orthonormalized in input
+    order into S; then, per round, every element f of the previous round's
+    additions, in index order, is commuted with every element s of a span,
+    in index order, as [s, f].  The span is S on the generator-bracket
+    schedule: the algebra generated by S is spanned by the left-normed
+    brackets [s_1, [s_2, ..., s_k]], so V <- V + [S, V] reaches it, and its
+    fixed point is closed under the commutator by the Jacobi identity;
+    only the frontier is new to each round, so |S| commutators per element
+    are formed in all.
 
     An element accepted at residual r carries its candidate's round-off
     amplified by 1/r, and so do the brackets formed from it.  When the
@@ -179,11 +190,13 @@ def lie_closure(
     and round-off compounds into fake directions.  So an acceptance below
     ``sqrt(eps / tol_indep)`` (eps the float64 round-off unit; 4.7e-4 at
     the default ``tol_indep``), where two chained acceptances can lift
-    round-off above ``tol_indep``, abandons this run for the all-pairs
-    schedule (``_all_pairs_closure``), which reaches such a direction
-    through brackets of elements already at unit norm.  The report's
-    ``schedule`` says which run produced the basis; ``rounds`` and
-    ``candidates`` count that run.
+    round-off above ``tol_indep``, abandons the generator-bracket run; the
+    second generator's own residual counts.  The closure then restarts
+    from S, in the same array, on the all-pairs schedule, whose span is
+    every element present at the round's start, so such a direction is
+    reached through brackets of elements already at unit norm.  The
+    report's ``schedule`` says which run produced the basis; ``rounds``,
+    ``candidates`` and the margins count that run.
 
     Stops when a round adds nothing, when the basis spans all N**2 real
     dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
@@ -219,48 +232,79 @@ def lie_closure(
     candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
+    schedule = "generators"
 
-    def try_add(mat: np.ndarray, floor: float = 0.0) -> bool:
+    def accept(res: np.ndarray) -> None:
         nonlocal count, max_discarded, min_accepted
-        nrm = float(np.linalg.norm(mat))
-        if nrm <= floor:
-            return False
-        res = mat.ravel().view(float) / nrm
-        if count:
-            for _ in range(2):
-                res = res - (rows[:count] @ res) @ rows[:count]
-                rnorm = float(np.linalg.norm(res))
-                if rnorm <= tol_indep:
-                    max_discarded = max(max_discarded, rnorm)
-                    return False
-            min_accepted = min(min_accepted, rnorm)
-        new = res.view(complex).reshape(dim_space, dim_space)
-        new = 0.5 * (new - new.conj().T)
-        basis[count] = new / np.linalg.norm(new)
-        count += 1
-        return True
+        # both callers pass a fresh array, so it is projected in place
+        res -= (res @ rows[:count].T) @ rows[:count]
+        left = len(res)
+        while left and count < capacity:
+            # a lone candidate needs no pick, and its 1-d norm is the cheap one
+            k = int(np.argmax(np.linalg.norm(res, axis=1))) if len(res) > 1 else 0
+            first = float(np.linalg.norm(res[k]))
+            if first <= tol_indep:
+                max_discarded = max(max_discarded, first)
+                return
+            vec = res[k] - (rows[:count] @ res[k]) @ rows[:count]
+            # a taken row stays in place at zero, so the order of the rest holds
+            res[k] = 0.0
+            left -= 1
+            rnorm = float(np.linalg.norm(vec))
+            if rnorm <= tol_indep:
+                max_discarded = max(max_discarded, rnorm)
+                continue
+            if count:
+                min_accepted = min(min_accepted, rnorm)
+            new = vec.view(complex).reshape(dim_space, dim_space)
+            new = 0.5 * (new - new.conj().T)
+            basis[count] = new / np.linalg.norm(new)
+            if left:
+                res -= np.outer(res @ rows[count], rows[count])
+            count += 1
+
+    def accept_unit(row: np.ndarray, floor: float) -> None:
+        nrm = float(np.linalg.norm(row))
+        if nrm > floor:
+            accept(row[None] / nrm)
+
+    def stopped() -> bool:
+        return count == capacity or (schedule == "generators" and min_accepted < trusted)
 
     for g in mats:
         if count == capacity:
             break
-        try_add(g)
-    gens = basis[:count]
+        accept_unit(g.reshape(size2).view(float), 0.0)
+    gens = count
     frontier = range(count)
     rounds = 0
-    while frontier and count < capacity and min_accepted >= trusted:
+    while True:
+        if schedule == "generators" and min_accepted < trusted:
+            schedule = "all-pairs"
+            count, frontier, rounds, candidates = gens, range(gens), 0, 0
+            max_discarded, min_accepted = 0.0, math.inf
+        if not frontier or count == capacity:
+            break
         rounds += 1
         start = count
-        for fi in frontier:
-            f = basis[fi]
-            candidates += len(gens)
-            for mat in np.matmul(gens, f) - np.matmul(f, gens):
-                if try_add(mat, floor=_ZERO_FLOOR) and (count == capacity or min_accepted < trusted):
-                    break
-            if count == capacity or min_accepted < trusted:
+        if schedule == "generators":
+            span, block = basis[:gens], 1
+        else:
+            span, block = basis[:start], max(1, _BLOCK_FLOATS // (2 * size2 * start))
+        for lo in range(frontier.start, frontier.stop, block):
+            f = basis[lo : min(lo + block, frontier.stop), None]
+            batch = (np.matmul(span, f) - np.matmul(f, span)).reshape(-1, size2).view(float)
+            candidates += len(batch)
+            if schedule == "all-pairs":
+                accept(batch)
+            else:
+                for row in batch:
+                    accept_unit(row, _ZERO_FLOOR)
+                    if stopped():
+                        break
+            if stopped():
                 break
         frontier = range(start, count)
-    if min_accepted < trusted:
-        return _all_pairs_closure(basis[: len(gens)], tol_indep, dim_cap)
     report = ClosureReport(
         dimension=count,
         rounds=rounds,
@@ -269,82 +313,7 @@ def lie_closure(
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         # N**2 elements span all of u(N): the exact answer, not a lower bound
         hit_cap=count == dim_cap < size2,
-    )
-    return basis[:count], report
-
-
-def _all_pairs_closure(
-    gens: np.ndarray, tol_indep: float, dim_cap: int
-) -> Tuple[np.ndarray, ClosureReport]:
-    """The closure of orthonormal generators on the all-pairs schedule.
-
-    Per round, every element of the previous round's additions is
-    commuted with every element present at the round's start, so a
-    direction the generators hold only at a small weight is reached
-    through brackets of unit-norm elements.  A round's commutators are
-    projected against the basis and accepted largest residual first; the
-    residual of a commutator of unit elements is taken unscaled, since
-    its round-off scales with the unit norms of its factors and not with
-    its own norm.  The round is formed in blocks of at most
-    ``_BLOCK_FLOATS`` floats, each accepted on its own.
-    """
-    dim_space = gens.shape[1]
-    size2 = dim_space * dim_space
-    capacity = min(dim_cap, size2)
-    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
-    rows = basis.reshape(capacity, size2).view(float)
-    count = len(gens)
-    basis[:count] = gens
-    candidates = 0
-    max_discarded = 0.0
-    min_accepted = math.inf
-
-    def accept(batch: np.ndarray) -> None:
-        nonlocal count, max_discarded, min_accepted
-        res = batch.reshape(len(batch), size2).view(float)
-        res = res - (res @ rows[:count].T) @ rows[:count]
-        while len(res) and count < capacity:
-            norms = np.linalg.norm(res, axis=1)
-            k = int(np.argmax(norms))
-            if norms[k] <= tol_indep:
-                max_discarded = max(max_discarded, float(norms[k]))
-                return
-            vec = res[k] - (rows[:count] @ res[k]) @ rows[:count]
-            res = np.delete(res, k, axis=0)
-            rnorm = float(np.linalg.norm(vec))
-            if rnorm <= tol_indep:
-                max_discarded = max(max_discarded, rnorm)
-                continue
-            min_accepted = min(min_accepted, rnorm)
-            new = vec.view(complex).reshape(dim_space, dim_space)
-            new = 0.5 * (new - new.conj().T)
-            basis[count] = new / np.linalg.norm(new)
-            res = res - np.outer(res @ rows[count], rows[count])
-            count += 1
-
-    frontier = range(count)
-    rounds = 0
-    while frontier and count < capacity:
-        rounds += 1
-        start = count
-        span = basis[:start]
-        block = max(1, _BLOCK_FLOATS // (2 * size2 * start))
-        for lo in range(frontier.start, frontier.stop, block):
-            f = basis[lo : min(lo + block, frontier.stop), None]
-            batch = np.matmul(span, f) - np.matmul(f, span)
-            candidates += batch.shape[0] * batch.shape[1]
-            accept(batch.reshape(-1, dim_space, dim_space))
-            if count == capacity:
-                break
-        frontier = range(start, count)
-    report = ClosureReport(
-        dimension=count,
-        rounds=rounds,
-        candidates=candidates,
-        max_residual_discarded=max_discarded,
-        min_residual_accepted=min_accepted if min_accepted < math.inf else None,
-        hit_cap=count == dim_cap < size2,
-        schedule="all-pairs",
+        schedule=schedule,
     )
     return basis[:count], report
 
@@ -406,7 +375,8 @@ def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     _check_oracle_size(lam.size)
     if not np.all(np.isfinite(lam)):
         raise ValueError("values must be finite")
-    nrm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
+        nrm = float(np.linalg.norm(amps))
     if not (math.isfinite(nrm) and nrm > 0.0):
         raise ValueError("amplitudes must have a finite nonzero norm")
     return lam, amps / nrm
@@ -517,6 +487,11 @@ def level_span_generators(
     dimension at the same ``tol_indep``.  Within level j, I - Q Q^dag is a
     projector of rank n_j - 1 (supported) or n_j, so h is exactly 0 when
     H_p vanishes off K.
+
+    Their closure can only undercount: both generators are d + 1
+    block-diagonal, so every bracket is too and has a zero (d, d) entry,
+    and the closure lies in u(d) + span{i E_dd}.  That bounds it at
+    d**2 + 1 when h > 0 and at d**2 when h = 0, which is ``predict_dla``.
     """
     lam, u = _level_input(values, amplitudes)
     level_of, level_norms, q = _level_span(lam, u, tol_zero)

@@ -167,7 +167,8 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
         raise ValueError("values and weights must be parallel non-empty 1-d arrays")
     if not np.all(np.abs(values) <= MAX_ABS_OBJECTIVE):  # also refuses NaN
         raise ValueError(f"values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}")
-    total = float(np.sum(weights**2))
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
+        total = float(np.sum(weights**2))
     if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses NaN and infinite weights
         raise ValueError(f"weights must satisfy sum(w**2) = 1, got {total!r}")
     if samples < 2:

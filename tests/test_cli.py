@@ -247,8 +247,11 @@ def test_analyze_boolean_table_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "amplitudes",
-    ["[true, false]", "[[true, 0], [0, 0]]", '[["a", 1], [0, 0]]', "[NaN, 1]", "[1" + "0" * 400 + ", 0]"],
-    ids=["bools", "bool-pair", "string-pair", "nan", "overflow"],
+    [
+        "[true, false]", "[[true, 0], [0, 0]]", '[["a", 1], [0, 0]]', "[NaN, 1]",
+        "[1" + "0" * 400 + ", 0]", "[1e308, 1e308]",
+    ],
+    ids=["bools", "bool-pair", "string-pair", "nan", "overflow", "square-overflow"],
 )
 def test_analyze_bad_init_amplitudes_rejected(tmp_path, capsys, amplitudes):
     init = tmp_path / "init.json"

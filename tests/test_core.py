@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gmqaoa import (
     InitialState,
+    LevelOverlaps,
     ObjectiveTable,
     SizeLimitError,
     Spectrum,
@@ -212,6 +213,14 @@ def test_decompose_dimension_mismatch():
 def test_initial_state_requires_unit_norm():
     with pytest.raises(ValueError):
         InitialState(np.array([1.0, 1.0]))
+
+
+def test_norm_checks_refuse_entries_whose_squares_overflow():
+    # the squares of 1e308 overflow to inf: a refusal, not a numpy warning
+    with pytest.raises(ValueError, match="state norm inf"):
+        InitialState(np.array([1e308, 1e308]))
+    with pytest.raises(ValueError, match="got inf"):
+        LevelOverlaps(np.array([1e308, 1e308]))
 
 
 @st.composite

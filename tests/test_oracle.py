@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,36 @@ def test_closure_of_faint_level_matches_prediction(name, eps, dim):
     assert report.dimension == dim
 
 
+@pytest.mark.parametrize(
+    "eps, schedule, margin", [(1e-4, "all-pairs", 0.207), (1e-2, "generators", 4.4e-3)]
+)
+def test_closure_guard_counts_the_second_generators_own_residual(eps, schedule, margin):
+    # eps X is off-diagonal, so at unit norm the second generator keeps a
+    # residual of about eps ||X|| / ||H|| against the first: 4.4e-5 at
+    # eps = 1e-4, below sqrt(eps / tol_indep) = 4.7e-4, so the closure reruns
+    # on all pairs; at 1e-2 it is 4.4e-3, the margin of the generator run
+    h = np.diag([1.0, 2.0, 4.0])
+    x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    _, report = lie_closure([1j * h, 1j * (h + eps * x)])
+    assert report.schedule == schedule
+    assert report.dimension == 9
+    assert report.min_residual_accepted == pytest.approx(margin, rel=0.01)
+
+
+def test_all_pairs_rerun_holds_one_basis_array():
+    # N = 64, so one basis array of 4096 elements is 256 MiB; the rerun
+    # reuses the array of the generator run instead of allocating a second
+    h_p, g_m = gm_generators(bundled_table("c6.graph"), faint_lowest_state("c6.graph", 1e-4))
+    tracemalloc.start()
+    try:
+        _, report = lie_closure([1j * h_p, 1j * g_m])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.schedule == "all-pairs" and report.dimension == 17
+    assert peak < 320 * 2**20
+
+
 @pytest.mark.parametrize("name", BUNDLED_N32)
 def test_grover_commutant_matches_dense_solver(name):
     table = bundled_table(name)
@@ -490,6 +521,32 @@ def test_level_span_closure_of_faint_level(eps):
     assert level_span_dim(values, faint_p3_state(eps).amplitudes) == 10
 
 
+def test_level_span_closure_can_only_undercount():
+    # both generators are block-diagonal, d + 1, so every bracket is too and
+    # has a zero (d, d) entry: the closure lies in u(d) + span{i E_dd}, at most
+    # d**2 + 1 when h > 0 and d**2 when h = 0, which is the prediction
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        values = rng.integers(-3, 4, size=2**n).astype(float)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        levels = np.unique(values)
+        if len(levels) > 1:
+            faint = values == rng.choice(levels)
+            amps[faint] *= 1e-6 / np.linalg.norm(amps[faint])
+            amps[~faint] *= np.sqrt(1 - 1e-12) / np.linalg.norm(amps[~faint])
+        amps /= np.linalg.norm(amps)
+        spectrum = build_spectrum(ObjectiveTable(n=n, q=2, values=values))
+        predicted = predict_dla(spectrum, decompose_initial_state(InitialState(amps), spectrum))
+        h_span, g_span = level_span_generators(values, amps)
+        d = len(h_span) - 1
+        basis, report = lie_closure([h_span, g_span])
+        assert report.dimension == predicted.dim, seed
+        assert not np.any(basis[:, :d, d]) and not np.any(basis[:, d, :d])
+        if h_span[d, d] == 0:
+            assert not np.any(basis[:, d, d])
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the faint-acceptance guard fires on the Vandermonde-conditioned brackets "
@@ -497,7 +554,7 @@ def test_level_span_closure_of_faint_level(eps):
 )
 def test_level_span_closure_of_twelve_levels_stays_on_generator_brackets():
     # d = 11 closes on generator brackets in 0.02 s; d = 12 reruns all
-    # pairs and takes 1.3-1.7 s, though both closures reach d**2
+    # pairs and takes 0.3-0.8 s, though both closures reach d**2
     _, report = lie_closure(level_span_generators(np.arange(12.0), np.full(12, 12**-0.5)))
     assert report.schedule == "generators"
 
@@ -559,6 +616,15 @@ def test_grover_commutant_rejects_bad_inputs():
         grover_commutant_dimension([0.0, np.nan], [1.0, 0.0])
     with pytest.raises(ValueError, match="nonzero norm"):
         grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
+)
+def test_level_oracles_refuse_amplitudes_whose_squares_overflow(entry):
+    # the norm of [1e308, 1e308] overflows to inf: a refusal, not a numpy warning
+    with pytest.raises(ValueError, match="finite nonzero norm"):
+        entry([0.0, 1.0], [1e308, 1e308])
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])

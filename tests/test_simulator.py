@@ -217,7 +217,7 @@ def test_monte_carlo_refuses_out_of_range_levels():
     for bad in (np.nan, np.inf, 1e200):
         with pytest.raises(ValueError, match="finite"):
             monte_carlo_stats([bad, 0.0], [0.6, 0.8], p=2, samples=8, seed=0)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="sum"):
             monte_carlo_stats([1.0, 0.0], [bad, 0.8], p=2, samples=8, seed=0)
 
