@@ -39,12 +39,12 @@ from .oracle import (
     TOL_INDEP,
     TOL_RANK,
     OracleCapError,
+    closure_report,
     gm_generators,
     grover_commutant_dimension,
     invariant_subspace_residual,
     isotypic_split,
     level_span_generators,
-    lie_closure,
     traceless_part,
     x_mixer_generator,
 )
@@ -449,7 +449,7 @@ def cmd_verify(args):
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer]
     else:
         generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
-    _, closure = lie_closure(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
+    closure = closure_report(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
 
     oracle = {"mixer": args.mixer, "closure": {**asdict(closure), "tol_indep": args.tol_indep}}
     if args.mixer == "grover":

@@ -42,6 +42,8 @@ _ZERO_FLOOR = 1e-10
 #: Floats per block of commutators on the all-pairs schedule (32 MiB).
 _BLOCK_FLOATS = 1 << 22
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 class OracleCapError(ValueError):
     """Instance exceeds the dense-oracle size caps."""
@@ -73,7 +75,9 @@ class ClosureReport:
     tested against a non-empty basis), each that of the candidate as fed
     to the one acceptance routine of ``lie_closure``: normalized to unit
     norm on generator brackets, unscaled commutators of unit elements on
-    all pairs.  ``candidates`` counts the commutators formed.
+    all pairs; each is taken against the basis of the candidate's own
+    parity class, which, the classes being orthogonal, is the whole basis.
+    ``candidates`` counts the commutators formed.
     ``schedule`` is ``"generators"`` or, when that run met an
     ill-conditioned acceptance, ``"all-pairs"``.
     """
@@ -157,31 +161,44 @@ def lie_closure(
     Returns a ``(k, N, N)`` array of skew-Hermitian matrices, orthonormal
     under Re tr(A^dag B), and the closure report.
 
-    The basis lives in one preallocated array of ``min(dim_cap, N**2)``
-    rows.  Gram-Schmidt runs on its real view, one row of 2 N**2 floats
-    per element, whose dot product is Re tr(A^dag B).  One acceptance
-    routine takes every candidate: it projects a batch against the whole
-    basis, then, largest residual first, projects each pick once more and
-    appends it when that second residual exceeds ``tol_indep``, projecting
-    the rest of the batch off the new element.  It is fed two ways.  The
-    generators, and on the generator-bracket schedule each commutator, go
-    in alone at unit Hilbert-Schmidt norm, so a lone candidate takes
-    classical Gram-Schmidt with a second pass; commutators whose norm
-    sits at the round-off floor are treated as zero rather than
-    normalized.  On the all-pairs schedule the commutators go in unscaled,
-    in blocks of at most ``_BLOCK_FLOATS`` floats, since the round-off of
-    a commutator of unit elements scales with the unit norms of its
-    factors and not with its own norm.
+    Parity classes.  When every generator is exactly real or exactly
+    imaginary (checked with exact zeros), the algebra splits as g = k + p
+    with k = g & so(N) and p = g & i Sym(N), since [k, k] and [p, p] lie
+    in so(N) and [k, p] in i Sym(N).  The closure then runs on two
+    classes, each with its own basis array of packed real rows
+    (``_Packing``): N(N-1)/2 coordinates for k, N(N+1)/2 for p.  A
+    bracket's class follows from its factors' classes, it is computed in
+    real arithmetic on their real representatives, and it is projected
+    only against its own class's basis.  Any other generator set runs on
+    one class on all N**2 coordinates, with complex brackets.  Either way
+    a row is half the 2 N**2 floats of a complex matrix.  The returned
+    basis lists the k elements, then the p elements, each in acceptance
+    order.
+
+    One acceptance routine takes every candidate: it projects a batch of
+    one class against that class's basis, then, largest residual first,
+    projects each pick once more and appends it when that second residual
+    exceeds ``tol_indep``, projecting the rest of the batch off the new
+    element.  It is fed two ways.  The generators, and on the
+    generator-bracket schedule each commutator, go in alone at unit
+    Hilbert-Schmidt norm, so a lone candidate takes classical
+    Gram-Schmidt with a second pass; a generator is scaled by its largest
+    entry before its norm is taken, and commutators whose norm sits at the
+    round-off floor are treated as zero rather than normalized.  On the
+    all-pairs schedule the commutators go in unscaled, in blocks of at
+    most ``_BLOCK_FLOATS`` floats, since the round-off of a commutator of
+    unit elements scales with the unit norms of its factors and not with
+    its own norm.
 
     Deterministic schedule: the generators are orthonormalized in input
     order into S; then, per round, every element f of the previous round's
-    additions, in index order, is commuted with every element s of a span,
-    in index order, as [s, f].  The span is S on the generator-bracket
-    schedule: the algebra generated by S is spanned by the left-normed
-    brackets [s_1, [s_2, ..., s_k]], so V <- V + [S, V] reaches it, and its
-    fixed point is closed under the commutator by the Jacobi identity;
-    only the frontier is new to each round, so |S| commutators per element
-    are formed in all.
+    additions, class by class in index order, is commuted with every
+    element s of a span, class by class in index order, as [s, f].  The
+    span is S on the generator-bracket schedule: the algebra generated by
+    S is spanned by the left-normed brackets [s_1, [s_2, ..., s_k]], so
+    V <- V + [S, V] reaches it, and its fixed point is closed under the
+    commutator by the Jacobi identity; only the frontier is new to each
+    round, so |S| commutators per element are formed in all.
 
     An element accepted at residual r carries its candidate's round-off
     amplified by 1/r, and so do the brackets formed from it.  When the
@@ -192,7 +209,7 @@ def lie_closure(
     the default ``tol_indep``), where two chained acceptances can lift
     round-off above ``tol_indep``, abandons the generator-bracket run; the
     second generator's own residual counts.  The closure then restarts
-    from S, in the same array, on the all-pairs schedule, whose span is
+    from S, in the same arrays, on the all-pairs schedule, whose span is
     every element present at the round's start, so such a direction is
     reached through brackets of elements already at unit norm.  The
     report's ``schedule`` says which run produced the basis; ``rounds``,
@@ -206,6 +223,71 @@ def lie_closure(
     unit candidate's residual never exceeds 1.  The generators must be
     finite.
     """
+    packing, classes, report = _closure(generators, tol_indep, dim_cap)
+    parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
+    return np.concatenate(parts).astype(complex, copy=False), report
+
+
+def closure_report(
+    generators: Sequence[np.ndarray],
+    tol_indep: float = TOL_INDEP,
+    dim_cap: int = DIM_CAP,
+) -> ClosureReport:
+    """The report of ``lie_closure``, without building its dense basis."""
+    return _closure(generators, tol_indep, dim_cap)[2]
+
+
+class _Packing:
+    """Real coordinates of u(N), split by complex-conjugation parity.
+
+    Three classes, each holding real representatives M of its elements X:
+    ``"k"`` is so(N), X = M real antisymmetric, packed as sqrt(2) M_ab
+    over a < b; ``"p"`` is i Sym(N), X = i M with M real symmetric,
+    packed as (M_aa, sqrt(2) M_ab over a < b); ``"u"`` is all of u(N),
+    X = M complex, packed as Re M in ``"k"`` then Im M in ``"p"``
+    coordinates, (sqrt(2) Re X_ab, Im X_aa, sqrt(2) Im X_ab).  Each packing
+    is an isometry for Re tr(A^dag B), and ``pack`` projects onto its class
+    first, so a bracket's round-off off the class is dropped.
+    """
+
+    def __init__(self, n: int):
+        a, b = np.triu_indices(n, 1)
+        self.n = n
+        self.upper, self.lower, self.diag = a * n + b, b * n + a, np.arange(n) * (n + 1)
+        self.width = {"k": a.size, "p": a.size + n, "u": n * n}
+
+    def pack(self, mats: np.ndarray, kind: str) -> np.ndarray:
+        """Packed rows of a stack of (N, N) representatives, on the last axis."""
+        if kind == "u":
+            return np.concatenate([self.pack(mats.real, "k"), self.pack(mats.imag, "p")], axis=-1)
+        flat = mats.reshape(mats.shape[:-2] + (-1,))
+        upper = np.take(flat, self.upper, axis=-1)
+        lower = np.take(flat, self.lower, axis=-1)
+        if kind == "k":
+            return (upper - lower) * _SQRT_HALF
+        return np.concatenate([np.take(flat, self.diag, axis=-1), (upper + lower) * _SQRT_HALF], axis=-1)
+
+    def unpack(self, rows: np.ndarray, kind: str) -> np.ndarray:
+        """The (len(rows), N, N) representatives of packed rows."""
+        if kind == "u":
+            split = self.width["k"]
+            return self.unpack(rows[:, :split], "k") + 1j * self.unpack(rows[:, split:], "p")
+        flat = np.zeros((len(rows), self.n * self.n))
+        if kind == "k":
+            flat[:, self.upper] = rows * _SQRT_HALF
+            flat[:, self.lower] = -flat[:, self.upper]
+        else:
+            flat[:, self.diag] = rows[:, : self.n]
+            flat[:, self.upper] = rows[:, self.n :] * _SQRT_HALF
+            flat[:, self.lower] = flat[:, self.upper]
+        return flat.reshape(-1, self.n, self.n)
+
+
+def _closure(
+    generators: Sequence[np.ndarray], tol_indep: float, dim_cap: int
+) -> Tuple[_Packing, list, ClosureReport]:
+    """The routine behind ``lie_closure`` and ``closure_report``: its
+    packing, the (kind, packed rows) of each parity class, and the report."""
     if dim_cap < 1:
         raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
     if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
@@ -223,29 +305,39 @@ def lie_closure(
             raise ValueError("generators must be skew-Hermitian")
     _check_oracle_size(dim_space)
 
-    size2 = dim_space * dim_space
-    capacity = min(dim_cap, size2)
+    packing = _Packing(dim_space)
+    # exact zeros, not a tolerance: real generators lie in so(N) and
+    # imaginary ones in i Sym(N), and then every bracket is graded
+    graded = all(not g.real.any() or not g.imag.any() for g in mats)
+    # a class's index is its parity, 0 real and 1 imaginary, so a
+    # bracket's class is the XOR of its factors' classes
+    kinds = ("k", "p") if graded else ("u",)
+    widths = [packing.width[kind] for kind in kinds]
+    basis = [np.zeros((min(dim_cap, w), w)) for w in widths]
+    counts = [0] * len(kinds)
+    capacity = min(dim_cap, dim_space * dim_space)
+    # floats of one bracket matrix on the all-pairs schedule
+    bracket_floats = dim_space * dim_space * (1 if graded else 2)
     trusted = math.sqrt(np.finfo(float).eps / tol_indep)
-    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
-    rows = basis.reshape(capacity, size2).view(float)
-    count = 0
     candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
     schedule = "generators"
 
-    def accept(res: np.ndarray) -> None:
-        nonlocal count, max_discarded, min_accepted
+    def accept(c: int, res: np.ndarray) -> None:
+        nonlocal max_discarded, min_accepted
+        rows = basis[c]
         # both callers pass a fresh array, so it is projected in place
-        res -= (res @ rows[:count].T) @ rows[:count]
+        res -= (res @ rows[: counts[c]].T) @ rows[: counts[c]]
         left = len(res)
-        while left and count < capacity:
+        while left and counts[c] < len(rows) and sum(counts) < capacity:
             # a lone candidate needs no pick, and its 1-d norm is the cheap one
             k = int(np.argmax(np.linalg.norm(res, axis=1))) if len(res) > 1 else 0
             first = float(np.linalg.norm(res[k]))
             if first <= tol_indep:
                 max_discarded = max(max_discarded, first)
                 return
+            count = counts[c]
             vec = res[k] - (rows[:count] @ res[k]) @ rows[:count]
             # a taken row stays in place at zero, so the order of the rest holds
             res[k] = 0.0
@@ -254,68 +346,88 @@ def lie_closure(
             if rnorm <= tol_indep:
                 max_discarded = max(max_discarded, rnorm)
                 continue
-            if count:
+            if sum(counts):
                 min_accepted = min(min_accepted, rnorm)
-            new = vec.view(complex).reshape(dim_space, dim_space)
-            new = 0.5 * (new - new.conj().T)
-            basis[count] = new / np.linalg.norm(new)
+            rows[count] = vec / rnorm
             if left:
                 res -= np.outer(res @ rows[count], rows[count])
-            count += 1
+            counts[c] += 1
 
-    def accept_unit(row: np.ndarray, floor: float) -> None:
+    def accept_unit(c: int, row: np.ndarray, floor: float) -> None:
         nrm = float(np.linalg.norm(row))
         if nrm > floor:
-            accept(row[None] / nrm)
+            accept(c, row[None] / nrm)
 
     def stopped() -> bool:
-        return count == capacity or (schedule == "generators" and min_accepted < trusted)
+        return sum(counts) == capacity or (schedule == "generators" and min_accepted < trusted)
 
     for g in mats:
-        if count == capacity:
+        if sum(counts) == capacity:
             break
-        accept_unit(g.reshape(size2).view(float), 0.0)
-    gens = count
-    frontier = range(count)
+        c = int(graded and g.imag.any())
+        rep = (g.imag if c else g.real) if graded else g
+        # scaled to a largest entry of 1 before its norm is taken, so
+        # entries whose squares overflow close like unit entries
+        top = float(np.max(np.abs(rep)))
+        if top > 0.0:
+            accept_unit(c, packing.pack(rep / top, kinds[c]), 0.0)
+    gens = list(counts)
+    frontier = [range(k) for k in gens]
     rounds = 0
     while True:
         if schedule == "generators" and min_accepted < trusted:
             schedule = "all-pairs"
-            count, frontier, rounds, candidates = gens, range(gens), 0, 0
+            counts[:] = gens
+            frontier, rounds, candidates = [range(k) for k in gens], 0, 0
             max_discarded, min_accepted = 0.0, math.inf
-        if not frontier or count == capacity:
+        if not any(frontier) or sum(counts) == capacity:
             break
         rounds += 1
-        start = count
+        start = list(counts)
         if schedule == "generators":
-            span, block = basis[:gens], 1
+            span_counts, block = gens, 1
         else:
-            span, block = basis[:start], max(1, _BLOCK_FLOATS // (2 * size2 * start))
-        for lo in range(frontier.start, frontier.stop, block):
-            f = basis[lo : min(lo + block, frontier.stop), None]
-            batch = (np.matmul(span, f) - np.matmul(f, span)).reshape(-1, size2).view(float)
-            candidates += len(batch)
-            if schedule == "all-pairs":
-                accept(batch)
-            else:
-                for row in batch:
-                    accept_unit(row, _ZERO_FLOOR)
-                    if stopped():
-                        break
+            span_counts, block = start, max(1, _BLOCK_FLOATS // (bracket_floats * sum(start)))
+        spans = [(c, packing.unpack(basis[c][:k], kinds[c])) for c, k in enumerate(span_counts) if k]
+        blocks = [
+            (cf, lo, min(lo + block, todo.stop))
+            for cf, todo in enumerate(frontier)
+            for lo in range(todo.start, todo.stop, block)
+        ]
+        for cf, lo, hi in blocks:
+            f = packing.unpack(basis[cf][lo:hi], kinds[cf])[:, None]
+            for cs, span in spans:
+                bracket = np.matmul(span, f) - np.matmul(f, span)
+                if cs & cf:
+                    # [iM, iM'] = -[M, M']: two imaginary factors give a real bracket
+                    np.negative(bracket, out=bracket)
+                c = cs ^ cf
+                batch = packing.pack(bracket, kinds[c]).reshape(-1, widths[c])
+                candidates += len(batch)
+                if schedule == "all-pairs":
+                    accept(c, batch)
+                else:
+                    for row in batch:
+                        accept_unit(c, row, _ZERO_FLOOR)
+                        if stopped():
+                            break
+                if stopped():
+                    break
             if stopped():
                 break
-        frontier = range(start, count)
+        frontier = [range(s, k) for s, k in zip(start, counts)]
+    dimension = sum(counts)
     report = ClosureReport(
-        dimension=count,
+        dimension=dimension,
         rounds=rounds,
         candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
         # N**2 elements span all of u(N): the exact answer, not a lower bound
-        hit_cap=count == dim_cap < size2,
+        hit_cap=dimension == dim_cap < dim_space * dim_space,
         schedule=schedule,
     )
-    return basis[:count], report
+    return packing, [(kind, rows[:k]) for kind, rows, k in zip(kinds, basis, counts)], report
 
 
 def _check_tol_rank(tol_rank: float) -> None:
@@ -434,14 +546,21 @@ def grover_commutant_dimension(
     )
 
 
-def _level_span(lam: np.ndarray, u: np.ndarray, tol_zero: float):
-    """Each string's level, the per-level norms ||P_j u||, and the (N, d)
-    matrix Q whose columns are the unit components P_j u / ||P_j u|| of the
-    levels with norm above ``tol_zero``, largest value first."""
+def _supported_levels(lam: np.ndarray, u: np.ndarray, tol_zero: float):
+    """Each string's level, the per-level norms ||P_j u||, and the mask of
+    the levels with norm above ``tol_zero``, of which there must be one."""
     level_of, level_norms = _level_split(lam, u)
     supported = level_norms > tol_zero
     if not supported.any():
         raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
+    return level_of, level_norms, supported
+
+
+def _level_span(lam: np.ndarray, u: np.ndarray, tol_zero: float):
+    """Each string's level, the per-level norms ||P_j u||, and the (N, d)
+    matrix Q whose columns are the unit components P_j u / ||P_j u|| of the
+    levels with norm above ``tol_zero``, largest value first."""
+    level_of, level_norms, supported = _supported_levels(lam, u, tol_zero)
     column = np.cumsum(supported) - 1
     on = supported[level_of]
     q = np.zeros((lam.size, column[-1] + 1), dtype=complex)
@@ -488,22 +607,33 @@ def level_span_generators(
     projector of rank n_j - 1 (supported) or n_j, so h is exactly 0 when
     H_p vanishes off K.
 
+    Both are built from the levels, not from Q: Q^dag H_p Q is
+    diag(lambda_j) over the supported levels, largest first, and Q^dag u
+    is w with w_j = ||P_j u||.  So they are exactly i times a real
+    symmetric matrix for every state, and ``lie_closure`` runs on its two
+    parity classes.  h is taken as m sqrt(sum (lambda / m)**2 ...), m the
+    largest |lambda|, so values whose squares overflow give a finite h.
+
     Their closure can only undercount: both generators are d + 1
     block-diagonal, so every bracket is too and has a zero (d, d) entry,
     and the closure lies in u(d) + span{i E_dd}.  That bounds it at
     d**2 + 1 when h > 0 and at d**2 when h = 0, which is ``predict_dla``.
     """
     lam, u = _level_input(values, amplitudes)
-    level_of, level_norms, q = _level_span(lam, u, tol_zero)
+    level_of, level_norms, supported = _supported_levels(lam, u, tol_zero)
+    level_values = np.empty(level_norms.size)
+    level_values[level_of] = lam
     # each string's share of its level's rank off K
-    off = 1.0 - (level_norms > tol_zero) / np.bincount(level_of)
-    d = q.shape[1]
-    h_p = np.zeros((d + 1, d + 1), dtype=complex)
-    h_p[:d, :d] = q.conj().T @ (lam[:, None] * q)
-    h_p[d, d] = math.sqrt(float(np.sum(lam**2 * off[level_of])))
-    w = q.conj().T @ u
+    off = 1.0 - supported / np.bincount(level_of)
+    top = float(np.max(np.abs(lam)))
+    d = int(np.count_nonzero(supported))
+    h_p = np.zeros((d + 1, d + 1))
+    h_p[:d, :d] = np.diag(level_values[supported])
+    if top > 0.0:
+        h_p[d, d] = top * math.sqrt(float(np.sum((lam / top) ** 2 * off[level_of])))
+    w = level_norms[supported]
     g_m = np.zeros_like(h_p)
-    g_m[:d, :d] = -np.outer(w, w.conj())
+    g_m[:d, :d] = -np.outer(w, w)
     return 1j * h_p, 1j * g_m
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,21 @@ def test_verify_x_mixer(capsys):
     report = json.loads(out)
     assert report["oracle"]["closure"]["dimension"] == 9
     assert report["oracle"]["verdicts"]["dla_dim"]["verdict"] == "not-run"
+
+
+def test_verify_x_mixer_builds_no_dense_basis(capsys):
+    # house closes to 248 elements in two packed real arrays, 496 and 528
+    # floats wide (4.1 MiB at capacity), and verify takes the report alone:
+    # a (1024, 32, 32) complex basis would be 16 MiB on its own
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "house.graph"), "--mixer", "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["oracle"]["closure"]["dimension"] == 248
+    assert peak < 6 * 2**20
 
 
 def test_verify_csv_format(capsys):

@@ -286,6 +286,14 @@ def random_grover_generators(name, seed):
     return [1j * h_p, 1j * g_m]
 
 
+def hop_and_field(n):
+    """A real antisymmetric nearest-neighbour hop and an imaginary staggered
+    field i diag(1, ..., -1): one generator in each parity class."""
+    hop = np.diag(np.ones(n - 1), 1)
+    field = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2))
+    return [(hop - hop.T).astype(complex), 1j * field]
+
+
 REFERENCE_CASES = (
     [pytest.param(uniform_generators(name, "grover"), {}, id=f"{name}-grover") for name in BUNDLED_N32]
     + [
@@ -303,6 +311,8 @@ REFERENCE_CASES = (
         pytest.param(random_grover_generators(name, seed=7), {}, id=f"{name}-grover-random")
         for name in ("house.graph", "c6.graph")
     ]
+    # a real generator and an imaginary one: both parity classes from the start
+    + [pytest.param(hop_and_field(6), {}, id="hop-field-6")]
     # caps that stop the closure inside a round
     + [
         pytest.param(uniform_generators("house.graph", "x"), {"dim_cap": cap}, id=f"house-x-cap{cap}")
@@ -335,6 +345,35 @@ def test_lie_closure_matches_reference(generators, kwargs):
     assert report.hit_cap == ref.hit_cap
     assert span_residual(basis, ref_basis) <= 1e-8
     assert span_residual(ref_basis, basis) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        pytest.param(uniform_generators("house.graph", "x"), id="house-x"),
+        pytest.param(uniform_generators("p3.graph", "grover"), id="p3-grover"),
+        pytest.param(hop_and_field(6), id="hop-field-6"),
+        pytest.param(faint_p3_generators(1e-4), id="p3-faint-all-pairs"),
+    ],
+)
+def test_closure_of_real_and_imaginary_generators_stays_graded(generators):
+    # every generator is exactly real or exactly imaginary, so every bracket
+    # is one or the other, and so is every basis element returned
+    basis, report = lie_closure(generators)
+    assert report.dimension == len(basis) > len(generators)
+    for element in basis:
+        assert not element.real.any() or not element.imag.any()
+
+
+def test_closure_of_generators_whose_squares_overflow():
+    # the closure depends only on directions: a generator is scaled by its
+    # largest entry before its norm, so 1e200 entries close like 1 entries
+    big = lie_closure([1j * np.diag([1e200, 0.0, -1e200]), 1j * np.ones((3, 3))])[1]
+    unit = lie_closure([1j * np.diag([1.0, 0.0, -1.0]), 1j * np.ones((3, 3))])[1]
+    assert big.dimension == unit.dimension == 9
+    uniform = np.full(4, 0.5)
+    assert level_span_dim([3e200, 2e200, 1e200, 1e200], uniform) == 10
+    assert level_span_dim([3.0, 2.0, 1.0, 1.0], uniform) == 10
 
 
 @pytest.mark.parametrize(
@@ -412,8 +451,9 @@ def test_closure_guard_counts_the_second_generators_own_residual(eps, schedule, 
 
 
 def test_all_pairs_rerun_holds_one_basis_array():
-    # N = 64, so one basis array of 4096 elements is 256 MiB; the rerun
-    # reuses the array of the generator run instead of allocating a second
+    # N = 64 and both generators are imaginary, so the basis is two packed
+    # class arrays of 2016 and 2080 rows, 31 and 33 MiB; the rerun reuses
+    # the arrays of the generator run instead of allocating a second pair
     h_p, g_m = gm_generators(bundled_table("c6.graph"), faint_lowest_state("c6.graph", 1e-4))
     tracemalloc.start()
     try:
@@ -422,7 +462,7 @@ def test_all_pairs_rerun_holds_one_basis_array():
     finally:
         tracemalloc.stop()
     assert report.schedule == "all-pairs" and report.dimension == 17
-    assert peak < 320 * 2**20
+    assert peak < 100 * 2**20
 
 
 @pytest.mark.parametrize("name", BUNDLED_N32)
@@ -553,8 +593,8 @@ def test_level_span_closure_can_only_undercount():
     "of a correct closure and reruns it on the all-pairs schedule",
 )
 def test_level_span_closure_of_twelve_levels_stays_on_generator_brackets():
-    # d = 11 closes on generator brackets in 0.02 s; d = 12 reruns all
-    # pairs and takes 0.3-0.8 s, though both closures reach d**2
+    # d = 11 closes on generator brackets in 0.01 s; d = 12 reruns all
+    # pairs and takes 0.05 s, though both closures reach d**2
     _, report = lie_closure(level_span_generators(np.arange(12.0), np.full(12, 12**-0.5)))
     assert report.schedule == "generators"
 
@@ -576,6 +616,26 @@ def test_level_span_generators_are_an_isometry():
     # string off the span
     _, g_one = level_span_generators(table.values, _basis_state(8, 1).amplitudes)
     assert g_one.shape == (2, 2) and g_one[0, 0] == -1j
+
+
+def test_level_span_generators_are_imaginary_for_complex_states():
+    # built from the level values and norms, not from Q^dag u, so a complex
+    # state leaves no round-off real part and the closure stays graded;
+    # they still equal the Q^dag H_p Q and -Q^dag u u^dag Q of the W0 columns
+    table = bundled_table("house.graph")
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        amps = rng.normal(size=table.size) + 1j * rng.normal(size=table.size)
+        amps /= np.linalg.norm(amps)
+        h_span, g_span = level_span_generators(table.values, amps)
+        for g in (h_span, g_span):
+            assert not g.real.any()
+            assert np.array_equal(g.imag, g.imag.T)
+        q = np.column_stack(isotypic_split(table.values, amps)[0])
+        d = q.shape[1]
+        w = q.conj().T @ amps
+        assert np.allclose(h_span[:d, :d], 1j * q.conj().T @ (table.values[:, None] * q), atol=1e-14)
+        assert np.allclose(g_span[:d, :d], -1j * np.outer(w, w.conj()), atol=1e-15)
 
 
 def test_level_span_generators_refuse_bad_inputs():
