@@ -19,19 +19,6 @@ from .core import LevelOverlaps, Spectrum
 
 
 @dataclass(frozen=True)
-class RestrictedGenerators:
-    """Generators restricted to the span of the supported components.
-
-    ``h_p0`` is diag of the supported objective values in descending
-    order; ``g_m0`` is the rank-one matrix -c c^T over the supported
-    coefficients.
-    """
-
-    h_p0: np.ndarray
-    g_m0: np.ndarray
-
-
-@dataclass(frozen=True)
 class DlaPrediction:
     """Predicted Lie-algebra type for the two-generator circuit."""
 
@@ -65,17 +52,6 @@ class LossStatsPrediction:
     loss_variance: float
     l1: float
     l2: float
-
-
-def _supported_values(spectrum: Spectrum, overlaps: LevelOverlaps) -> np.ndarray:
-    return spectrum.values[overlaps.supported_levels]
-
-
-def restricted_generators(spectrum: Spectrum, overlaps: LevelOverlaps) -> RestrictedGenerators:
-    """Restrict the problem Hamiltonian and Grover mixer to the supported span."""
-    lam = _supported_values(spectrum, overlaps)
-    c_sup = overlaps.c[overlaps.supported_levels]
-    return RestrictedGenerators(h_p0=np.diag(lam), g_m0=-np.outer(c_sup, c_sup))
 
 
 def predict_dla(spectrum: Spectrum, overlaps: LevelOverlaps) -> DlaPrediction:
@@ -115,7 +91,7 @@ def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStats
     variance is Var(zeta)/(d+1), where zeta is uniform on the d supported
     objective values.
     """
-    lam = _supported_values(spectrum, overlaps)
+    lam = spectrum.values[overlaps.supported_levels]
     d = overlaps.d
     zeta_mean = float(np.mean(lam))
     zeta_var = float(np.var(lam))

@@ -221,7 +221,8 @@ def lie_closure(
     be finite and in (0, 1): at 0 round-off residuals count as new
     directions, and at 1 or above every candidate is discarded, since a
     unit candidate's residual never exceeds 1.  The generators must be
-    finite.
+    finite and skew-Hermitian relative to their largest entry: divided
+    by it, max |g + g^dag| may not exceed 1e-10.
     """
     packing, classes, report = _closure(generators, tol_indep, dim_cap)
     parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
@@ -296,13 +297,20 @@ def _closure(
     if not mats:
         raise ValueError("need at least one generator")
     dim_space = mats[0].shape[0]
+    tops = []
     for g in mats:
         if g.ndim != 2 or g.shape != (dim_space, dim_space):
             raise ValueError("generators must be square matrices of one size")
         if not np.all(np.isfinite(g)):
             raise ValueError("generators must be finite")
-        if np.max(np.abs(g + g.conj().T)) > _TOL_SKEW:
+        # scaled to a largest entry of 1, so the check is relative: a faint
+        # Hermitian generator is refused, and a huge skew one's round-off
+        # passes without its sum overflowing
+        top = float(np.max(np.abs(g)))
+        unit = g / top if top > 0.0 else g
+        if np.max(np.abs(unit + unit.conj().T)) > _TOL_SKEW:
             raise ValueError("generators must be skew-Hermitian")
+        tops.append(top)
     _check_oracle_size(dim_space)
 
     packing = _Packing(dim_space)
@@ -361,14 +369,14 @@ def _closure(
     def stopped() -> bool:
         return sum(counts) == capacity or (schedule == "generators" and min_accepted < trusted)
 
-    for g in mats:
+    for g, top in zip(mats, tops):
         if sum(counts) == capacity:
             break
         c = int(graded and g.imag.any())
         rep = (g.imag if c else g.real) if graded else g
         # scaled to a largest entry of 1 before its norm is taken, so
-        # entries whose squares overflow close like unit entries
-        top = float(np.max(np.abs(rep)))
+        # entries whose squares overflow close like unit entries; rep
+        # holds all of g's nonzero entries, so g's largest is rep's
         if top > 0.0:
             accept_unit(c, packing.pack(rep / top, kinds[c]), 0.0)
     gens = list(counts)
@@ -478,8 +486,16 @@ def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
     return int(np.count_nonzero(eigs < tol_rank))
 
 
-def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
-    """Objective values and normalized amplitudes as parallel 1-d arrays within the oracle cap."""
+def _levels(values, amplitudes, tol_zero: float):
+    """The one reading of a Grover oracle's input.
+
+    Checks that values and amplitudes are parallel 1-d arrays within the
+    oracle cap, the values finite and the amplitudes of finite nonzero
+    norm, and returns the values, the normalized amplitudes u, each
+    string's level, the norms ||P_j u|| and the mask of the levels with
+    norm above ``tol_zero``, of which there must be one.  Levels are the
+    distinct values, largest first, by exact equality (the oracle's own
+    grouping, independent of ``build_spectrum``)."""
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
@@ -491,17 +507,14 @@ def _level_input(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
         nrm = float(np.linalg.norm(amps))
     if not (math.isfinite(nrm) and nrm > 0.0):
         raise ValueError("amplitudes must have a finite nonzero norm")
-    return lam, amps / nrm
-
-
-def _level_split(values: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Level of every string and the norm ||P_j vec|| of each level; levels
-    are the distinct values, largest first, by exact equality (the oracle's
-    own grouping, independent of ``build_spectrum``)."""
-    uniq, inverse = np.unique(values, return_inverse=True)
+    u = amps / nrm
+    uniq, inverse = np.unique(lam, return_inverse=True)
     level_of = (len(uniq) - 1) - inverse
-    level_norms = np.sqrt(np.bincount(level_of, weights=vec.real**2 + vec.imag**2))
-    return level_of, level_norms
+    level_norms = np.sqrt(np.bincount(level_of, weights=u.real**2 + u.imag**2))
+    supported = level_norms > tol_zero
+    if not supported.any():
+        raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
+    return lam, u, level_of, level_norms, supported
 
 
 def grover_commutant_dimension(
@@ -518,18 +531,18 @@ def grover_commutant_dimension(
     unknowns of level j are scaled by 1 / ||P_j u||, so the rank gap does
     not shrink with a level's amplitude; a level with ||P_j u|| <=
     ``tol_zero`` is unsupported, as in ``decompose_initial_state``, and
-    constrains nothing.  The rank of M is the number of eigenvalues of
-    M M^dag (squared singular values of M) at or above ``tol_rank``.
+    constrains nothing; at least one level must be supported.  The rank
+    of M is the number of eigenvalues of M M^dag (squared singular values
+    of M) at or above ``tol_rank``.
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
     ``tol_rank`` must be finite and > 0.
     """
     _check_tol_rank(tol_rank)
-    lam, u = _level_input(values, amplitudes)
+    lam, u, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
     n = lam.size
-    level_of, level_norms = _level_split(lam, u)
     scale = np.zeros_like(level_norms)
-    np.divide(1.0, level_norms, out=scale, where=level_norms > tol_zero)
+    np.divide(1.0, level_norms, out=scale, where=supported)
     v = u * scale[level_of]
     a, b = np.nonzero(level_of[:, None] == level_of[None, :])
     proj = np.eye(n) - np.outer(u, u.conj())
@@ -546,28 +559,6 @@ def grover_commutant_dimension(
     )
 
 
-def _supported_levels(lam: np.ndarray, u: np.ndarray, tol_zero: float):
-    """Each string's level, the per-level norms ||P_j u||, and the mask of
-    the levels with norm above ``tol_zero``, of which there must be one."""
-    level_of, level_norms = _level_split(lam, u)
-    supported = level_norms > tol_zero
-    if not supported.any():
-        raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
-    return level_of, level_norms, supported
-
-
-def _level_span(lam: np.ndarray, u: np.ndarray, tol_zero: float):
-    """Each string's level, the per-level norms ||P_j u||, and the (N, d)
-    matrix Q whose columns are the unit components P_j u / ||P_j u|| of the
-    levels with norm above ``tol_zero``, largest value first."""
-    level_of, level_norms, supported = _supported_levels(lam, u, tol_zero)
-    column = np.cumsum(supported) - 1
-    on = supported[level_of]
-    q = np.zeros((lam.size, column[-1] + 1), dtype=complex)
-    q[on, column[level_of[on]]] = u[on] / level_norms[level_of[on]]
-    return level_of, level_norms, q
-
-
 def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list, list]:
     """W0 and the invariant lines of the predicted isotypic split of C^N.
 
@@ -576,20 +567,20 @@ def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list
     the identity's columns on its strings, or for a supported level the QR
     factor of [xi_j | identity] without its first column (which spans
     xi_j).  Returns d + (N - d) unit vectors of full length."""
-    lam, u = _level_input(values, amplitudes)
-    level_of, level_norms, q = _level_span(lam, u, tol_zero)
-    lines = []
-    column = 0
+    lam, u, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
+    w0, lines = [], []
     for j, norm in enumerate(level_norms):
         idx = np.flatnonzero(level_of == j)
         block = np.eye(len(idx), dtype=complex)
-        if norm > tol_zero:
-            block = np.linalg.qr(np.column_stack([q[idx, column], block]))[0][:, 1:]
-            column += 1
+        if supported[j]:
+            xi = np.zeros(lam.size, dtype=complex)
+            xi[idx] = u[idx] / norm
+            w0.append(xi)
+            block = np.linalg.qr(np.column_stack([xi[idx], block]))[0][:, 1:]
         full = np.zeros((lam.size, block.shape[1]), dtype=complex)
         full[idx] = block
         lines.extend(full.T)
-    return list(q.T), lines
+    return w0, lines
 
 
 def level_span_generators(
@@ -619,8 +610,7 @@ def level_span_generators(
     and the closure lies in u(d) + span{i E_dd}.  That bounds it at
     d**2 + 1 when h > 0 and at d**2 when h = 0, which is ``predict_dla``.
     """
-    lam, u = _level_input(values, amplitudes)
-    level_of, level_norms, supported = _supported_levels(lam, u, tol_zero)
+    lam, _, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
     level_values = np.empty(level_norms.size)
     level_values[level_of] = lam
     # each string's share of its level's rank off K

@@ -12,13 +12,13 @@ from gmqaoa import (
     decompose_initial_state,
     house_graph,
     isotypic_summary,
+    level_span_generators,
     loss,
     maxcut_objective,
     path_graph,
     predict_commutant,
     predict_dla,
     predict_loss_stats,
-    restricted_generators,
     run_circuit,
     slocal_bound,
     uniform_state,
@@ -34,23 +34,31 @@ def uniform_setup(table):
     return spectrum, overlaps
 
 
+def restricted_pair(table):
+    """(diag lambda_sup, -c c^T) for the uniform state: the leading d x d
+    block of the level-span generators, divided by 1j."""
+    amps = uniform_state(table.n, table.q).amplitudes
+    h_span, g_span = level_span_generators(table.values, amps)
+    d = h_span.shape[0] - 1
+    return (h_span[:d, :d] / 1j).real, (g_span[:d, :d] / 1j).real
+
+
 def test_restricted_generators_p3():
-    spectrum, overlaps = uniform_setup(maxcut_objective(path_graph(3)))
-    gens = restricted_generators(spectrum, overlaps)
-    assert np.allclose(np.diag(gens.h_p0), [2.0, 1.0, 0.0])
-    assert gens.g_m0[0, 1] == pytest.approx(-np.sqrt(8) / 8)
-    assert np.trace(gens.g_m0) == pytest.approx(-1.0, abs=1e-12)
+    table = maxcut_objective(path_graph(3))
+    _, overlaps = uniform_setup(table)
+    h_p0, g_m0 = restricted_pair(table)
+    assert np.allclose(np.diag(h_p0), [2.0, 1.0, 0.0])
+    assert g_m0[0, 1] == pytest.approx(-np.sqrt(8) / 8)
+    assert np.trace(g_m0) == pytest.approx(-1.0, abs=1e-12)
     # rank-one outer product of the coefficient vector
     c = overlaps.c[overlaps.supported_levels]
-    assert np.allclose(gens.g_m0, -np.outer(c, c))
+    assert np.allclose(g_m0, -np.outer(c, c))
 
 
 def test_restricted_generators_single_level():
-    spectrum = build_spectrum(ObjectiveTable(n=1, q=2, values=[3.0, 3.0]))
-    overlaps = decompose_initial_state(uniform_state(1, 2), spectrum)
-    gens = restricted_generators(spectrum, overlaps)
-    assert gens.g_m0.shape == (1, 1)
-    assert gens.g_m0[0, 0] == pytest.approx(-1.0)
+    g_m0 = restricted_pair(ObjectiveTable(n=1, q=2, values=[3.0, 3.0]))[1]
+    assert g_m0.shape == (1, 1)
+    assert g_m0[0, 0] == pytest.approx(-1.0)
 
 
 def test_predict_dla_house():

@@ -21,7 +21,8 @@ from gmqaoa import (
     uniform_overlaps,
     uniform_state,
 )
-from gmqaoa.oracle import _level_split
+from gmqaoa.core import TOL_ZERO
+from gmqaoa.oracle import _levels
 from helpers import random_graph, reference_decomposition
 
 # [0,1,2,1,1,2,1,0]: cut sizes of the 3-vertex path, enumerated by hand
@@ -61,7 +62,8 @@ def assert_grouped_as_sorted(table, counted):
     uniq, counts = np.unique(table.values, return_counts=True)
     assert spectrum.values.view(np.int64).tolist() == uniq[::-1].view(np.int64).tolist()
     assert spectrum.multiplicities.tolist() == counts[::-1].tolist()
-    assert spectrum.level_of.tolist() == _level_split(table.values, np.ones(table.size))[0].tolist()
+    level_of = _levels(table.values, np.ones(table.size), TOL_ZERO)[2]
+    assert spectrum.level_of.tolist() == level_of.tolist()
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,6 @@ from gmqaoa import (
     predict_commutant,
     predict_dla,
     predict_loss_stats,
-    restricted_generators,
     uniform_state,
     x_mixer_generator,
 )
@@ -106,6 +105,18 @@ def test_lie_closure_rejects_non_skew_input():
         lie_closure([np.array([[1j, np.nan], [np.nan, -1j]])])
     with pytest.raises(ValueError, match="finite"):
         lie_closure([np.array([[np.inf * 1j, 0], [0, 0]])])
+
+
+def test_lie_closure_skew_check_is_relative_to_the_largest_entry():
+    # a faint Hermitian generator is refused, not dropped as round-off
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        lie_closure([1e-12 * np.eye(2), 1j * np.diag([1.0, -1.0])])
+    # a huge skew generator whose off-diagonal pair differs by round-off
+    # of its own size is taken, and its sum with its adjoint does not overflow
+    big = 1j * np.diag([1e200, -1e200])
+    big[0, 1], big[1, 0] = 1e185, -1e185 * (1 + 1e-15)
+    _, report = lie_closure([big])
+    assert report.dimension == 1
 
 
 def test_lie_closure_p4_gm():
@@ -681,6 +692,15 @@ def test_grover_commutant_rejects_bad_inputs():
 @pytest.mark.parametrize(
     "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
 )
+def test_level_oracles_refuse_when_no_level_is_supported(entry):
+    # tol_zero above every level norm (each 0.5) leaves no level supported
+    with pytest.raises(ValueError, match="tol_zero"):
+        entry([0.0, 1.0, 2.0, 3.0], [0.5] * 4, tol_zero=2.0)
+
+
+@pytest.mark.parametrize(
+    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
+)
 def test_level_oracles_refuse_amplitudes_whose_squares_overflow(entry):
     # the norm of [1e308, 1e308] overflows to inf: a refusal, not a numpy warning
     with pytest.raises(ValueError, match="finite nonzero norm"):
@@ -800,15 +820,18 @@ def test_extract_units_reports_colliding_differences():
     # equispaced values make the intermediate selectors ambiguous: the
     # difference 1 is attained by several index pairs and the masks keep
     # more than the targeted entry
-    _, _, spectrum, overlaps = p3_setup()
-    gens = restricted_generators(spectrum, overlaps)
-    with pytest.raises(AmbiguousSelectorError):
-        extract_matrix_units(np.diag(gens.h_p0), gens.g_m0)
-    # the closure oracle still confirms the expected algebra dimension
-    _, report = lie_closure(
-        [1j * gens.h_p0.astype(complex), 1j * gens.g_m0.astype(complex)]
+    table, state, _, overlaps = p3_setup()
+    d = overlaps.d
+    # the supported-span pair (diag lambda_sup, -c c^T), the leading
+    # d x d block of the level-span generators
+    h_p0, g_m0 = (
+        (g[:d, :d] / 1j).real for g in level_span_generators(table.values, state.amplitudes)
     )
-    assert report.dimension == overlaps.d**2
+    with pytest.raises(AmbiguousSelectorError):
+        extract_matrix_units(np.diag(h_p0), g_m0)
+    # the closure oracle still confirms the expected algebra dimension
+    _, report = lie_closure([1j * h_p0.astype(complex), 1j * g_m0.astype(complex)])
+    assert report.dimension == d**2
 
 
 def test_closure_confirms_sum_zero_branch():
