@@ -222,7 +222,8 @@ def lie_closure(
     directions, and at 1 or above every candidate is discarded, since a
     unit candidate's residual never exceeds 1.  The generators must be
     finite and skew-Hermitian relative to their largest entry: divided
-    by it, max |g + g^dag| may not exceed 1e-10.
+    by it, max |g + g^dag| may not exceed 1e-10.  They must be square
+    matrices of one size, at least 1x1; other shapes raise ``ValueError``.
     """
     packing, classes, report = _closure(generators, tol_indep, dim_cap)
     parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
@@ -296,11 +297,12 @@ def _closure(
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
-    dim_space = mats[0].shape[0]
+    # the shape is checked before any entry or reduction is read
+    dim_space = mats[0].shape[0] if mats[0].ndim == 2 else 0
+    if dim_space < 1 or any(g.shape != (dim_space, dim_space) for g in mats):
+        raise ValueError("generators must be square matrices of one size, at least 1x1")
     tops = []
     for g in mats:
-        if g.ndim != 2 or g.shape != (dim_space, dim_space):
-            raise ValueError("generators must be square matrices of one size")
         if not np.all(np.isfinite(g)):
             raise ValueError("generators must be finite")
         # scaled to a largest entry of 1, so the check is relative: a faint

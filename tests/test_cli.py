@@ -1,7 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +29,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def write_init(path, amplitudes):
     path.write_text(json.dumps([[float(a.real), float(a.imag)] for a in amplitudes]))
     return str(path)
@@ -37,8 +45,30 @@ def test_analyze_house(capsys):
     assert report["overlaps"]["d"] == 5
     assert report["dla"]["dim"] == 26
     assert report["spectrum"]["r"] == 5
-    assert report["inputs"]["problem_sha256"]
+    assert report["inputs"]["problem_sha256"] == sha256_of(DATA / "house.graph")
     assert report["version"]
+
+
+@pytest.mark.parametrize("size", [0, 64, cli._BUILTIN_SHA256_MAX, cli._BUILTIN_SHA256_MAX + 1])
+def test_sha256_hex_matches_hashlib_on_both_sides_of_the_size_rule(size):
+    data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(cli._builtin_sha256 is None, reason="no built-in SHA-256 in this build")
+def test_verify_loads_no_openssl_hash():
+    # importing hashlib maps OpenSSL's libcrypto (3.6 MiB resident) through _hashlib
+    script = (
+        "import contextlib, io, sys\n"
+        "from gmqaoa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['verify', '--maxcut', {str(DATA / 'p3.graph')!r}])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_analyze_p4(capsys):
@@ -160,7 +190,7 @@ def test_analyze_custom_init_basis_state(tmp_path, capsys):
     report = json.loads(out)
     assert report["overlaps"]["d"] == 1
     assert report["dla"]["dim"] == 2
-    assert report["inputs"]["init_sha256"]
+    assert report["inputs"]["init_sha256"] == sha256_of(init)
 
 
 def test_analyze_complex_init_accepted(tmp_path, capsys):

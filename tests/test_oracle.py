@@ -107,6 +107,14 @@ def test_lie_closure_rejects_non_skew_input():
         lie_closure([np.array([[np.inf * 1j, 0], [0, 0]])])
 
 
+def test_lie_closure_checks_the_shape_before_reading_it():
+    # a 0-d generator has no shape[0], and an empty one no largest entry
+    for generators in ([np.array(1j)], [np.zeros((0, 0))], [np.zeros(2)],
+                       [np.zeros((2, 3))], [1j * np.eye(2), 1j * np.eye(3)]):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            lie_closure(generators)
+
+
 def test_lie_closure_skew_check_is_relative_to_the_largest_entry():
     # a faint Hermitian generator is refused, not dropped as round-off
     with pytest.raises(ValueError, match="skew-Hermitian"):
