@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -28,6 +27,7 @@ from .analytic import isotypic_summary, predict_commutant, predict_dla, predict_
 from .core import (
     TOL_ZERO,
     InitialState,
+    _check_tol_zero,
     build_spectrum,
     decompose_initial_state,
     uniform_overlaps,
@@ -38,6 +38,9 @@ from .oracle import (
     TOL_INDEP,
     TOL_RANK,
     OracleCapError,
+    _check_dim_cap,
+    _check_tol_indep,
+    _check_tol_rank,
     closure_report,
     gm_generators,
     grover_commutant_dimension,
@@ -50,6 +53,7 @@ from .oracle import (
 from .problems import (
     ParseError,
     ValidationError,
+    _check_threshold,
     _local_objective,
     cnf_terms,
     coloring_terms,
@@ -61,7 +65,7 @@ from .problems import (
     parse_graph,
     threshold_transform,
 )
-from .simulator import BETA_MAX, GAMMA_MAX, monte_carlo_stats
+from .simulator import BETA_MAX, GAMMA_MAX, _check_depth, monte_carlo_stats
 
 # CPython's built-in SHA-256: importing hashlib maps OpenSSL's libcrypto,
 # 3.6 MiB of resident memory and about 5 ms, to hash inputs of a few
@@ -134,63 +138,30 @@ _SIMULATE_COLUMNS = _HEAD_COLUMNS + (("depth", "monte_carlo.depth"),) + _MC_COLU
 _SWEEP_COLUMNS = (("p", "monte_carlo.depth"),) + _MC_COLUMNS
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+def _flag(parse, check):
+    """An argparse ``type``: ``parse`` the text, refuse the value through
+    ``check``, the library's one statement of the flag's rule, and report
+    either ``ValueError`` as argparse's error, which names the flag and
+    exits with code 2 before any file is read."""
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def _tolerance(text: str) -> float:
-    value = _float_or_nan(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _positive_tolerance(text: str) -> float:
-    value = _tolerance(text)
-    if value == 0.0:
-        # --tol-indep 0 counts every round-off residual as a new direction,
-        # so the closure is all of u(N); --tol-rank 0 counts no eigenvalue
-        # as null, so the commutant comes out too small
-        raise argparse.ArgumentTypeError("tolerance must be > 0, got 0")
-    return value
-
-
-def _indep_tolerance(text: str) -> float:
-    value = _positive_tolerance(text)
-    if value >= 1.0:
-        # a unit candidate's residual never exceeds 1, so every commutator would be discarded
-        raise argparse.ArgumentTypeError(f"tolerance must be < 1, got {text!r}")
-    return value
+    return convert
 
 
 def _depths(text: str) -> list:
-    try:
-        depths = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        depths = []
-    if not depths or min(depths) < 1:
-        raise argparse.ArgumentTypeError(f"need a comma-separated list of integers >= 1, got {text!r}")
-    return depths
+    return [int(tok) for tok in text.split(",")]
 
 
-def _threshold(text: str) -> float:
-    value = _float_or_nan(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"threshold must be a finite number, got {text!r}")
-    return value
-
-
-def _dim_cap(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"dim cap must be an integer >= 1, got {text!r}")
-    return value
+def _each_depth(depths: list) -> None:
+    for p in depths:
+        _check_depth(p)
 
 
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
@@ -201,11 +172,11 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--table", metavar="FILE", help="JSON objective table {q, n, values}")
     sp.add_argument("--init", default="uniform", metavar="uniform|FILE",
                     help="initial state: 'uniform' or a JSON amplitude file")
-    sp.add_argument("--threshold", type=_threshold, metavar="T",
+    sp.add_argument("--threshold", type=_flag(float, _check_threshold), metavar="T",
                     help="replace the objective by its >= T indicator")
     sp.add_argument("--threshold-strict", action="store_true",
                     help="use > T instead of >= T")
-    sp.add_argument("--tol-zero", type=_tolerance, default=TOL_ZERO)
+    sp.add_argument("--tol-zero", type=_flag(float, _check_tol_zero), default=TOL_ZERO)
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (default json; sweep defaults to csv)")
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -226,14 +197,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=_indep_tolerance, default=TOL_INDEP)
-    verify.add_argument("--tol-rank", type=_positive_tolerance, default=TOL_RANK)
-    verify.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP)
+    verify.add_argument("--tol-indep", type=_flag(float, _check_tol_indep), default=TOL_INDEP)
+    verify.add_argument("--tol-rank", type=_flag(float, _check_tol_rank), default=TOL_RANK)
+    verify.add_argument("--dim-cap", type=_flag(int, _check_dim_cap), default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")
     _add_common_args(simulate)
-    simulate.add_argument("--depth", type=int, default=32)
+    simulate.add_argument("--depth", type=_flag(int, _check_depth), default=32)
     simulate.add_argument("--samples", type=int, default=4096)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -241,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte Carlo statistics across depths")
     _add_common_args(sweep)
-    sweep.add_argument("--depths", type=_depths, metavar="a,b,c", required=True)
+    sweep.add_argument("--depths", type=_flag(_depths, _each_depth), metavar="a,b,c", required=True)
     sweep.add_argument("--samples", type=int, default=4096)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)

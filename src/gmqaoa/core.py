@@ -19,6 +19,7 @@ significant digit.  The built-in builders apply this rule in one place,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -47,11 +48,14 @@ class SizeLimitError(ValueError):
 
 
 def dense_size(n: int, q: int) -> int:
-    """q**n for q >= 2, or SizeLimitError above the dense-table limit.
+    """q**n, or ValueError unless n >= 1 and q >= 2, or SizeLimitError
+    above the dense-table limit: the one size rule of every table and state.
 
-    Since q >= 2, n alone already rules out a too-large table, so a huge n
+    With q >= 2, n alone already rules out a too-large table, so a huge n
     is refused before q**n is formed.
     """
+    if n < 1 or q < 2:
+        raise ValueError(f"need n >= 1 sites and q >= 2 letters, got n = {n}, q = {q}")
     if n >= DENSE_SIZE_LIMIT.bit_length() or q**n > DENSE_SIZE_LIMIT:
         raise SizeLimitError(f"q**n = {q}**{n} exceeds the dense-table limit {DENSE_SIZE_LIMIT}")
     return q**n
@@ -66,10 +70,6 @@ class ObjectiveTable:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("site count n must be at least 1")
-        if self.q < 2:
-            raise ValueError("alphabet size q must be at least 2")
         size = dense_size(self.n, self.q)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (size,):
@@ -213,8 +213,6 @@ def build_spectrum(objective: ObjectiveTable) -> Spectrum:
 
 def uniform_state(n: int, q: int) -> InitialState:
     """Equal-amplitude superposition of all q**n strings."""
-    if n < 1 or q < 2:
-        raise ValueError("need n >= 1 and q >= 2")
     size = dense_size(n, q)
     return InitialState(np.full(size, 1.0 / np.sqrt(size), dtype=complex))
 
@@ -251,12 +249,19 @@ def uniform_overlaps(spectrum: Spectrum, tol_zero: float = TOL_ZERO) -> LevelOve
     return _level_overlaps(np.sqrt(spectrum.multiplicities / spectrum.n_states), tol_zero)
 
 
+def _check_tol_zero(tol_zero: float) -> None:
+    # below 0 a level of weight 0 would count as supported
+    if not (math.isfinite(tol_zero) and tol_zero >= 0.0):
+        raise ValueError(f"tol_zero = {tol_zero!r} is not a finite number >= 0")
+
+
 def _level_overlaps(weights: np.ndarray, tol_zero: float) -> LevelOverlaps:
     """Keep the weights above ``tol_zero`` as the coefficients c_j, or
     refuse when the dropped ones leave sum(c**2) short of 1."""
+    _check_tol_zero(tol_zero)
     coeff = np.where(weights > tol_zero, weights, 0.0)
     kept = float(np.sum(coeff**2))
-    if not kept >= 1.0 - TOL_WEIGHT_SUM:  # also refuses a NaN tol_zero
+    if not kept >= 1.0 - TOL_WEIGHT_SUM:
         dropped = float(np.max(weights[coeff == 0.0]))
         raise ValueError(
             f"tol_zero = {tol_zero!r} drops level weights up to {dropped:.3g}, "

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable
+from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -285,15 +285,25 @@ class _Packing:
         return flat.reshape(-1, self.n, self.n)
 
 
+def _check_tol_indep(tol_indep: float) -> None:
+    # why (0, 1): see lie_closure
+    if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
+        raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
+
+
+def _check_dim_cap(dim_cap: int) -> None:
+    # a bool is an int to Python, but not a count
+    if isinstance(dim_cap, bool) or not isinstance(dim_cap, (int, np.integer)) or dim_cap < 1:
+        raise ValueError(f"dim_cap must be an integer >= 1, got {dim_cap!r}")
+
+
 def _closure(
     generators: Sequence[np.ndarray], tol_indep: float, dim_cap: int
 ) -> Tuple[_Packing, list, ClosureReport]:
     """The routine behind ``lie_closure`` and ``closure_report``: its
     packing, the (kind, packed rows) of each parity class, and the report."""
-    if dim_cap < 1:
-        raise ValueError(f"dim_cap must be at least 1, got {dim_cap}")
-    if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
-        raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
+    _check_dim_cap(dim_cap)
+    _check_tol_indep(tol_indep)
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -498,6 +508,7 @@ def _levels(values, amplitudes, tol_zero: float):
     norm above ``tol_zero``, of which there must be one.  Levels are the
     distinct values, largest first, by exact equality (the oracle's own
     grouping, independent of ``build_spectrum``)."""
+    _check_tol_zero(tol_zero)
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:

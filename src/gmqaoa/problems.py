@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -347,8 +348,6 @@ def coloring_terms(graph: Graph, q: int) -> list:
 
     One q-ary dit per vertex; vertex i is digit i-1 of the string index.
     """
-    if q < 2:
-        raise ValueError("need at least 2 colors")
     dense_size(graph.vertex_count, q)  # before the q x q table: any edge then means q <= 2**10
     same = np.eye(q) if graph.edges else None  # q reaches 2**20 only on one vertex, with no edge
     return [((u - 1, v - 1), same) for u, v in graph.edges]
@@ -381,11 +380,18 @@ def cnf_objective(formula: CnfFormula) -> ObjectiveTable:
     return _local_objective(formula.variable_count, 2, cnf_terms(formula))
 
 
+def _check_threshold(t: float) -> None:
+    # an infinite or NaN threshold marks every string or none of them
+    if not math.isfinite(t):
+        raise ValueError(f"threshold must be a finite number, got {t!r}")
+
+
 def threshold_transform(objective: ObjectiveTable, t: float, strict: bool = False) -> ObjectiveTable:
-    """Two-valued objective marking strings at or above the threshold.
+    """Two-valued objective marking strings at or above the finite threshold.
 
     Non-strict (>= t) by default; ``strict`` switches to > t.
     """
+    _check_threshold(t)
     marked = objective.values > t if strict else objective.values >= t
     return ObjectiveTable(n=objective.n, q=objective.q, values=marked.astype(float))
 

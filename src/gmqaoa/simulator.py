@@ -146,6 +146,12 @@ def _sample_losses(
     return losses
 
 
+def _check_depth(p: int) -> None:
+    # a bool is an int to Python, but not a layer count
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {p!r}")
+
+
 def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McReport:
     """Estimate mean and variance of the loss over random parameters.
 
@@ -173,8 +179,7 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
         raise ValueError(f"weights must satisfy sum(w**2) = 1, got {total!r}")
     if samples < 2:
         raise ValueError("need at least two samples")
-    if p < 1:
-        raise ValueError("depth must be at least 1")
+    _check_depth(p)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     losses = _sample_losses(values, weights, p, samples, seed)

@@ -171,7 +171,7 @@ def test_non_finite_threshold_rejected(capsys, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "threshold must be a finite number" in captured.err
+    assert "argument --threshold:" in captured.err
 
 
 def test_negative_threshold_accepted(capsys):
@@ -731,7 +731,7 @@ def test_bad_tolerance_rejected(capsys, command, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "finite number >= 0" in captured.err
+    assert f"argument {flag.split('=')[0]}:" in captured.err
 
 
 @pytest.mark.parametrize("value", ["-3", "0", "2.5", "abc"])
@@ -741,7 +741,7 @@ def test_bad_dim_cap_rejected(capsys, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "dim cap must be an integer >= 1" in captured.err
+    assert "argument --dim-cap:" in captured.err
 
 
 def test_verify_closure_stops_at_full_algebra(capsys):
@@ -764,7 +764,7 @@ def test_verify_refuses_tol_indep_of_one(capsys, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol-indep" in captured.err and "must be < 1" in captured.err
+    assert "--tol-indep" in captured.err and "in (0, 1)" in captured.err
 
 
 def test_verify_refuses_zero_tol_rank(capsys):
@@ -775,6 +775,36 @@ def test_verify_refuses_zero_tol_rank(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol-rank" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", ("--tol-zero", "-1")),
+        ("verify", ("--tol-indep", "1")),
+        ("verify", ("--tol-rank", "0")),
+        ("verify", ("--dim-cap", "0")),
+        ("analyze", ("--threshold", "nan")),
+        ("simulate", ("--depth", "0")),
+        ("sweep", ("--depths", "1,0")),
+    ],
+)
+def test_each_flag_rule_runs_before_any_file_is_read(tmp_path, capsys, command, flag):
+    # the library's rule refuses the value at parse time, so the missing file is never opened
+    missing = str(tmp_path / "missing.graph")
+    code, out, err = run_cli(capsys, command, "--maxcut", missing, *flag)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag[0]}:" in err
+    assert missing not in err
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    from gmqaoa import __version__
+
+    with open(DATA.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 def _strict_json(text):

@@ -154,11 +154,11 @@ def test_decompose_accepts_complex_phase():
 
 
 def test_decompose_refuses_nan_coefficients():
-    # a NaN tolerance supports no level, so the coefficients cannot sum to one
+    # a NaN tolerance would support no level, so the tol_zero rule refuses it
     spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
     amp = np.zeros(8, dtype=complex)
     amp[5] = 1.0
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sum"):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="tol_zero"):
         decompose_initial_state(InitialState(amp), spectrum, tol_zero=float("nan"))
 
 
@@ -270,7 +270,11 @@ def test_uniform_overlaps_of_p3_are_exact():
 
 @pytest.mark.parametrize(
     "tol_zero, message",
-    [(0.3, r"tol_zero = 0.3 drops level weights up to 0.25, so .* = 0.937"), (float("nan"), "tol_zero = nan")],
+    [
+        (0.3, r"tol_zero = 0.3 drops level weights up to 0.25, so .* = 0.937"),
+        (float("nan"), "tol_zero = nan"),
+        (-1.0, "tol_zero = -1.0"),
+    ],
 )
 def test_uniform_overlaps_share_the_tol_zero_rule(tol_zero, message):
     # house's cut-0 level weighs sqrt(2/32) = 0.25

@@ -160,7 +160,7 @@ def test_lie_closure_never_exceeds_dim_cap():
     assert report.dimension == 1
     assert report.hit_cap
     assert report.rounds == 0
-    for bad in (0, -3):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="dim_cap"):
             lie_closure(gens, dim_cap=bad)
 
@@ -704,6 +704,18 @@ def test_level_oracles_refuse_when_no_level_is_supported(entry):
     # tol_zero above every level norm (each 0.5) leaves no level supported
     with pytest.raises(ValueError, match="tol_zero"):
         entry([0.0, 1.0, 2.0, 3.0], [0.5] * 4, tol_zero=2.0)
+
+
+@pytest.mark.parametrize("tol_zero", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
+)
+def test_level_oracles_refuse_tol_zero_outside_its_rule(entry, tol_zero):
+    # below 0 the zero-weight levels 1 and 2 would count as supported: the solver
+    # would divide by their norm 0, the split give NaN W0 vectors and the pair d = 3
+    amps = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="tol_zero"):
+        entry([0.0, 1.0, 1.0, 2.0], amps, tol_zero=tol_zero)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gmqaoa import (
     CnfFormula,
     Graph,
+    ObjectiveTable,
     ParseError,
     SizeLimitError,
     ValidationError,
@@ -239,6 +240,13 @@ def test_threshold_transform():
     assert np.all(strict.values == 0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_threshold_transform_refuses_non_finite_thresholds(t):
+    # nan and inf would mark no string and -inf every one
+    with pytest.raises(ValueError, match="threshold"):
+        threshold_transform(maxcut_objective(path_graph(3)), t)
+
+
 def test_threshold_objective_has_five_dimensional_algebra():
     # a two-valued objective yields d = 2 under uniform init; here the
     # marked level holds two strings, so the center is two-dimensional
@@ -426,6 +434,22 @@ def test_local_spectrum_refuses_a_plan_wider_than_the_table():
     # spans all n sites and a degree axis longer than one
     for n in (3, 4, 8, 20):
         assert local_spectrum(n, 2, maxcut_terms(complete_graph(n))) is None
+
+
+@pytest.mark.parametrize("n, q", [(0, 2), (3, 1), (2, 0)])
+def test_local_spectrum_refuses_sizes_like_the_dense_table(n, q):
+    # elimination would count one level, or none, where the dense table is refused;
+    # the table, the uniform state and the coloring terms share the one rule
+    for build in (local_spectrum, _local_objective):
+        with pytest.raises(ValueError, match="q >= 2"):
+            build(n, q, [])
+    with pytest.raises(ValueError, match="q >= 2"):
+        uniform_state(n, q)
+    with pytest.raises(ValueError, match="q >= 2"):
+        ObjectiveTable(n=n, q=q, values=[0.0])
+    if n >= 1:
+        with pytest.raises(ValueError, match="q >= 2"):
+            coloring_terms(Graph(n, ()), q)
 
 
 def test_local_spectrum_refuses_bad_terms():

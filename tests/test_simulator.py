@@ -228,6 +228,9 @@ def test_monte_carlo_validation():
         monte_carlo_stats(*levels, p=4, samples=1, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_stats(*levels, p=0, samples=8, seed=0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="depth"):
+            monte_carlo_stats(*levels, p=bad, samples=8, seed=0)
 
 
 def test_depth_sweep_converges_to_analytic_variance():
