@@ -27,6 +27,7 @@ from .analytic import isotypic_summary, predict_commutant, predict_dla, predict_
 from .core import (
     TOL_ZERO,
     InitialState,
+    _check_letters,
     _check_tol_zero,
     build_spectrum,
     decompose_initial_state,
@@ -44,7 +45,7 @@ from .oracle import (
     closure_report,
     gm_generators,
     grover_commutant_dimension,
-    invariant_subspace_residual,
+    isotypic_residuals,
     isotypic_split,
     level_span_generators,
     traceless_part,
@@ -65,7 +66,7 @@ from .problems import (
     parse_graph,
     threshold_transform,
 )
-from .simulator import BETA_MAX, GAMMA_MAX, _check_depth, monte_carlo_stats
+from .simulator import BETA_MAX, GAMMA_MAX, _check_depth, _check_samples, _check_seed, monte_carlo_stats
 
 # CPython's built-in SHA-256: importing hashlib maps OpenSSL's libcrypto,
 # 3.6 MiB of resident memory and about 5 ms, to hash inputs of a few
@@ -83,14 +84,15 @@ except ImportError:
 #: byte than OpenSSL's, so at 1 MiB its extra cost matches libcrypto's load.
 _BUILTIN_SHA256_MAX = 1 << 20
 
-#: Residual bound for the invariant-subspace verdicts.
+#: Bound on the isotypic verdict's frame, W0 and line residuals.
 TOL_INVARIANT = 1e-8
 
 _THREADS_HELP = "accepted and ignored: the Monte Carlo always runs in one thread"
 
 
 def _levels_cell(report: dict) -> str:
-    return "|".join(f"{lv['value']:g}:{lv['multiplicity']}" for lv in report["spectrum"]["levels"])
+    # .17g round-trips every float and keeps integer values integral
+    return "|".join(f"{lv['value']:.17g}:{lv['multiplicity']}" for lv in report["spectrum"]["levels"])
 
 
 # CSV column maps: (column, dotted path into the JSON report, or a function
@@ -116,8 +118,9 @@ _ANALYZE_COLUMNS = _HEAD_COLUMNS + (
 _VERIFY_COLUMNS = _ANALYZE_COLUMNS + (
     ("mixer", "oracle.mixer"), ("closure_dim", "oracle.closure.dimension"),
     ("closure_rounds", "oracle.closure.rounds"), ("closure_hit_cap", "oracle.closure.hit_cap"),
-    ("oracle_commutant_dim", "oracle.commutant_dim"), ("w0_residual", "oracle.w0_residual"),
-    ("complement_line_residual", "oracle.complement_line_residual"),
+    ("oracle_commutant_dim", "oracle.verdicts.commutant_dim.observed"),
+    ("w0_residual", "oracle.verdicts.isotypic.w0_residual"),
+    ("complement_line_residual", "oracle.verdicts.isotypic.line_residual"),
     ("verdict_dla_dim", "oracle.verdicts.dla_dim.verdict"),
     ("verdict_commutant", "oracle.verdicts.commutant_dim.verdict"),
     ("verdict_isotypic", "oracle.verdicts.isotypic.verdict"),
@@ -168,7 +171,8 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--maxcut", metavar="FILE", help="edge-list graph file, MaxCut objective")
     sp.add_argument("--cnf", metavar="FILE", help="DIMACS cnf file, violated-clause objective")
     sp.add_argument("--coloring", metavar="FILE", help="edge-list graph file, coloring-violation objective")
-    sp.add_argument("--colors", type=int, metavar="Q", help="alphabet size for --coloring")
+    sp.add_argument("--colors", type=_flag(int, _check_letters), metavar="Q",
+                    help="alphabet size for --coloring")
     sp.add_argument("--table", metavar="FILE", help="JSON objective table {q, n, values}")
     sp.add_argument("--init", default="uniform", metavar="uniform|FILE",
                     help="initial state: 'uniform' or a JSON amplitude file")
@@ -205,16 +209,16 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")
     _add_common_args(simulate)
     simulate.add_argument("--depth", type=_flag(int, _check_depth), default=32)
-    simulate.add_argument("--samples", type=int, default=4096)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--samples", type=_flag(int, _check_samples), default=4096)
+    simulate.add_argument("--seed", type=_flag(int, _check_seed), default=0)
     simulate.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     simulate.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo statistics across depths")
     _add_common_args(sweep)
     sweep.add_argument("--depths", type=_flag(_depths, _each_depth), metavar="a,b,c", required=True)
-    sweep.add_argument("--samples", type=int, default=4096)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--samples", type=_flag(int, _check_samples), default=4096)
+    sweep.add_argument("--seed", type=_flag(int, _check_seed), default=0)
     sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sweep.set_defaults(func=cmd_sweep, format="csv")
     return parser
@@ -446,7 +450,7 @@ def cmd_verify(args):
         generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
     closure = closure_report(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
 
-    oracle = {"mixer": args.mixer, "closure": {**asdict(closure), "tol_indep": args.tol_indep}}
+    oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
         commutant = grover_commutant_dimension(
@@ -456,18 +460,10 @@ def cmd_verify(args):
         # under its generators, taken at unit norm
         units = [g / np.linalg.norm(g) for g in gm_generators(table, state) if np.any(g)]
         w0, lines = isotypic_split(table.values, state.amplitudes, tol_zero=args.tol_zero)
-        w0_residual = invariant_subspace_residual(units, w0)
-        line_residual = 0.0
-        for line in lines:
-            line_residual = max(line_residual, invariant_subspace_residual(units, [line]))
-        oracle.update(
-            commutant_dim=commutant.dimension,
-            commutant_margin={"max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull},
-            tol_rank=args.tol_rank,
-            w0_residual=w0_residual,
-            complement_line_residual=line_residual,
-            tol_invariant=TOL_INVARIANT,
-        )
+        split = isotypic_residuals(units, w0, lines)
+        oracle["commutant_margin"] = {
+            "max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull
+        }
         if closure.hit_cap:
             dla_verdict = {
                 "predicted": report["dla"]["dim"],
@@ -477,13 +473,20 @@ def cmd_verify(args):
             }
         else:
             dla_verdict = _verdict(report["dla"]["dim"], closure.dimension)
-        invariant_ok = w0_residual < TOL_INVARIANT and line_residual < TOL_INVARIANT
+        observed = {"irreducible_dim": len(w0), "invariant_lines": len(lines)}
+        residuals = (split.frame_residual, split.w0_residual, split.line_residual)
+        # a unitary frame of the predicted shape, with W0 and each line invariant
+        invariant_ok = (split.square and observed == report["isotypic"]
+                        and all(r < TOL_INVARIANT for r in residuals))
         verdicts = {
             "dla_dim": dla_verdict,
             "commutant_dim": _verdict(report["commutant"]["dim"], commutant.dimension),
             "isotypic": {
-                "w0_residual": w0_residual,
-                "line_residual": line_residual,
+                "predicted": dict(report["isotypic"]),
+                "observed": observed,
+                "frame_residual": split.frame_residual,
+                "w0_residual": split.w0_residual,
+                "line_residual": split.line_residual,
                 "tolerance": TOL_INVARIANT,
                 "verdict": "match" if invariant_ok else "mismatch",
             },

@@ -47,6 +47,11 @@ class SizeLimitError(ValueError):
     """q**n exceeds the dense-table limit."""
 
 
+def _check_letters(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"need q >= 2 letters, got q = {q}")
+
+
 def dense_size(n: int, q: int) -> int:
     """q**n, or ValueError unless n >= 1 and q >= 2, or SizeLimitError
     above the dense-table limit: the one size rule of every table and state.
@@ -54,11 +59,25 @@ def dense_size(n: int, q: int) -> int:
     With q >= 2, n alone already rules out a too-large table, so a huge n
     is refused before q**n is formed.
     """
-    if n < 1 or q < 2:
+    if n < 1:
         raise ValueError(f"need n >= 1 sites and q >= 2 letters, got n = {n}, q = {q}")
+    _check_letters(q)
     if n >= DENSE_SIZE_LIMIT.bit_length() or q**n > DENSE_SIZE_LIMIT:
         raise SizeLimitError(f"q**n = {q}**{n} exceeds the dense-table limit {DENSE_SIZE_LIMIT}")
     return q**n
+
+
+def _check_values(values: np.ndarray) -> None:
+    # min and max need no |F| temporary; NaN fails both comparisons
+    if not (values.min() >= -MAX_ABS_OBJECTIVE and values.max() <= MAX_ABS_OBJECTIVE):
+        raise ValueError(f"objective values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}")
+
+
+def _check_weight_sum(c: np.ndarray) -> None:
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
+        total = float(np.sum(c**2))
+    if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses NaN and infinite weights
+        raise ValueError(f"coefficients must satisfy sum(c**2) = 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +93,7 @@ class ObjectiveTable:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (size,):
             raise ValueError(f"values must have length q**n = {size}, got {vals.shape}")
-        # min and max need no |F| temporary; NaN fails both comparisons
-        if not (vals.min() >= -MAX_ABS_OBJECTIVE and vals.max() <= MAX_ABS_OBJECTIVE):
-            raise ValueError(
-                f"objective values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}"
-            )
+        _check_values(vals)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -158,10 +173,7 @@ class LevelOverlaps:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
-            total = float(np.sum(c**2))
-        if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses a NaN norm
-            raise ValueError(f"coefficients must satisfy sum(c**2) = 1, got {total!r}")
+        _check_weight_sum(c)
         object.__setattr__(self, "c", c)
 
     @property

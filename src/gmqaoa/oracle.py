@@ -1,8 +1,8 @@
 """Brute-force numerical verification of the structure predictions.
 
-Lie closures from generators, commutant dimensions, invariant-subspace
-residuals, and the constructive extraction of matrix units from a
-diagonal/frame generator pair.
+Lie closures from generators, commutant dimensions, the residuals of
+the isotypic split, and the constructive extraction of matrix units
+from a diagonal/frame generator pair.
 
 Dimension conventions, since mixing them is the classic bug here: the
 Lie closure works over the REAL span of skew-Hermitian matrices and
@@ -33,7 +33,6 @@ TOL_INDEP = 1e-9
 TOL_RANK = 1e-8
 
 _TOL_SKEW = 1e-10
-_TOL_ORTH = 1e-8
 
 #: Commutators of unit-norm elements below this are round-off noise, not
 #: new directions; normalizing them would amplify noise into fake dimensions.
@@ -100,6 +99,17 @@ class CommutantReport:
     dimension: int
     max_null: Optional[float]
     min_nonnull: Optional[float]
+
+
+@dataclass(frozen=True)
+class IsotypicReport:
+    """Residuals of ``isotypic_residuals``; its frame F is unitary when
+    ``square`` and ``frame_residual``, max |F^dag F - I|, is 0."""
+
+    w0_residual: float
+    line_residual: float
+    frame_residual: float
+    square: bool
 
 
 def _check_oracle_size(n: int) -> None:
@@ -640,21 +650,26 @@ def level_span_generators(
     return 1j * h_p, 1j * g_m
 
 
-def invariant_subspace_residual(basis, subspace: Sequence[np.ndarray]) -> float:
-    """Largest norm of the part of B v falling outside the subspace,
-    over basis elements B of a (k, N, N) array-like and subspace basis
-    vectors v."""
+def isotypic_residuals(basis, w0: Sequence[np.ndarray], lines: Sequence[np.ndarray]) -> IsotypicReport:
+    """How far a split of C^N into W0 and lines is from an invariant
+    unitary frame F = [W0 | lines], over the elements B of a (k, N, N)
+    array-like.  The residuals are the column norms of B F - F D, D the
+    part of F^dag B F on W0's block and on the lines' diagonal: ||B w -
+    W0 W0^dag B w|| on W0 and ||B v - v v^dag B v|| on a line when F is
+    unitary.  An empty part has residual 0."""
     elements = _basis_array(basis)
-    cols = [np.asarray(v, dtype=complex).ravel() for v in subspace]
-    if not cols:
-        raise ValueError("subspace must contain at least one vector")
-    v = np.column_stack(cols)
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(v.shape[1]))) > _TOL_ORTH:
-        raise ValueError("subspace vectors must be orthonormal")
-    w = elements @ v
-    outside = w - v @ (v.conj().T @ w)
-    return float(np.max(np.linalg.norm(outside, axis=1)))
+    frame = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in (*w0, *lines)])
+    n, m = frame.shape
+    keep = np.eye(m, dtype=bool)
+    keep[: len(w0), : len(w0)] = True
+    image = elements @ frame
+    outside = np.linalg.norm(image - frame @ np.where(keep, frame.conj().T @ image, 0.0), axis=1)
+    return IsotypicReport(
+        w0_residual=float(np.max(outside[:, : len(w0)], initial=0.0)),
+        line_residual=float(np.max(outside[:, len(w0) :], initial=0.0)),
+        frame_residual=float(np.max(np.abs(frame.conj().T @ frame - np.eye(m)))),
+        square=m == n,
+    )
 
 
 def frame_condition(a: np.ndarray) -> bool:

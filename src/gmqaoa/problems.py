@@ -442,7 +442,9 @@ def parse_cnf(text: str) -> CnfFormula:
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line == "%":
+        if line == "%":  # SATLIB's end of clause data; a stray "0" may follow
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if nvars is not None:

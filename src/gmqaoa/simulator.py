@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ABS_OBJECTIVE, TOL_WEIGHT_SUM, InitialState, ObjectiveTable, SizeLimitError
+from .core import InitialState, ObjectiveTable, SizeLimitError, _check_values, _check_weight_sum
 
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
@@ -152,15 +152,26 @@ def _check_depth(p: int) -> None:
         raise ValueError(f"depth must be an integer >= 1, got {p!r}")
 
 
+def _check_samples(samples: int) -> None:
+    # the variance is unbiased, so it needs two samples; a bool is not a count
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McReport:
     """Estimate mean and variance of the loss over random parameters.
 
     ``values`` and ``weights`` are the supported levels' objective values
     lambda_j and weights ||P_j xi||, in spectrum order: the nonzero
     entries of ``LevelOverlaps.c`` and the matching ``Spectrum.values``;
-    the values must lie within ``MAX_ABS_OBJECTIVE``, as an objective
-    table's do, and the weights satisfy sum(w**2) = 1 to within
-    ``TOL_WEIGHT_SUM``, as a level decomposition's do.
+    the values and weights are refused by the rules of an objective
+    table's values (|F| <= ``MAX_ABS_OBJECTIVE``) and of a level
+    decomposition's weights (sum(w**2) = 1 to within ``TOL_WEIGHT_SUM``).
     The angles come from one ``PCG64(seed)`` stream for a ``seed`` in
     [0, 2**64), and the reductions run over the sample-ordered array, so
     the report is a pure function of the arguments.  The variance is the
@@ -171,17 +182,11 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
         raise ValueError("values and weights must be parallel non-empty 1-d arrays")
-    if not np.all(np.abs(values) <= MAX_ABS_OBJECTIVE):  # also refuses NaN
-        raise ValueError(f"values must all be finite with |F| <= {MAX_ABS_OBJECTIVE:g}")
-    with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
-        total = float(np.sum(weights**2))
-    if not abs(total - 1.0) <= TOL_WEIGHT_SUM:  # also refuses NaN and infinite weights
-        raise ValueError(f"weights must satisfy sum(w**2) = 1, got {total!r}")
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    _check_values(values)
+    _check_weight_sum(weights)
+    _check_samples(samples)
     _check_depth(p)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     losses = _sample_losses(values, weights, p, samples, seed)
     mean = float(np.mean(losses))
     variance = float(np.var(losses, ddof=1))

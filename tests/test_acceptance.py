@@ -23,7 +23,7 @@ from gmqaoa import (
     gm_generators,
     grover_mixer_identity_check,
     house_graph,
-    invariant_subspace_residual,
+    isotypic_residuals,
     isotypic_split,
     lie_closure,
     maxcut_objective,
@@ -162,11 +162,11 @@ def test_criterion_04_isotypic_invariance(gm_closures):
         d = inst["overlaps"].d
         w0, lines = isotypic_split(inst["table"].values, inst["state"].amplitudes)
         assert len(w0) == d, name
-        w0_residual = invariant_subspace_residual(inst["basis"], w0)
-        assert w0_residual < bound, name
         assert len(lines) == inst["spectrum"].n_states - d
-        for line in lines:
-            assert invariant_subspace_residual(inst["basis"], [line]) < bound, name
+        split = isotypic_residuals(inst["basis"], w0, lines)
+        assert split.square, name
+        for residual in (split.frame_residual, split.w0_residual, split.line_residual):
+            assert residual < bound, name
     print(f"\nA4 isotypic-invariance: PASS residuals < {bound:g} "
           f"({time.time() - start:.1f}s)")
 

@@ -100,6 +100,15 @@ def test_analyze_csv_format(capsys):
     assert record["commutant_dim"] == "12"
 
 
+def test_csv_levels_cell_keeps_every_digit(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"q": 2, "n": 1, "values": [1000000, 1000001]}))
+    code, out, _ = run_cli(capsys, "analyze", "--table", str(table), "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["levels"] == "1000001:1|1000000:1"
+
+
 def test_analyze_malformed_graph(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("3 two\n1 2\n")
@@ -302,20 +311,25 @@ def test_verify_p3(capsys):
     assert oracle["closure"]["dimension"] == 10
     # each of the 10 elements commuted with the 2 generators; the CSV leaves the count out
     assert oracle["closure"]["candidates"] == 20
-    assert oracle["commutant_dim"] == 12
     verdicts = oracle["verdicts"]
+    assert verdicts["commutant_dim"]["observed"] == 12
     assert verdicts["dla_dim"]["verdict"] == "match"
     assert verdicts["commutant_dim"]["verdict"] == "match"
     assert verdicts["isotypic"]["verdict"] == "match"
+    # the oracle section restates no number its verdicts or the config hold
+    restated = {"commutant_dim", "tol_rank", "w0_residual", "complement_line_residual", "tol_invariant"}
+    assert not restated & oracle.keys()
+    assert "tol_indep" not in oracle["closure"]
 
 
 def test_verify_c6(capsys):
     code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "c6.graph"))
     assert code == 0
-    oracle = json.loads(out)["oracle"]
-    assert oracle["commutant_dim"] == 1685
+    report = json.loads(out)
+    oracle = report["oracle"]
+    assert oracle["verdicts"]["commutant_dim"]["observed"] == 1685
     margin = oracle["commutant_margin"]
-    assert margin["max_null"] < oracle["tol_rank"] < margin["min_nonnull"]
+    assert margin["max_null"] < report["config"]["tolerances"]["tol_rank"] < margin["min_nonnull"]
     assert all(v["verdict"] == "match" for v in oracle["verdicts"].values())
 
 
@@ -392,7 +406,7 @@ def test_verify_faint_supported_level(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["overlaps"]["d"] == 3
-    assert report["oracle"]["commutant_dim"] == report["commutant"]["dim"] == 12
+    assert report["oracle"]["verdicts"]["commutant_dim"]["observed"] == report["commutant"]["dim"] == 12
     assert all(v["verdict"] == "match" for v in report["oracle"]["verdicts"].values())
     # above --tol-zero the level is unsupported for the solver as for the prediction
     _, out, _ = run_cli(
@@ -401,7 +415,7 @@ def test_verify_faint_supported_level(tmp_path, capsys):
     )
     report = json.loads(out)
     assert report["overlaps"]["d"] == 2
-    assert report["oracle"]["commutant_dim"] == report["commutant"]["dim"] == 15
+    assert report["oracle"]["verdicts"]["commutant_dim"]["observed"] == report["commutant"]["dim"] == 15
     assert report["oracle"]["verdicts"]["commutant_dim"]["verdict"] == "match"
 
 
@@ -448,8 +462,8 @@ def test_verify_dim_cap_keeps_isotypic_residuals(capsys):
         reports.append(json.loads(out)["oracle"])
     full, capped = reports
     assert capped["closure"]["hit_cap"] and capped["closure"]["dimension"] == 3
-    for key in ("w0_residual", "complement_line_residual"):
-        assert capped[key] == full[key] < 1e-8
+    for key in ("frame_residual", "w0_residual", "line_residual"):
+        assert capped["verdicts"]["isotypic"][key] == full["verdicts"]["isotypic"][key] < 1e-8
 
 
 def test_verify_x_mixer(capsys):
@@ -510,6 +524,43 @@ def test_verify_isotypic_mismatch_exits_one(capsys, monkeypatch):
     isotypic = json.loads(out)["oracle"]["verdicts"]["isotypic"]
     assert isotypic["verdict"] == "mismatch"
     assert isotypic["w0_residual"] > 0.1 and isotypic["line_residual"] > 0.1
+
+
+def _one_line(w0, lines):
+    return w0, lines[:1]
+
+
+def _copies_of_one_line(w0, lines):
+    return w0, [lines[0]] * len(lines)
+
+
+def _skewed_lines(w0, lines):
+    # two unit lines of one level: each still invariant, but no longer orthogonal
+    return w0, [lines[0], (lines[0] + lines[1]) / np.sqrt(2), *lines[2:]]
+
+
+@pytest.mark.parametrize("broken", [_one_line, _copies_of_one_line, _skewed_lines])
+def test_verify_isotypic_refuses_a_split_of_the_wrong_shape(capsys, monkeypatch, broken):
+    # every line of these splits is invariant, so only the frame and count checks see them
+    split = cli.isotypic_split
+    monkeypatch.setattr(cli, "isotypic_split", lambda *a, **k: broken(*split(*a, **k)))
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--maxcut", str(DATA / "house.graph"), "--format", fmt
+        )
+        assert code == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["verdict_isotypic"] == "mismatch"
+    _, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "house.graph"))
+    isotypic = json.loads(out)["oracle"]["verdicts"]["isotypic"]
+    assert isotypic["verdict"] == "mismatch"
+    assert isotypic["predicted"] == {"irreducible_dim": 5, "invariant_lines": 27}
+    assert isotypic["w0_residual"] < 1e-8 and isotypic["line_residual"] < 1e-8
+    if broken is _one_line:
+        assert isotypic["observed"] == {"irreducible_dim": 5, "invariant_lines": 1}
+    else:
+        assert isotypic["observed"] == isotypic["predicted"]
+        assert isotypic["frame_residual"] > 0.5
 
 
 def test_verify_dim_cap_marks_dla_not_run(capsys):
@@ -787,6 +838,11 @@ def test_verify_refuses_zero_tol_rank(capsys):
         ("analyze", ("--threshold", "nan")),
         ("simulate", ("--depth", "0")),
         ("sweep", ("--depths", "1,0")),
+        ("simulate", ("--samples", "1")),
+        ("sweep", ("--samples", "1")),
+        ("simulate", ("--seed", "-1")),
+        ("sweep", ("--seed", str(1 << 64))),
+        ("analyze", ("--colors", "1")),
     ],
 )
 def test_each_flag_rule_runs_before_any_file_is_read(tmp_path, capsys, command, flag):
@@ -865,7 +921,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.2.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.3.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -882,7 +938,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.2.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.3.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

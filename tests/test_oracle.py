@@ -20,7 +20,7 @@ from gmqaoa import (
     gm_generators,
     grover_commutant_dimension,
     house_graph,
-    invariant_subspace_residual,
+    isotypic_residuals,
     isotypic_split,
     level_span_generators,
     lie_closure,
@@ -738,34 +738,79 @@ def test_commutant_solvers_refuse_bad_tol_rank(tol):
         commutant_dimension([1j * np.diag([0.0, 1.0, 1.0, 2.0])], tol_rank=tol)
 
 
-def test_invariant_subspace_residual():
+def test_isotypic_residuals():
     table, state, spectrum, overlaps = p3_setup()
     h_p, g_m = gm_generators(table, state)
     basis, _ = lie_closure([1j * h_p, 1j * g_m])
 
     full = [np.eye(8, dtype=complex)[:, k] for k in range(8)]
-    assert invariant_subspace_residual(basis, full) == 0.0
+    whole = isotypic_residuals(basis, full, [])
+    assert (whole.w0_residual, whole.line_residual, whole.frame_residual, whole.square) == (
+        0.0, 0.0, 0.0, True
+    )
 
-    w0, _ = isotypic_split(table.values, state.amplitudes)
-    assert invariant_subspace_residual(basis, w0) < 1e-9
+    w0, lines = isotypic_split(table.values, state.amplitudes)
+    split = isotypic_residuals(basis, w0, lines)
+    assert split.square
+    assert max(split.w0_residual, split.line_residual, split.frame_residual) < 1e-9
+    # W0 alone: orthonormal columns, but not a square frame
+    alone = isotypic_residuals(basis, w0, [])
+    assert alone.w0_residual < 1e-9 and alone.frame_residual < 1e-12
+    assert alone.line_residual == 0.0 and not alone.square
 
     rng = np.random.default_rng(3)
     line = rng.normal(size=8) + 1j * rng.normal(size=8)
     line /= np.linalg.norm(line)
-    assert invariant_subspace_residual(basis, [line]) > 0.1
+    assert isotypic_residuals(basis, [], [line]).line_residual > 0.1
+    assert isotypic_residuals(basis, [line], []).w0_residual > 0.1
 
-    with pytest.raises(ValueError, match="orthonormal"):
-        invariant_subspace_residual(basis, [full[0], full[0]])
+    # a frame that is not orthonormal is reported, not refused
+    assert isotypic_residuals(basis, [full[0]], [full[0]]).frame_residual == 1.0
+
+
+def test_isotypic_residuals_match_one_subspace_at_a_time():
+    # each column's residual is that of W0, or of its own line, taken alone
+    table = bundled_table("house.graph")
+    state = _random_complex_state(32, 11)
+    units = [g / np.linalg.norm(g) for g in gm_generators(table, state)]
+    w0, lines = isotypic_split(table.values, state.amplitudes)
+    q = np.column_stack(w0)
+    image = np.asarray(units) @ q
+    expected_w0 = np.max(np.linalg.norm(image - q @ (q.conj().T @ image), axis=1))
+    expected_line = max(
+        np.linalg.norm(u @ v - v * np.vdot(v, u @ v)) for u in units for v in lines
+    )
+    split = isotypic_residuals(units, w0, lines)
+    assert split.w0_residual == pytest.approx(expected_w0, abs=1e-15)
+    assert split.line_residual == pytest.approx(expected_line, abs=1e-15)
+    # a broken line shows in the line residual, not in W0's
+    skew = lines[0] + 0.5 * w0[0]
+    broken = isotypic_residuals(units, w0, [skew / np.linalg.norm(skew), *lines[1:]])
+    assert broken.w0_residual == pytest.approx(split.w0_residual, abs=1e-15)
+    assert broken.line_residual > 0.1 and broken.frame_residual > 0.1
+
+
+def test_isotypic_residuals_refuse_malformed_shapes():
+    w0, lines = isotypic_split([0.0, 1.0, 1.0, 2.0], np.full(4, 0.5))
+    basis = [1j * np.diag([0.0, 1.0, 1.0, 2.0])]
+    with pytest.raises(ValueError):
+        isotypic_residuals(basis, [], [])
+    with pytest.raises(ValueError):
+        isotypic_residuals(basis, w0, [np.ones(3)])
+    with pytest.raises(ValueError):
+        isotypic_residuals([1j * np.eye(3)], w0, lines)
+    with pytest.raises(ValueError, match="square matrices"):
+        isotypic_residuals(np.zeros((1, 4, 3)), w0, lines)
 
 
 def test_oracles_accept_matrix_lists_and_refuse_empty_bases():
     table, state, _, _ = p3_setup()
     h_p, g_m = gm_generators(table, state)
     basis, _ = lie_closure([1j * h_p, 1j * g_m])
-    w0, _ = isotypic_split(table.values, state.amplitudes)
-    assert invariant_subspace_residual(list(basis), w0) == invariant_subspace_residual(basis, w0)
+    w0, lines = isotypic_split(table.values, state.amplitudes)
+    assert isotypic_residuals(list(basis), w0, lines) == isotypic_residuals(basis, w0, lines)
     with pytest.raises(ValueError, match="at least one basis element"):
-        invariant_subspace_residual([], w0)
+        isotypic_residuals([], w0, lines)
     with pytest.raises(ValueError, match="at least one basis element"):
         commutant_dimension([])
 
@@ -967,8 +1012,9 @@ def test_isotypic_split_fails_against_the_x_mixer_closure():
     table = bundled_table("p3.graph")
     basis, _ = lie_closure(uniform_generators("p3.graph", "x"))
     w0, lines = isotypic_split(table.values, uniform_state(3, 2).amplitudes)
-    assert invariant_subspace_residual(basis, w0) < 1e-8
-    assert max(invariant_subspace_residual(basis, [line]) for line in lines) > 0.1
+    split = isotypic_residuals(basis, w0, lines)
+    assert split.w0_residual < 1e-8 and split.frame_residual < 1e-12
+    assert split.line_residual > 0.1
 
 
 def test_isotypic_split_cap_and_bad_inputs():

@@ -298,6 +298,8 @@ def test_parse_cnf():
     assert formula == CnfFormula(2, ((1, 2),))
     multi = parse_cnf("c comment\np cnf 3 2\n1 -2 0 2\n3 0\n")
     assert multi.clauses == ((1, -2), (2, 3))
+    # SATLIB files end their clause data with a "%" line and a stray "0"
+    assert parse_cnf("p cnf 2 1\n1 2 0\n%\n0\n\n") == formula
 
 
 @pytest.mark.parametrize(

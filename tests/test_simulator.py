@@ -231,6 +231,11 @@ def test_monte_carlo_validation():
     for bad in (2.5, True):
         with pytest.raises(ValueError, match="depth"):
             monte_carlo_stats(*levels, p=bad, samples=8, seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            monte_carlo_stats(*levels, p=4, samples=bad, seed=0)
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            monte_carlo_stats(*levels, p=4, samples=8, seed=bad)
 
 
 def test_depth_sweep_converges_to_analytic_variance():
