@@ -1,6 +1,6 @@
 """Structure analysis and numerical verification for Grover-mixer QAOA circuits."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analytic import (
     CommutantPrediction,
@@ -24,17 +24,11 @@ from .core import (
     uniform_state,
 )
 from .oracle import (
-    AmbiguousSelectorError,
     ClosureReport,
     CommutantReport,
-    FrameConditionError,
     IsotypicReport,
-    MatrixUnitError,
     OracleCapError,
     closure_report,
-    commutant_dimension,
-    extract_matrix_units,
-    frame_condition,
     gm_generators,
     grover_commutant_dimension,
     isotypic_residuals,
@@ -64,13 +58,4 @@ from .problems import (
     path_graph,
     threshold_transform,
 )
-from .simulator import (
-    McReport,
-    ParameterSet,
-    apply_grover_mixer,
-    apply_phase_layer,
-    grover_mixer_identity_check,
-    loss,
-    monte_carlo_stats,
-    run_circuit,
-)
+from .simulator import McReport, monte_carlo_stats

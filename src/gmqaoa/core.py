@@ -47,6 +47,11 @@ class SizeLimitError(ValueError):
     """q**n exceeds the dense-table limit."""
 
 
+def _is_integer(value) -> bool:
+    # a bool is an int to Python, but not a count, a vertex, a literal or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_letters(q: int) -> None:
     if q < 2:
         raise ValueError(f"need q >= 2 letters, got q = {q}")

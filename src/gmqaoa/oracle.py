@@ -1,8 +1,10 @@
 """Brute-force numerical verification of the structure predictions.
 
-Lie closures from generators, commutant dimensions, the residuals of
-the isotypic split, and the constructive extraction of matrix units
-from a diagonal/frame generator pair.
+Lie closures from generators, the commutant dimension of the Grover
+pair, and the residuals of the isotypic split.  The oracles of record
+that no report runs, the dense Kronecker commutant and the
+constructive extraction of matrix units from a diagonal/frame
+generator pair, are in ``tests/oracles.py``.
 
 Dimension conventions, since mixing them is the classic bug here: the
 Lie closure works over the REAL span of skew-Hermitian matrices and
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero
+from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero, _is_integer
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -46,22 +48,6 @@ _SQRT_HALF = math.sqrt(0.5)
 
 class OracleCapError(ValueError):
     """Instance exceeds the dense-oracle size caps."""
-
-
-class FrameConditionError(ValueError):
-    """The generator matrix misses a nonzero entry the construction divides by."""
-
-
-class AmbiguousSelectorError(ValueError):
-    """A spectral mask keeps entries besides the targeted one.
-
-    Happens when distinct eigenvalue pairs share the same difference;
-    only the extreme difference is guaranteed unique.
-    """
-
-
-class MatrixUnitError(ValueError):
-    """Extracted units deviate from exact matrix units beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -302,8 +288,7 @@ def _check_tol_indep(tol_indep: float) -> None:
 
 
 def _check_dim_cap(dim_cap: int) -> None:
-    # a bool is an int to Python, but not a count
-    if isinstance(dim_cap, bool) or not isinstance(dim_cap, (int, np.integer)) or dim_cap < 1:
+    if not _is_integer(dim_cap) or dim_cap < 1:
         raise ValueError(f"dim_cap must be an integer >= 1, got {dim_cap!r}")
 
 
@@ -476,38 +461,6 @@ def _basis_array(basis) -> np.ndarray:
     return elements
 
 
-def _commutant_operator(basis) -> np.ndarray:
-    """sum_k ad_k^dag ad_k over a (k, N, N) array-like, as a Hermitian
-    N**2 x N**2 matrix acting on row-major vec(X)."""
-    elements = _basis_array(basis)
-    n = elements.shape[1]
-    _check_oracle_size(n)
-    eye = np.eye(n)
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for b in elements:
-        # ad_b^dag ad_b expanded into Kronecker terms; avoids forming
-        # the n^2 x n^2 product explicitly
-        bh = b.conj().T
-        acc += np.kron(bh @ b, eye)
-        acc += np.kron(eye, (b @ bh).T)
-        acc -= np.kron(bh, b.T)
-        acc -= np.kron(b, bh.T)
-    return 0.5 * (acc + acc.conj().T)
-
-
-def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:
-    """Complex dimension of {X : [X, B_k] = 0 for all k}.
-
-    ``basis`` is any (k, N, N) array-like, such as the closure basis or a
-    list of generators.  Computed as the nullity of sum_k ad_k^dag ad_k
-    acting on complex N x N matrices; eigenvalues below ``tol_rank``
-    count as null; ``tol_rank`` must be finite and > 0.
-    """
-    _check_tol_rank(tol_rank)
-    eigs = np.linalg.eigvalsh(_commutant_operator(basis))
-    return int(np.count_nonzero(eigs < tol_rank))
-
-
 def _levels(values, amplitudes, tol_zero: float):
     """The one reading of a Grover oracle's input.
 
@@ -670,108 +623,3 @@ def isotypic_residuals(basis, w0: Sequence[np.ndarray], lines: Sequence[np.ndarr
         frame_residual=float(np.max(np.abs(frame.conj().T @ frame - np.eye(m)))),
         square=m == n,
     )
-
-
-def frame_condition(a: np.ndarray) -> bool:
-    """True iff the first/last row and column entries (corners excluded)
-    are all nonzero; vacuously true for 2 x 2 matrices."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-        raise ValueError("need a square matrix of size >= 2")
-    k = a.shape[0]
-    for j in range(1, k - 1):
-        if (
-            abs(a[0, j]) <= TOL_ZERO
-            or abs(a[j, 0]) <= TOL_ZERO
-            or abs(a[j, k - 1]) <= TOL_ZERO
-            or abs(a[k - 1, j]) <= TOL_ZERO
-        ):
-            return False
-    return True
-
-
-def extract_matrix_units(
-    diag: np.ndarray,
-    a: np.ndarray,
-    tol: float = 1e-9,
-) -> Dict[Tuple[int, int], np.ndarray]:
-    """Recover all off-diagonal matrix units from a diagonal/frame pair.
-
-    ``diag`` holds strictly decreasing values lam_0 > ... > lam_{d-1};
-    ``a`` must satisfy the frame condition and, additionally, have
-    nonzero (0, d-1) and (d-1, 0) entries, which the construction divides
-    by.  Spectral selectors are entrywise masks keeping exactly the
-    entries whose eigenvalue difference lam_k - lam_l matches the target
-    (zero-difference diagonal entries are always dropped), by
-    |Delta - target| < 1e-9 for every spectrum, integer-valued or not.
-    Only the extreme difference is guaranteed to be attained once;
-    whenever an intermediate mask keeps a nonzero entry besides its
-    target, the instance is rejected with :class:`AmbiguousSelectorError`
-    rather than guessed at.
-
-    Returns a dict keyed by 0-indexed (i, j), i != j, containing all
-    d**2 - d units; raises :class:`MatrixUnitError` if any of them
-    deviates from the exact unit by more than ``tol``.
-    """
-    lam = np.asarray(diag, dtype=float).ravel()
-    d = lam.size
-    if d < 2:
-        raise ValueError("need at least a 2 x 2 problem")
-    if np.any(np.diff(lam) >= 0):
-        raise ValueError("diagonal values must be strictly decreasing")
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (d, d):
-        raise ValueError(f"matrix must be {d} x {d}")
-    if not frame_condition(a):
-        raise FrameConditionError("frame entries must all be nonzero")
-    last = d - 1
-    if abs(a[0, last]) <= TOL_ZERO or abs(a[last, 0]) <= TOL_ZERO:
-        raise FrameConditionError(
-            "the construction divides by the (1,d) and (d,1) entries; both must be nonzero"
-        )
-
-    diffs = lam[:, None] - lam[None, :]
-    offdiag = ~np.eye(d, dtype=bool)
-
-    def select(mat: np.ndarray, i: int, j: int) -> np.ndarray:
-        picked = np.where((np.abs(diffs - diffs[i, j]) < 1e-9) & offdiag, mat, 0.0)
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        stray = picked.copy()
-        stray[i, j] = 0.0
-        if np.max(np.abs(stray)) > tol * scale:
-            raise AmbiguousSelectorError(
-                f"mask for eigenvalue difference {diffs[i, j]:g} keeps entries "
-                f"besides ({i},{j}); coinciding differences make this selector ambiguous"
-            )
-        coeff = picked[i, j]
-        if abs(coeff) <= tol * scale:
-            raise FrameConditionError(f"vanishing coefficient at ({i},{j}) during extraction")
-        return picked / coeff
-
-    units: Dict[Tuple[int, int], np.ndarray] = {}
-    units[(0, last)] = select(a, 0, last)
-    units[(last, 0)] = select(a, last, 0)
-    e_top = units[(0, last)]
-    e_bot = units[(last, 0)]
-    corner_gap = a[0, 0] - a[last, last]
-    r_mat = e_top @ a - a @ e_top + corner_gap * e_top
-    l_mat = a @ e_bot - e_bot @ a + corner_gap * e_bot
-    for j in range(1, last):
-        units[(0, j)] = select(r_mat, 0, j)
-        units[(j, last)] = select(r_mat, j, last)
-        units[(j, 0)] = select(l_mat, j, 0)
-        units[(last, j)] = select(l_mat, last, j)
-    for i in range(1, last):
-        for j in range(1, last):
-            if i == j:
-                continue
-            units[(i, j)] = units[(i, 0)] @ units[(0, j)] - units[(0, j)] @ units[(i, 0)]
-
-    deviation = 0.0
-    for (i, j), mat in units.items():
-        exact = np.zeros((d, d))
-        exact[i, j] = 1.0
-        deviation = max(deviation, float(np.max(np.abs(mat - exact))))
-    if deviation > tol:
-        raise MatrixUnitError(f"units deviate from exact units by {deviation:g} > {tol:g}")
-    return units

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ObjectiveTable, SizeLimitError, Spectrum, dense_size
+from .core import ObjectiveTable, SizeLimitError, Spectrum, _is_integer, dense_size
 
 #: Largest sum over the terms of max |t| that ``local_spectrum`` and
 #: ``_local_objective`` accept: up to 2**53 every partial sum of integer
@@ -41,10 +41,12 @@ class Graph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValidationError("vertex count must be at least 1")
+        if not _is_integer(self.vertex_count) or self.vertex_count < 1:
+            raise ValidationError(f"vertex count must be an integer >= 1, got {self.vertex_count!r}")
         seen = set()
         for u, v in self.edges:
+            if not (_is_integer(u) and _is_integer(v)):
+                raise ValidationError(f"edge ({u!r},{v!r}) has a vertex that is not an integer")
             if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
                 raise ValidationError(f"edge ({u},{v}) references a vertex outside 1..{self.vertex_count}")
             if u == v:
@@ -68,12 +70,14 @@ class CnfFormula:
     clauses: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.variable_count < 1:
-            raise ValidationError("variable count must be at least 1")
+        if not _is_integer(self.variable_count) or self.variable_count < 1:
+            raise ValidationError(f"variable count must be an integer >= 1, got {self.variable_count!r}")
         for idx, clause in enumerate(self.clauses):
             if len(clause) == 0:
                 raise ValidationError(f"clause {idx + 1} is empty")
             for lit in clause:
+                if not _is_integer(lit):
+                    raise ValidationError(f"clause {idx + 1} uses literal {lit!r}, not an integer")
                 if lit == 0 or not (1 <= abs(lit) <= self.variable_count):
                     raise ValidationError(
                         f"clause {idx + 1} uses literal {lit} outside 1..{self.variable_count}"
@@ -502,7 +506,7 @@ def parse_custom_table(text: str) -> ObjectiveTable:
         if key not in payload:
             raise ValidationError(f"missing key {key!r}")
     q, n, values = payload["q"], payload["n"], payload["values"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (q, n)):
+    if not all(_is_integer(v) for v in (q, n)):
         raise ValidationError("q and n must be integers")
     if not isinstance(values, list) or not all(is_json_number(v) for v in values):
         raise ValidationError("values must be a list of numbers")

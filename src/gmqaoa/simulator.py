@@ -1,4 +1,4 @@
-"""Statevector evolution and Monte Carlo loss statistics.
+"""Monte Carlo loss statistics of the Grover-mixer circuit.
 
 The Monte Carlo runs in W0, the span of the d level components
 u_j = P_j xi / ||P_j xi|| of the initial state, and takes only the
@@ -12,10 +12,9 @@ the Grover mixer adds (e^{i beta} - 1)(w.a) w, and the loss is
 sum_j lambda_j |a_j|^2.  Each layer-sample costs O(d) instead of
 O(q**n).
 
-The dense path (``run_circuit``, ``apply_*``, ``loss``) moves the full
-q**n state, applying the mixer through its rank-one closed form, never
-through a dense exponential.  It is kept as the oracle the reduced path
-is tested against.
+The dense q**n statevector circuit that the reduced path is tested
+against is an oracle of record in ``tests/oracles.py``; it draws its
+angles through ``_draw_angles``, so it sees the Monte Carlo's samples.
 """
 
 from __future__ import annotations
@@ -24,39 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitialState, ObjectiveTable, SizeLimitError, _check_values, _check_weight_sum
+from .core import _check_values, _check_weight_sum, _is_integer
 
 BETA_MAX = 2.0 * np.pi
 GAMMA_MAX = np.pi
 
 #: Entries per block of samples, each row holding its d coefficients and
 #: its 2p angles; bounds the memory of the Monte Carlo for any sample
-#: count and depth.
+#: count, at every depth that ``_check_depth`` accepts: up to 2**20, so
+#: that one row of 2p angles fits in a block.
 _BLOCK_ENTRIES = 1 << 21
-
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """Per-layer mixer angles beta in [0, 2pi) and phase angles gamma in [0, pi)."""
-
-    betas: np.ndarray
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        gammas = np.asarray(self.gammas, dtype=float)
-        if betas.shape != gammas.shape or betas.ndim != 1:
-            raise ValueError("betas and gammas must be 1-d arrays of equal length")
-        if np.any(betas < 0.0) or np.any(betas >= BETA_MAX):
-            raise ValueError("betas must lie in [0, 2pi)")
-        if np.any(gammas < 0.0) or np.any(gammas >= GAMMA_MAX):
-            raise ValueError("gammas must lie in [0, pi)")
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "gammas", gammas)
-
-    @property
-    def depth(self) -> int:
-        return len(self.betas)
 
 
 @dataclass(frozen=True)
@@ -73,36 +49,6 @@ class McReport:
     stderr_variance: float
 
 
-def apply_phase_layer(state: np.ndarray, objective: ObjectiveTable, gamma: float) -> np.ndarray:
-    """Multiply each amplitude by exp(-i * gamma * F(x))."""
-    return state * np.exp(-1j * gamma * objective.values)
-
-
-def apply_grover_mixer(state: np.ndarray, xi: InitialState, beta: float) -> np.ndarray:
-    """Rank-one closed form of evolving under the negative projector onto xi."""
-    amp = xi.amplitudes
-    overlap = np.vdot(amp, state)
-    return state + (np.exp(1j * beta) - 1.0) * overlap * amp
-
-
-def run_circuit(xi: InitialState, objective: ObjectiveTable, params: ParameterSet) -> np.ndarray:
-    """Alternate phase and mixer layers starting from xi (phase first per layer)."""
-    if xi.amplitudes.shape[0] != objective.size:
-        raise ValueError("state and objective dimensions disagree")
-    state = np.array(xi.amplitudes, dtype=complex, copy=True)
-    for beta, gamma in zip(params.betas, params.gammas):
-        state = apply_phase_layer(state, objective, gamma)
-        state = apply_grover_mixer(state, xi, beta)
-    return state
-
-
-def loss(state: np.ndarray, objective: ObjectiveTable) -> float:
-    """Expected objective value sum_x F(x) |psi_x|^2."""
-    if state.shape[0] != objective.size:
-        raise ValueError("state and objective dimensions disagree")
-    return float(np.sum(objective.values * (state.conj() * state).real))
-
-
 def _draw_angles(p: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` rows of angles, each the next 2p doubles of ``rng``:
     p betas uniform on [0, 2pi), then p gammas uniform on [0, pi)."""
@@ -110,13 +56,6 @@ def _draw_angles(p: int, rng: np.random.Generator, count: int) -> tuple[np.ndarr
     angles[:, 0] *= BETA_MAX
     angles[:, 1] *= GAMMA_MAX
     return angles[:, 0], angles[:, 1]
-
-
-def sample_parameters(p: int, rng: np.random.Generator) -> ParameterSet:
-    """Draw one parameter set by ``_draw_angles``; repeated calls on one
-    generator give the Monte Carlo's samples in order."""
-    betas, gammas = _draw_angles(p, rng, 1)
-    return ParameterSet(betas[0], gammas[0])
 
 
 def _sample_losses(
@@ -147,20 +86,20 @@ def _sample_losses(
 
 
 def _check_depth(p: int) -> None:
-    # a bool is an int to Python, but not a layer count
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {p!r}")
+    # past 2p > _BLOCK_ENTRIES a sample's row of angles alone would outgrow a block
+    if not _is_integer(p) or not 1 <= p <= _BLOCK_ENTRIES // 2:
+        raise ValueError(f"depth must be an integer in [1, {_BLOCK_ENTRIES // 2}], got {p!r}")
 
 
 def _check_samples(samples: int) -> None:
-    # the variance is unbiased, so it needs two samples; a bool is not a count
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+    # the variance is unbiased, so it needs two samples
+    if not _is_integer(samples) or samples < 2:
         raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not _is_integer(seed) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
 
 
 def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McReport:
@@ -172,9 +111,12 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
     the values and weights are refused by the rules of an objective
     table's values (|F| <= ``MAX_ABS_OBJECTIVE``) and of a level
     decomposition's weights (sum(w**2) = 1 to within ``TOL_WEIGHT_SUM``).
-    The angles come from one ``PCG64(seed)`` stream for a ``seed`` in
-    [0, 2**64), and the reductions run over the sample-ordered array, so
-    the report is a pure function of the arguments.  The variance is the
+    The depth ``p`` is an integer from 1 to 2**20 (``_BLOCK_ENTRIES // 2``),
+    so that a block of samples, and with it the memory, stays bounded.
+    The angles come from one ``PCG64(seed)`` stream for an integer
+    ``seed`` in [0, 2**64), and the reductions run over the
+    sample-ordered array, so the report is a pure function of the
+    arguments.  The variance is the
     unbiased sample variance; its standard error uses the plug-in
     fourth-central-moment formula sqrt((m4 - s^4 (M-3)/(M-1)) / M).
     """
@@ -202,22 +144,3 @@ def monte_carlo_stats(values, weights, p: int, samples: int, seed: int) -> McRep
         stderr_mean=float(np.sqrt(variance / samples)),
         stderr_variance=float(np.sqrt(max(var_of_var, 0.0))),
     )
-
-
-def grover_mixer_identity_check(n: int) -> float:
-    """Max entrywise gap between -(1/2**n) prod_j (I + X_j) and the
-    negative projector onto the uniform superposition."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 10:
-        raise SizeLimitError("dense product check capped at n = 10")
-    size = 1 << n
-    idx = np.arange(size)
-    prod = np.eye(size)
-    for j in range(n):
-        flip = np.zeros((size, size))
-        flip[idx, idx ^ (1 << j)] = 1.0
-        prod = prod @ (np.eye(size) + flip)
-    lhs = -prod / size
-    rhs = -np.full((size, size), 1.0 / size)
-    return float(np.max(np.abs(lhs - rhs)))

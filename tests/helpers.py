@@ -21,8 +21,8 @@ from gmqaoa.oracle import (
     TOL_INDEP,
     TOL_RANK,
     ClosureReport,
-    _commutant_operator,
 )
+from oracles import _commutant_operator
 
 
 @contextmanager
@@ -117,7 +117,7 @@ def commutant_null_space(generators) -> np.ndarray:
     """Orthonormal basis (columns, row-major vec(X)) of {X : [X, B] = 0 for all B}.
 
     Null space of the operator sum_B ad_B^dag ad_B that
-    ``oracle.commutant_dimension`` builds; eigenvalues below ``TOL_RANK``
+    ``oracles.commutant_dimension`` builds; eigenvalues below ``TOL_RANK``
     count as null.
     """
     eigs, vecs = np.linalg.eigh(_commutant_operator(generators))

@@ -15,13 +15,10 @@ import pytest
 from gmqaoa import (
     InitialState,
     build_spectrum,
-    commutant_dimension,
     complete_graph,
     cycle_graph,
     decompose_initial_state,
-    extract_matrix_units,
     gm_generators,
-    grover_mixer_identity_check,
     house_graph,
     isotypic_residuals,
     isotypic_split,
@@ -31,19 +28,24 @@ from gmqaoa import (
     path_graph,
     predict_commutant,
     predict_loss_stats,
-    run_circuit,
     uniform_state,
     x_mixer_generator,
 )
 from gmqaoa.cli import main
 from gmqaoa.oracle import traceless_part
-from gmqaoa.simulator import ParameterSet
 from helpers import (
     bits_of,
     dense_circuit_reference,
     exact_unit,
     naive_cut_value,
     random_graph,
+)
+from oracles import (
+    ParameterSet,
+    commutant_dimension,
+    extract_matrix_units,
+    grover_mixer_identity_check,
+    run_circuit,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"

@@ -13,18 +13,16 @@ from gmqaoa import (
     house_graph,
     isotypic_summary,
     level_span_generators,
-    loss,
     maxcut_objective,
     path_graph,
     predict_commutant,
     predict_dla,
     predict_loss_stats,
-    run_circuit,
     slocal_bound,
     uniform_state,
 )
-from gmqaoa.simulator import sample_parameters
 from helpers import random_graph, twirled_mean_loss
+from oracles import loss, run_circuit, sample_parameters
 
 
 def uniform_setup(table):

@@ -843,6 +843,8 @@ def test_verify_refuses_zero_tol_rank(capsys):
         ("simulate", ("--seed", "-1")),
         ("sweep", ("--seed", str(1 << 64))),
         ("analyze", ("--colors", "1")),
+        ("simulate", ("--depth", str((1 << 20) + 1))),
+        ("sweep", ("--depths", f"1,{(1 << 20) + 1}")),
     ],
 )
 def test_each_flag_rule_runs_before_any_file_is_read(tmp_path, capsys, command, flag):
@@ -921,7 +923,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.3.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.4.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -938,7 +940,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.3.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.4.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

@@ -58,6 +58,29 @@ def test_graph_validation():
         Graph(3, ((1, 4),))
 
 
+def test_graph_refuses_non_integer_vertices():
+    # validated before the int() cast, (1.5, 2) was built as the edge (1, 2)
+    for edge in ((1.5, 2), (1, 2.0), (True, 2), (1, np.float64(2.0))):
+        with pytest.raises(ValidationError, match="not an integer"):
+            Graph(3, (edge,))
+    assert Graph(3, ((np.int64(1), 2),)).edges == ((1, 2),)
+    # a float count failed in the table builder, and True built a 1-vertex table
+    for count in (2.5, True, 0):
+        with pytest.raises(ValidationError, match="vertex count must be an integer >= 1"):
+            Graph(count, ())
+
+
+def test_cnf_refuses_non_integer_literals():
+    # validated before the int() cast, (1.7, -2) was built as the clause (1, -2)
+    for clause in ((1.7, -2), (1, -2.0), (True,), (np.float64(1.0),)):
+        with pytest.raises(ValidationError, match="not an integer"):
+            CnfFormula(2, (clause,))
+    assert CnfFormula(2, ((np.int32(1), -2),)).clauses == ((1, -2),)
+    for count in (2.5, True, 0):
+        with pytest.raises(ValidationError, match="variable count must be an integer >= 1"):
+            CnfFormula(count, ())
+
+
 def test_builders():
     assert path_graph(4).edges == ((1, 2), (2, 3), (3, 4))
     assert cycle_graph(3).edge_count == 3

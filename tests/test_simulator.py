@@ -6,25 +6,28 @@ import pytest
 from gmqaoa import (
     InitialState,
     ObjectiveTable,
-    ParameterSet,
-    apply_grover_mixer,
-    apply_phase_layer,
     build_spectrum,
     coloring_objective,
     decompose_initial_state,
-    grover_mixer_identity_check,
     house_graph,
-    loss,
     maxcut_objective,
     monte_carlo_stats,
     path_graph,
     predict_loss_stats,
-    run_circuit,
     uniform_state,
 )
 from gmqaoa import simulator
-from gmqaoa.simulator import _sample_losses, sample_parameters
+from gmqaoa.simulator import _sample_losses
 from helpers import dense_circuit_reference
+from oracles import (
+    ParameterSet,
+    apply_grover_mixer,
+    apply_phase_layer,
+    grover_mixer_identity_check,
+    loss,
+    run_circuit,
+    sample_parameters,
+)
 
 
 def random_state(rng, size):
@@ -236,6 +239,27 @@ def test_monte_carlo_validation():
     for bad in (-1, 1 << 64):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             monte_carlo_stats(*levels, p=4, samples=8, seed=bad)
+
+
+def test_monte_carlo_refuses_non_integer_seeds():
+    # True ran as seed 1, and the floats escaped as SeedSequence's TypeError
+    levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
+    for bad in (True, 2.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\) and be an integer"):
+            monte_carlo_stats(*levels, p=4, samples=8, seed=bad)
+    integer = monte_carlo_stats(*levels, p=4, samples=8, seed=np.uint64(2))
+    assert integer == monte_carlo_stats(*levels, p=4, samples=8, seed=2)
+
+
+def test_depth_whose_angles_outgrow_a_block_is_refused(monkeypatch):
+    # a row of 2p angles was drawn whole past _BLOCK_ENTRIES, so memory grew
+    # with the depth; the rule reads the block size, so a small one tests it
+    levels = supported_levels(uniform_state(3, 2), maxcut_objective(path_graph(3)))
+    assert simulator._BLOCK_ENTRIES // 2 == 1 << 20
+    monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", 16)
+    monte_carlo_stats(*levels, p=8, samples=2, seed=0)
+    with pytest.raises(ValueError, match=r"depth must be an integer in \[1, 8\], got 9"):
+        monte_carlo_stats(*levels, p=9, samples=2, seed=0)
 
 
 def test_depth_sweep_converges_to_analytic_variance():
