@@ -31,6 +31,7 @@ from .core import (
     _check_tol_zero,
     build_spectrum,
     decompose_initial_state,
+    dense_size,
     uniform_overlaps,
     uniform_state,
 )
@@ -40,6 +41,7 @@ from .oracle import (
     TOL_RANK,
     OracleCapError,
     _check_dim_cap,
+    _check_oracle_size,
     _check_tol_indep,
     _check_tol_rank,
     closure_report,
@@ -238,12 +240,23 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
+def _check_verify_size(n: int, q: int, mixer: str) -> None:
+    """The rules of ``verify`` that depend on (n, q) alone, in order: the
+    dense-table limit (exit 2), a binary alphabet for the x mixer (exit
+    2), and the dense-oracle cap (exit 3)."""
+    size = dense_size(n, q)
+    if mixer == "x" and q != 2:
+        raise ValueError("--mixer x requires a binary alphabet (q = 2)")
+    _check_oracle_size(size)
+
+
 def _load_problem(args):
     """The problem as ``(n, q, terms, table, descriptor, digest)``.
 
     ``terms`` are the local terms of --maxcut/--cnf/--coloring, with
     ``table`` None; --table and --threshold give the dense ``table``, with
-    ``terms`` None.
+    ``terms`` None.  ``verify`` applies its size rules as soon as (n, q)
+    are read, before any table, state or ``--init`` file.
     """
     chosen = [(kind, getattr(args, kind)) for kind in ("maxcut", "cnf", "coloring", "table")
               if getattr(args, kind) is not None]
@@ -271,6 +284,8 @@ def _load_problem(args):
     else:
         table = parse_custom_table(text)
         n, q = table.n, table.q
+    if args.command == "verify":
+        _check_verify_size(n, q, args.mixer)
     if args.threshold is not None:
         table = _local_objective(n, q, terms) if table is None else table
         table, terms = threshold_transform(table, args.threshold, strict=args.threshold_strict), None
@@ -440,12 +455,8 @@ def cmd_verify(args):
         dense=True,
     )
     if args.mixer == "x":
-        if table.q != 2:
-            raise ValueError("--mixer x requires a binary alphabet (q = 2)")
-        # the mixer first: it checks the oracle cap before diag(F) is built;
         # comparison dimensions are defined for the traceless coupling form
-        x_mixer = x_mixer_generator(table.n)
-        generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer]
+        generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
     else:
         generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
     closure = closure_report(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)

@@ -58,12 +58,15 @@ def _check_letters(q: int) -> None:
 
 
 def dense_size(n: int, q: int) -> int:
-    """q**n, or ValueError unless n >= 1 and q >= 2, or SizeLimitError
-    above the dense-table limit: the one size rule of every table and state.
+    """q**n, or ValueError unless n >= 1 and q >= 2 are integers, or
+    SizeLimitError above the dense-table limit: the one size rule of every
+    table and state.
 
     With q >= 2, n alone already rules out a too-large table, so a huge n
     is refused before q**n is formed.
     """
+    if not (_is_integer(n) and _is_integer(q)):
+        raise ValueError(f"n and q must be integers, got n = {n!r}, q = {q!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 sites and q >= 2 letters, got n = {n}, q = {q}")
     _check_letters(q)

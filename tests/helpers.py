@@ -14,14 +14,10 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 
-from gmqaoa import CnfFormula, Graph, InitialState, ObjectiveTable, gm_generators, problems
-from gmqaoa.oracle import (
-    _ZERO_FLOOR,
-    DIM_CAP,
-    TOL_INDEP,
-    TOL_RANK,
-    ClosureReport,
-)
+from gmqaoa import problems
+from gmqaoa.core import InitialState, ObjectiveTable
+from gmqaoa.oracle import DIM_CAP, TOL_INDEP, TOL_RANK, _ZERO_FLOOR, ClosureReport, gm_generators
+from gmqaoa.problems import CnfFormula, Graph
 from oracles import _commutant_operator
 
 

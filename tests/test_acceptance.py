@@ -12,27 +12,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import (
+from gmqaoa.analytic import predict_commutant, predict_loss_stats
+from gmqaoa.cli import main
+from gmqaoa.core import (
     InitialState,
+    ObjectiveTable,
     build_spectrum,
-    complete_graph,
-    cycle_graph,
     decompose_initial_state,
+    uniform_state,
+)
+from gmqaoa.oracle import (
     gm_generators,
-    house_graph,
     isotypic_residuals,
     isotypic_split,
     lie_closure,
-    maxcut_objective,
-    monte_carlo_stats,
-    path_graph,
-    predict_commutant,
-    predict_loss_stats,
-    uniform_state,
+    traceless_part,
     x_mixer_generator,
 )
-from gmqaoa.cli import main
-from gmqaoa.oracle import traceless_part
+from gmqaoa.problems import complete_graph, cycle_graph, house_graph, maxcut_objective, path_graph
+from gmqaoa.simulator import monte_carlo_stats
 from helpers import (
     bits_of,
     dense_circuit_reference,
@@ -291,8 +289,6 @@ def test_criterion_09_circuit_oracle_equivalence():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         size = 1 << n
-        from gmqaoa import ObjectiveTable
-
         table = ObjectiveTable(n=n, q=2, values=rng.normal(size=size))
         amp = rng.normal(size=size) + 1j * rng.normal(size=size)
         amp /= np.linalg.norm(amp)

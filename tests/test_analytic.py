@@ -3,24 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from gmqaoa import (
-    InitialState,
-    ObjectiveTable,
-    build_spectrum,
-    complete_graph,
-    cycle_graph,
-    decompose_initial_state,
-    house_graph,
+from gmqaoa.analytic import (
     isotypic_summary,
-    level_span_generators,
-    maxcut_objective,
-    path_graph,
     predict_commutant,
     predict_dla,
     predict_loss_stats,
     slocal_bound,
+)
+from gmqaoa.core import (
+    InitialState,
+    ObjectiveTable,
+    build_spectrum,
+    decompose_initial_state,
     uniform_state,
 )
+from gmqaoa.oracle import level_span_generators
+from gmqaoa.problems import complete_graph, cycle_graph, house_graph, maxcut_objective, path_graph
 from helpers import random_graph, twirled_mean_loss
 from oracles import loss, run_circuit, sample_parameters
 

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import build_spectrum, cli, maxcut_objective, parse_graph
+from gmqaoa import cli
 from gmqaoa.cli import main
-from gmqaoa.core import MAX_ABS_OBJECTIVE
+from gmqaoa.core import MAX_ABS_OBJECTIVE, build_spectrum
+from gmqaoa.problems import maxcut_objective, parse_graph
 from helpers import elimination_forced, level_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -57,18 +58,20 @@ def test_sha256_hex_matches_hashlib_on_both_sides_of_the_size_rule(size):
 
 @pytest.mark.skipif(cli._builtin_sha256 is None, reason="no built-in SHA-256 in this build")
 def test_verify_loads_no_openssl_hash():
-    # importing hashlib maps OpenSSL's libcrypto (3.6 MiB resident) through _hashlib
-    script = (
-        "import contextlib, io, sys\n"
-        "from gmqaoa.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['verify', '--maxcut', {str(DATA / 'p3.graph')!r}])\n"
-        "print(code, '_hashlib' in sys.modules)\n"
-    )
+    # importing hashlib maps OpenSSL's libcrypto (3.6 MiB resident) through
+    # _hashlib; simulate and sweep map it anyway, through numpy.random
     src = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    for command in ("verify", "analyze"):
+        script = (
+            "import contextlib, io, sys\n"
+            "from gmqaoa.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main([{command!r}, '--maxcut', {str(DATA / 'p3.graph')!r}])\n"
+            "print(code, '_hashlib' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.split() == ["0", "False"], command
 
 
 def test_analyze_p4(capsys):
@@ -624,8 +627,48 @@ def test_verify_oracle_cap(tmp_path, capsys):
     assert code == 3
 
 
+def write_path_graph(tmp_path, n):
+    path = tmp_path / f"p{n}.graph"
+    path.write_text("\n".join([f"{n} {n - 1}"] + [f"{i} {i + 1}" for i in range(1, n)]) + "\n")
+    return str(path)
+
+
+def test_verify_refuses_the_oracle_cap_before_it_builds(tmp_path, capsys):
+    # N = 2**20: the table, state and elimination alone would take 24 MiB
+    big = write_path_graph(tmp_path, 20)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--maxcut", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "dense oracle capped at 64 dimensions, got 1048576" in err
+    assert peak < 2**20
+
+
+def test_verify_refuses_the_oracle_cap_before_it_reads_init(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--maxcut", write_path_graph(tmp_path, 7),
+        "--init", str(tmp_path / "missing.json"),
+    )
+    assert code == 3
+    assert out == ""
+    assert "dense oracle capped at 64 dimensions, got 128" in err
+
+
+def test_verify_refuses_the_dense_table_limit_before_the_oracle_cap(tmp_path, capsys):
+    big = write_path_graph(tmp_path, 21)
+    for mixer in ("grover", "x"):
+        code, out, err = run_cli(capsys, "verify", "--maxcut", big, "--mixer", mixer)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the dense-table limit" in err
+
+
 def test_verify_x_mixer_oracle_cap(tmp_path, capsys):
-    # the x mixer is built, and capped, before the 2**20 x 2**20 diag(F)
+    # capped before the 2**20 table, let alone the 2**20 x 2**20 diag(F)
     lines = ["20 19"] + [f"{i} {i + 1}" for i in range(1, 20)]
     big = tmp_path / "p20.graph"
     big.write_text("\n".join(lines) + "\n")
@@ -857,6 +900,19 @@ def test_each_flag_rule_runs_before_any_file_is_read(tmp_path, capsys, command, 
     assert missing not in err
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    # each name is imported from the module that defines it
+    script = (
+        "import sys\n"
+        "import gmqaoa\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gmqaoa.') or m == 'numpy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     from gmqaoa import __version__
@@ -923,7 +979,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.4.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.5.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -940,7 +996,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.4.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.5.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

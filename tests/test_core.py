@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmqaoa import (
+from gmqaoa.core import (
+    TOL_ZERO,
     InitialState,
     LevelOverlaps,
     ObjectiveTable,
@@ -14,15 +15,11 @@ from gmqaoa import (
     Spectrum,
     build_spectrum,
     decompose_initial_state,
-    maxcut_objective,
-    house_graph,
-    isotypic_split,
-    parse_custom_table,
     uniform_overlaps,
     uniform_state,
 )
-from gmqaoa.core import TOL_ZERO
-from gmqaoa.oracle import _levels
+from gmqaoa.oracle import _levels, isotypic_split
+from gmqaoa.problems import house_graph, maxcut_objective, parse_custom_table
 from helpers import random_graph, reference_decomposition
 
 # [0,1,2,1,1,2,1,0]: cut sizes of the 3-vertex path, enumerated by hand
@@ -111,6 +108,21 @@ def test_objective_table_validation():
             ObjectiveTable(n=1, q=2, values=bad)
     with pytest.raises(SizeLimitError):
         ObjectiveTable(n=21, q=2, values=np.zeros(2**21))
+
+
+def test_dense_size_refuses_non_integer_sizes():
+    from gmqaoa.core import dense_size
+
+    for n, q in ((2.5, 2), (2, 2.5), (2.0, 2), (True, 2), (2, True), ("2", 2)):
+        with pytest.raises(ValueError, match="n and q must be integers"):
+            dense_size(n, q)
+    with pytest.raises(ValueError, match="n and q must be integers"):
+        ObjectiveTable(n=2.0, q=2, values=np.zeros(4))
+    assert dense_size(np.int64(3), np.int32(2)) == 8
+    with pytest.raises(ValueError, match="need n >= 1 sites and q >= 2 letters, got n = 0, q = 2"):
+        dense_size(0, 2)
+    with pytest.raises(ValueError, match="need q >= 2 letters, got q = 1"):
+        dense_size(2, 1)
 
 
 def test_decompose_uniform_p3():

@@ -5,35 +5,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import (
+import gmqaoa
+from gmqaoa import oracle, simulator
+from gmqaoa.analytic import predict_commutant, predict_dla, predict_loss_stats
+from gmqaoa.core import (
     InitialState,
     ObjectiveTable,
-    OracleCapError,
     build_spectrum,
-    cnf_objective,
-    coloring_objective,
     decompose_initial_state,
+    uniform_state,
+)
+from gmqaoa.oracle import (
+    OracleCapError,
     gm_generators,
     grover_commutant_dimension,
-    house_graph,
     isotypic_residuals,
     isotypic_split,
     level_span_generators,
     lie_closure,
+    traceless_part,
+    x_mixer_generator,
+)
+from gmqaoa.problems import (
+    cnf_objective,
+    coloring_objective,
+    house_graph,
     maxcut_objective,
     parse_cnf,
     parse_custom_table,
     parse_graph,
     path_graph,
-    predict_commutant,
-    predict_dla,
-    predict_loss_stats,
-    uniform_state,
-    x_mixer_generator,
 )
-import gmqaoa
-from gmqaoa import oracle, simulator
-from gmqaoa.oracle import traceless_part
 from helpers import exact_unit, level_state, reference_lie_closure, twirled_mean_loss
 from oracles import (
     AmbiguousSelectorError,

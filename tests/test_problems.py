@@ -6,21 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmqaoa import (
+from gmqaoa.analytic import predict_dla
+from gmqaoa.core import (
+    ObjectiveTable,
+    SizeLimitError,
+    build_spectrum,
+    decompose_initial_state,
+    uniform_state,
+)
+from gmqaoa.problems import (
     CnfFormula,
     Graph,
-    ObjectiveTable,
     ParseError,
-    SizeLimitError,
     ValidationError,
-    build_spectrum,
+    _local_objective,
     cnf_objective,
     cnf_terms,
     coloring_objective,
     coloring_terms,
     complete_graph,
     cycle_graph,
-    decompose_initial_state,
     house_graph,
     local_spectrum,
     maxcut_objective,
@@ -29,11 +34,8 @@ from gmqaoa import (
     parse_custom_table,
     parse_graph,
     path_graph,
-    predict_dla,
     threshold_transform,
-    uniform_state,
 )
-from gmqaoa.problems import _local_objective
 from helpers import (
     bits_of,
     broadcast_objective,

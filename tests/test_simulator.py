@@ -3,21 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmqaoa import (
+from gmqaoa import simulator
+from gmqaoa.analytic import predict_loss_stats
+from gmqaoa.core import (
     InitialState,
     ObjectiveTable,
     build_spectrum,
-    coloring_objective,
     decompose_initial_state,
-    house_graph,
-    maxcut_objective,
-    monte_carlo_stats,
-    path_graph,
-    predict_loss_stats,
     uniform_state,
 )
-from gmqaoa import simulator
-from gmqaoa.simulator import _sample_losses
+from gmqaoa.problems import coloring_objective, house_graph, maxcut_objective, path_graph
+from gmqaoa.simulator import _sample_losses, monte_carlo_stats
 from helpers import dense_circuit_reference
 from oracles import (
     ParameterSet,
