@@ -36,11 +36,9 @@ from .core import (
     uniform_state,
 )
 from .oracle import (
-    DIM_CAP,
     TOL_INDEP,
     TOL_RANK,
     OracleCapError,
-    _check_dim_cap,
     _check_oracle_size,
     _check_tol_indep,
     _check_tol_rank,
@@ -119,7 +117,7 @@ _ANALYZE_COLUMNS = _HEAD_COLUMNS + (
 )
 _VERIFY_COLUMNS = _ANALYZE_COLUMNS + (
     ("mixer", "oracle.mixer"), ("closure_dim", "oracle.closure.dimension"),
-    ("closure_rounds", "oracle.closure.rounds"), ("closure_hit_cap", "oracle.closure.hit_cap"),
+    ("closure_rounds", "oracle.closure.rounds"),
     ("oracle_commutant_dim", "oracle.verdicts.commutant_dim.observed"),
     ("w0_residual", "oracle.verdicts.isotypic.w0_residual"),
     ("complement_line_residual", "oracle.verdicts.isotypic.line_residual"),
@@ -205,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
     verify.add_argument("--tol-indep", type=_flag(float, _check_tol_indep), default=TOL_INDEP)
     verify.add_argument("--tol-rank", type=_flag(float, _check_tol_rank), default=TOL_RANK)
-    verify.add_argument("--dim-cap", type=_flag(int, _check_dim_cap), default=DIM_CAP)
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")
@@ -451,15 +448,14 @@ def cmd_verify(args):
         "tol_invariant": TOL_INVARIANT,
     }
     report, table, state, *_ = _analysis(
-        args, "verify", {"mixer": args.mixer, "tolerances": tolerances, "dim_cap": args.dim_cap},
-        dense=True,
+        args, "verify", {"mixer": args.mixer, "tolerances": tolerances}, dense=True
     )
     if args.mixer == "x":
         # comparison dimensions are defined for the traceless coupling form
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
     else:
         generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
-    closure = closure_report(generators, tol_indep=args.tol_indep, dim_cap=args.dim_cap)
+    closure = closure_report(generators, tol_indep=args.tol_indep)
 
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":
@@ -475,22 +471,13 @@ def cmd_verify(args):
         oracle["commutant_margin"] = {
             "max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull
         }
-        if closure.hit_cap:
-            dla_verdict = {
-                "predicted": report["dla"]["dim"],
-                "observed": closure.dimension,
-                "verdict": "not-run",
-                "note": "closure hit the dimension cap; dimension is a lower bound",
-            }
-        else:
-            dla_verdict = _verdict(report["dla"]["dim"], closure.dimension)
         observed = {"irreducible_dim": len(w0), "invariant_lines": len(lines)}
         residuals = (split.frame_residual, split.w0_residual, split.line_residual)
         # a unitary frame of the predicted shape, with W0 and each line invariant
         invariant_ok = (split.square and observed == report["isotypic"]
                         and all(r < TOL_INVARIANT for r in residuals))
         verdicts = {
-            "dla_dim": dla_verdict,
+            "dla_dim": _verdict(report["dla"]["dim"], closure.dimension),
             "commutant_dim": _verdict(report["commutant"]["dim"], commutant.dimension),
             "isotypic": {
                 "predicted": dict(report["isotypic"]),

@@ -20,13 +20,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero, _is_integer
+from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
-
-#: Default cap on the closure dimension.
-DIM_CAP = 4096
 
 #: Relative residual above which a commutator counts as independent.
 TOL_INDEP = 1e-9
@@ -52,7 +49,7 @@ class OracleCapError(ValueError):
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of a closure run; if hit_cap, dimension is a lower bound only.
+    """Outcome of a closure run.
 
     ``max_residual_discarded`` and ``min_residual_accepted`` are the margin
     around ``tol_indep``: the largest residual of a discarded candidate,
@@ -72,7 +69,6 @@ class ClosureReport:
     candidates: int
     max_residual_discarded: float
     min_residual_accepted: Optional[float]
-    hit_cap: bool
     schedule: str = "generators"
 
 
@@ -150,7 +146,6 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 def lie_closure(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
-    dim_cap: int = DIM_CAP,
 ) -> Tuple[np.ndarray, ClosureReport]:
     """Close a set of skew-Hermitian generators under the commutator.
 
@@ -211,17 +206,16 @@ def lie_closure(
     report's ``schedule`` says which run produced the basis; ``rounds``,
     ``candidates`` and the margins count that run.
 
-    Stops when a round adds nothing, when the basis spans all N**2 real
-    dimensions of u(N) (exact, not flagged), or when ``dim_cap`` elements
-    are reached (flagged as ``hit_cap``, not fatal).  ``tol_indep`` must
-    be finite and in (0, 1): at 0 round-off residuals count as new
-    directions, and at 1 or above every candidate is discarded, since a
-    unit candidate's residual never exceeds 1.  The generators must be
-    finite and skew-Hermitian relative to their largest entry: divided
-    by it, max |g + g^dag| may not exceed 1e-10.  They must be square
-    matrices of one size, at least 1x1; other shapes raise ``ValueError``.
+    Stops when a round adds nothing or when the basis spans all N**2 real
+    dimensions of u(N).  ``tol_indep`` must be finite and in (0, 1): at 0
+    round-off residuals count as new directions, and at 1 or above every
+    candidate is discarded, since a unit candidate's residual never
+    exceeds 1.  The generators must be finite and skew-Hermitian relative
+    to their largest entry: divided by it, max |g + g^dag| may not exceed
+    1e-10.  They must be square matrices of one size, at least 1x1; other
+    shapes raise ``ValueError``.
     """
-    packing, classes, report = _closure(generators, tol_indep, dim_cap)
+    packing, classes, report = _closure(generators, tol_indep)
     parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
     return np.concatenate(parts).astype(complex, copy=False), report
 
@@ -229,10 +223,9 @@ def lie_closure(
 def closure_report(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
-    dim_cap: int = DIM_CAP,
 ) -> ClosureReport:
     """The report of ``lie_closure``, without building its dense basis."""
-    return _closure(generators, tol_indep, dim_cap)[2]
+    return _closure(generators, tol_indep)[2]
 
 
 class _Packing:
@@ -287,17 +280,9 @@ def _check_tol_indep(tol_indep: float) -> None:
         raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
 
 
-def _check_dim_cap(dim_cap: int) -> None:
-    if not _is_integer(dim_cap) or dim_cap < 1:
-        raise ValueError(f"dim_cap must be an integer >= 1, got {dim_cap!r}")
-
-
-def _closure(
-    generators: Sequence[np.ndarray], tol_indep: float, dim_cap: int
-) -> Tuple[_Packing, list, ClosureReport]:
+def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packing, list, ClosureReport]:
     """The routine behind ``lie_closure`` and ``closure_report``: its
     packing, the (kind, packed rows) of each parity class, and the report."""
-    _check_dim_cap(dim_cap)
     _check_tol_indep(tol_indep)
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
@@ -328,11 +313,13 @@ def _closure(
     # bracket's class is the XOR of its factors' classes
     kinds = ("k", "p") if graded else ("u",)
     widths = [packing.width[kind] for kind in kinds]
-    basis = [np.zeros((min(dim_cap, w), w)) for w in widths]
+    # the class widths sum to N**2, so the closure spans u(N) exactly when
+    # every class array is full
+    basis = [np.zeros((w, w)) for w in widths]
     counts = [0] * len(kinds)
-    capacity = min(dim_cap, dim_space * dim_space)
+    full = dim_space * dim_space
     # floats of one bracket matrix on the all-pairs schedule
-    bracket_floats = dim_space * dim_space * (1 if graded else 2)
+    bracket_floats = full * (1 if graded else 2)
     trusted = math.sqrt(np.finfo(float).eps / tol_indep)
     candidates = 0
     max_discarded = 0.0
@@ -345,7 +332,7 @@ def _closure(
         # both callers pass a fresh array, so it is projected in place
         res -= (res @ rows[: counts[c]].T) @ rows[: counts[c]]
         left = len(res)
-        while left and counts[c] < len(rows) and sum(counts) < capacity:
+        while left and counts[c] < len(rows):
             # a lone candidate needs no pick, and its 1-d norm is the cheap one
             k = int(np.argmax(np.linalg.norm(res, axis=1))) if len(res) > 1 else 0
             first = float(np.linalg.norm(res[k]))
@@ -374,10 +361,10 @@ def _closure(
             accept(c, row[None] / nrm)
 
     def stopped() -> bool:
-        return sum(counts) == capacity or (schedule == "generators" and min_accepted < trusted)
+        return sum(counts) == full or (schedule == "generators" and min_accepted < trusted)
 
     for g, top in zip(mats, tops):
-        if sum(counts) == capacity:
+        if sum(counts) == full:
             break
         c = int(graded and g.imag.any())
         rep = (g.imag if c else g.real) if graded else g
@@ -395,7 +382,7 @@ def _closure(
             counts[:] = gens
             frontier, rounds, candidates = [range(k) for k in gens], 0, 0
             max_discarded, min_accepted = 0.0, math.inf
-        if not any(frontier) or sum(counts) == capacity:
+        if not any(frontier) or sum(counts) == full:
             break
         rounds += 1
         start = list(counts)
@@ -431,15 +418,12 @@ def _closure(
             if stopped():
                 break
         frontier = [range(s, k) for s, k in zip(start, counts)]
-    dimension = sum(counts)
     report = ClosureReport(
-        dimension=dimension,
+        dimension=sum(counts),
         rounds=rounds,
         candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
-        # N**2 elements span all of u(N): the exact answer, not a lower bound
-        hit_cap=dimension == dim_cap < dim_space * dim_space,
         schedule=schedule,
     )
     return packing, [(kind, rows[:k]) for kind, rows, k in zip(kinds, basis, counts)], report

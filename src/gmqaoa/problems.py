@@ -368,6 +368,7 @@ def cnf_terms(formula: CnfFormula) -> list:
     Variable i is bit i-1 of the string index; a positive literal is true
     when its bit is 1.
     """
+    dense_size(formula.variable_count, 2)  # before the 2**k tables: then every clause has k <= 20
     terms = []
     for clause in formula.clauses:
         variables = sorted({abs(lit) for lit in clause})

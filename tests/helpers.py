@@ -16,7 +16,7 @@ import scipy.linalg
 
 from gmqaoa import problems
 from gmqaoa.core import InitialState, ObjectiveTable
-from gmqaoa.oracle import DIM_CAP, TOL_INDEP, TOL_RANK, _ZERO_FLOOR, ClosureReport, gm_generators
+from gmqaoa.oracle import TOL_INDEP, TOL_RANK, _ZERO_FLOOR, ClosureReport, gm_generators
 from gmqaoa.problems import CnfFormula, Graph
 from oracles import _commutant_operator
 
@@ -175,7 +175,7 @@ def level_state(values, coefficients: dict[float, complex]) -> InitialState:
     return InitialState(amps / np.linalg.norm(amps))
 
 
-def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int = DIM_CAP):
+def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
     """An all-pairs Lie closure with ``oracle.lie_closure``'s per-candidate test.
 
     Per round, every element of the previous round's additions is commuted
@@ -191,9 +191,8 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
     mats = [np.asarray(g, dtype=complex) for g in generators]
     dim_space = mats[0].shape[0]
     size2 = dim_space * dim_space
-    capacity = min(dim_cap, size2)
-    basis = np.zeros((capacity, dim_space, dim_space), dtype=complex)
-    rows = basis.reshape(capacity, size2).view(float)
+    basis = np.zeros((size2, dim_space, dim_space), dtype=complex)
+    rows = basis.reshape(size2, size2).view(float)
     count = 0
     candidates = 0
     max_discarded = 0.0
@@ -220,13 +219,13 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
         return True
 
     for g in mats:
-        if count == capacity:
+        if count == size2:
             break
         try_add(g)
     n_gens = count
     frontier = range(count)
     rounds = 0
-    while frontier and count < capacity:
+    while frontier and count < size2:
         rounds += 1
         start = count
         span = basis[:start]
@@ -235,9 +234,9 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
             commutators = np.matmul(f, span) - np.matmul(span, f)
             candidates += start
             for k in range(start):
-                if try_add(commutators[k], floor=_ZERO_FLOOR) and count == capacity:
+                if try_add(commutators[k], floor=_ZERO_FLOOR) and count == size2:
                     break
-            if count == capacity:
+            if count == size2:
                 break
         frontier = range(start, count)
     report = ClosureReport(
@@ -246,33 +245,31 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP, dim_cap: int
         candidates=candidates,
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
-        hit_cap=count == dim_cap < size2,
     )
     if min_accepted < math.sqrt(np.finfo(float).eps / tol_indep):
-        return _pivoted_closure(basis[:n_gens], tol_indep, dim_cap)
+        return _pivoted_closure(basis[:n_gens], tol_indep)
     return basis[:count], report
 
 
-def _pivoted_closure(gens, tol_indep, dim_cap):
+def _pivoted_closure(gens, tol_indep):
     """All-pairs rounds of unit generators, each round's commutators taken
     largest unscaled residual first, one round at a time.
 
-    Only the dimension, span and ``hit_cap`` are meant to be compared: the
+    Only the dimension and span are meant to be compared: the
     other report fields count this run alone.
     """
     dim_space = gens.shape[1]
     size2 = dim_space * dim_space
-    capacity = min(dim_cap, size2)
     basis = list(gens.reshape(len(gens), size2).view(float))
     frontier = list(range(len(basis)))
     rounds = 0
-    while frontier and len(basis) < capacity:
+    while frontier and len(basis) < size2:
         rounds += 1
         start = len(basis)
         span = np.array(basis).view(complex).reshape(start, dim_space, dim_space)
         cands = np.concatenate([np.matmul(span, span[i]) - np.matmul(span[i], span) for i in frontier])
         cands = cands.reshape(len(cands), size2).view(float)
-        while len(cands) and len(basis) < capacity:
+        while len(cands) and len(basis) < size2:
             rows = np.array(basis)
             for _ in range(2):
                 cands = cands - (cands @ rows.T) @ rows
@@ -292,7 +289,6 @@ def _pivoted_closure(gens, tol_indep, dim_cap):
         candidates=0,
         max_residual_discarded=0.0,
         min_residual_accepted=None,
-        hit_cap=count == dim_cap < size2,
         schedule="all-pairs",
     )
     return np.array(basis).view(complex).reshape(count, dim_space, dim_space), report

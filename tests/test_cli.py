@@ -455,20 +455,6 @@ def test_verify_closure_margin_spans_six_decades(capsys, argv):
     assert closure["max_residual_discarded"] <= 1e-6 * closure["min_residual_accepted"]
 
 
-def test_verify_dim_cap_keeps_isotypic_residuals(capsys):
-    # the invariance residuals come from the generators, not from the
-    # closure basis, so a capped closure does not change them
-    reports = []
-    for extra in ((), ("--dim-cap", "3")):
-        code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / "house.graph"), *extra)
-        assert code == 0
-        reports.append(json.loads(out)["oracle"])
-    full, capped = reports
-    assert capped["closure"]["hit_cap"] and capped["closure"]["dimension"] == 3
-    for key in ("frame_residual", "w0_residual", "line_residual"):
-        assert capped["verdicts"]["isotypic"][key] == full["verdicts"]["isotypic"][key] < 1e-8
-
-
 def test_verify_x_mixer(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--mixer", "x"
@@ -481,7 +467,7 @@ def test_verify_x_mixer(capsys):
 
 def test_verify_x_mixer_builds_no_dense_basis(capsys):
     # house closes to 248 elements in two packed real arrays, 496 and 528
-    # floats wide (4.1 MiB at capacity), and verify takes the report alone:
+    # floats wide (4.1 MiB when full), and verify takes the report alone:
     # a (1024, 32, 32) complex basis would be 16 MiB on its own
     tracemalloc.start()
     try:
@@ -566,17 +552,6 @@ def test_verify_isotypic_refuses_a_split_of_the_wrong_shape(capsys, monkeypatch,
         assert isotypic["frame_residual"] > 0.5
 
 
-def test_verify_dim_cap_marks_dla_not_run(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--maxcut", str(DATA / "p3.graph"), "--dim-cap", "4"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["oracle"]["closure"]["hit_cap"] is True
-    assert report["oracle"]["closure"]["dimension"] == 4
-    assert report["oracle"]["verdicts"]["dla_dim"]["verdict"] == "not-run"
-
-
 def test_verify_x_mixer_rejects_nonbinary(capsys):
     # at 5 colors N = 125 is above the dense-oracle cap; the alphabet is checked first
     for colors in ("3", "5"):
@@ -591,15 +566,26 @@ def test_verify_x_mixer_rejects_nonbinary(capsys):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the relative tol_indep test cannot see O(1) level gaps next to O(1e10) entries",
+    reason="the relative tol_indep test cannot see level gaps many decades below the largest entry",
 )
-def test_verify_wide_range_table_matches_prediction(tmp_path, capsys):
-    # the closure stops at 9 against the predicted 16 and verify exits 1
+@pytest.mark.parametrize(
+    "n, values, predicted",
+    [
+        # the closure stops at 9 against the predicted 16 and verify exits 1
+        (2, [1e10, 0, 1, -1e10], 16),
+        # 5 against 17
+        (3, [0, 1e-12, 2e-12, 0, 0, 5, 5, 5], 17),
+        # 9 against 50
+        (3, [1e12, 0, 1, -1e12, 3, 3, 1e-6, 2], 50),
+    ],
+    ids=["1e10-n2", "1e-12-n3", "1e12-n3"],
+)
+def test_verify_wide_range_table_matches_prediction(tmp_path, capsys, n, values, predicted):
     table = tmp_path / "wide.json"
-    table.write_text(json.dumps({"q": 2, "n": 2, "values": [1e10, 0, 1, -1e10]}))
+    table.write_text(json.dumps({"q": 2, "n": n, "values": values}))
     code, out, _ = run_cli(capsys, "verify", "--table", str(table))
     report = json.loads(out)
-    assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"] == 16
+    assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"] == predicted
     assert code == 0
 
 
@@ -665,6 +651,51 @@ def test_verify_refuses_the_dense_table_limit_before_the_oracle_cap(tmp_path, ca
         assert code == 2
         assert out == ""
         assert "exceeds the dense-table limit" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
+def test_wide_cnf_clause_is_refused_before_its_table(tmp_path, capsys, command):
+    # one 22-literal clause on 22 variables: its 2**22 falsifying table alone is 32 MiB
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 22 1\n" + " ".join(str(v) for v in range(1, 23)) + " 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, "--cnf", str(cnf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "exceeds the dense-table limit" in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "flag, name, text, fragment",
+    [
+        ("--init", "init.json", "[1, ", "invalid amplitude JSON"),
+        ("--init", "init.json", '{"re": 1}', "amplitude file must hold a JSON array"),
+        ("--init", "init.json", "[1, 0, 0]", "expected 2 amplitudes, got 3"),
+        ("--cnf", "dup.cnf", "p cnf 1 1\np cnf 1 1\n1 0\n", "duplicate problem line"),
+        ("--cnf", "counts.cnf", "p cnf one 1\n1 0\n", "non-integer counts in problem line"),
+        ("--cnf", "none.cnf", "c no problem line\n", "missing problem line"),
+        ("--maxcut", "empty.graph", "0 0\n", "need n >= 1 and m >= 0"),
+        ("--table", "list.json", "[0, 1]", "expected a JSON object with keys q, n, values"),
+    ],
+    ids=["init-json", "init-not-array", "init-count", "cnf-duplicate", "cnf-counts",
+         "cnf-missing", "graph-empty-header", "table-not-object"],
+)
+def test_input_refusals_exit_two(tmp_path, capsys, flag, name, text, fragment):
+    path = tmp_path / name
+    path.write_text(text)
+    if flag == "--init":
+        argv = ("--table", str(DATA / "identity_n1.json"), "--init", str(path))
+    else:
+        argv = (flag, str(path))
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
 
 
 def test_verify_x_mixer_oracle_cap(tmp_path, capsys):
@@ -828,14 +859,16 @@ def test_bad_tolerance_rejected(capsys, command, flag):
     assert f"argument {flag.split('=')[0]}:" in captured.err
 
 
-@pytest.mark.parametrize("value", ["-3", "0", "2.5", "abc"])
+@pytest.mark.parametrize("value", ["-3", "0", "2.5", "abc", "3"])
 def test_bad_dim_cap_rejected(capsys, value):
+    # the closure has no dimension cap: it stops only on an empty round or
+    # at all of u(N), so every --dim-cap is an unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--maxcut", str(DATA / "p3.graph"), f"--dim-cap={value}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --dim-cap:" in captured.err
+    assert f"unrecognized arguments: --dim-cap={value}" in captured.err
 
 
 def test_verify_closure_stops_at_full_algebra(capsys):
@@ -877,7 +910,7 @@ def test_verify_refuses_zero_tol_rank(capsys):
         ("analyze", ("--tol-zero", "-1")),
         ("verify", ("--tol-indep", "1")),
         ("verify", ("--tol-rank", "0")),
-        ("verify", ("--dim-cap", "0")),
+        ("verify", ("--tol-indep", "0")),
         ("analyze", ("--threshold", "nan")),
         ("simulate", ("--depth", "0")),
         ("sweep", ("--depths", "1,0")),
@@ -979,7 +1012,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.5.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.6.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -996,21 +1029,21 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.5.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.6.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW
     elif command == "verify":
         assert header == _ANALYZE_HEADER + [
-            "mixer", "closure_dim", "closure_rounds", "closure_hit_cap",
+            "mixer", "closure_dim", "closure_rounds",
             "oracle_commutant_dim", "w0_residual", "complement_line_residual",
             "verdict_dla_dim", "verdict_commutant", "verdict_isotypic",
             "tol_indep", "tol_rank", "tol_invariant",
         ]
         assert row[:27] == head + _P3_ANALYZE_ROW[5:]
-        assert row[27:32] == ["grover", "10", "5", "false", "12"]
-        assert all(float(cell) < 1e-12 for cell in row[32:34])  # oracle residuals
-        assert row[34:] == ["match", "match", "match", "1e-09", "1e-08", "1e-08"]
+        assert row[27:31] == ["grover", "10", "5", "12"]
+        assert all(float(cell) < 1e-12 for cell in row[31:33])  # oracle residuals
+        assert row[33:] == ["match", "match", "match", "1e-09", "1e-08", "1e-08"]
     else:
         assert header == [
             "tool", "version", "command", "problem_kind", "problem_source",

@@ -140,36 +140,11 @@ def test_lie_closure_p4_gm():
     h_p, g_m = gm_generators(table, state)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     assert report.dimension == 17
-    assert not report.hit_cap
-
-
-def test_lie_closure_dim_cap_flagged():
-    rng = np.random.default_rng(1)
-    gens = []
-    for _ in range(2):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        gens.append(0.5 * (m - m.conj().T))
-    _, report = lie_closure(gens, dim_cap=3)
-    assert report.hit_cap
-    assert report.dimension == 3
 
 
 def random_skew(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (m - m.conj().T)
-
-
-def test_lie_closure_never_exceeds_dim_cap():
-    rng = np.random.default_rng(1)
-    gens = [random_skew(rng, 4) for _ in range(2)]
-    basis, report = lie_closure(gens, dim_cap=1)
-    assert basis.shape == (1, 4, 4)
-    assert report.dimension == 1
-    assert report.hit_cap
-    assert report.rounds == 0
-    for bad in (0, -3, 2.5, True):
-        with pytest.raises(ValueError, match="dim_cap"):
-            lie_closure(gens, dim_cap=bad)
 
 
 def test_lie_closure_is_bounded_by_full_algebra():
@@ -180,11 +155,6 @@ def test_lie_closure_is_bounded_by_full_algebra():
     basis, report = lie_closure(gens, tol_indep=1e-300)
     assert basis.shape == (9, 3, 3)
     assert report.dimension == 9
-    assert not report.hit_cap
-    # reaching u(N) is exact even when the cap equals N**2
-    _, at_cap = lie_closure(gens, dim_cap=9)
-    assert at_cap.dimension == 9
-    assert not at_cap.hit_cap
 
 
 def test_lie_closure_monotone_in_generators():
@@ -321,29 +291,24 @@ def hop_and_field(n):
 
 
 REFERENCE_CASES = (
-    [pytest.param(uniform_generators(name, "grover"), {}, id=f"{name}-grover") for name in BUNDLED_N32]
+    [pytest.param(uniform_generators(name, "grover"), id=f"{name}-grover") for name in BUNDLED_N32]
     + [
-        pytest.param(uniform_generators(name, "x"), {}, id=f"{name}-x")
+        pytest.param(uniform_generators(name, "x"), id=f"{name}-x")
         for name in BUNDLED_N32
         if bundled_table(name).q == 2
     ]
     # a faint supported level: the generator-bracket run meets an
     # ill-conditioned acceptance and both closures redo it pivoted
     + [
-        pytest.param(faint_p3_generators(eps), {}, id=f"p3-faint-{eps:g}")
+        pytest.param(faint_p3_generators(eps), id=f"p3-faint-{eps:g}")
         for eps in (1e-5, 1e-4, 3e-5, 3e-6)
     ]
     + [
-        pytest.param(random_grover_generators(name, seed=7), {}, id=f"{name}-grover-random")
+        pytest.param(random_grover_generators(name, seed=7), id=f"{name}-grover-random")
         for name in ("house.graph", "c6.graph")
     ]
     # a real generator and an imaginary one: both parity classes from the start
-    + [pytest.param(hop_and_field(6), {}, id="hop-field-6")]
-    # caps that stop the closure inside a round
-    + [
-        pytest.param(uniform_generators("house.graph", "x"), {"dim_cap": cap}, id=f"house-x-cap{cap}")
-        for cap in (1, 2, 100, 129, 247)
-    ]
+    + [pytest.param(hop_and_field(6), id="hop-field-6")]
 )
 
 
@@ -354,21 +319,13 @@ def span_residual(basis, other):
     return float(np.max(np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1)))
 
 
-@pytest.mark.parametrize("generators, kwargs", REFERENCE_CASES)
-def test_lie_closure_matches_reference(generators, kwargs):
+@pytest.mark.parametrize("generators", REFERENCE_CASES)
+def test_lie_closure_matches_reference(generators):
     # the generator-bracket schedule reaches the algebra the all-pairs
-    # schedule does: the same dimension and the same span; a capped closure
-    # stops at the cap inside the uncapped span
-    basis, report = lie_closure(generators, **kwargs)
-    if "dim_cap" in kwargs:
-        full, uncapped = lie_closure(generators)
-        assert report.dimension == kwargs["dim_cap"] < uncapped.dimension
-        assert report.hit_cap
-        assert span_residual(full, basis) <= 1e-8
-        return
+    # schedule does: the same dimension and the same span
+    basis, report = lie_closure(generators)
     ref_basis, ref = reference_lie_closure(generators)
     assert report.dimension == ref.dimension
-    assert report.hit_cap == ref.hit_cap
     assert span_residual(basis, ref_basis) <= 1e-8
     assert span_residual(ref_basis, basis) <= 1e-8
 
@@ -413,7 +370,7 @@ def test_closure_screens_each_pair_once(name, mixer, pairs):
     generators = uniform_generators(name, mixer)
     _, report = lie_closure(generators)
     dim = report.dimension
-    assert not report.hit_cap and dim < bundled_table(name).size ** 2
+    assert dim < bundled_table(name).size ** 2
     assert report.candidates == len(generators) * dim
     assert dim * (dim - 1) // 2 == pairs
 
@@ -550,7 +507,6 @@ def test_dense_commutant_of_faint_level_at_default_tol_rank():
 
 def level_span_dim(values, amplitudes):
     _, report = lie_closure(level_span_generators(values, amplitudes))
-    assert not report.hit_cap
     return report.dimension
 
 
@@ -924,7 +880,6 @@ def test_closure_confirms_sum_zero_branch():
 def _closure_dim(table, state):
     h_p, g_m = gm_generators(table, state)
     _, report = lie_closure([1j * h_p, 1j * g_m])
-    assert not report.hit_cap
     return report.dimension
 
 
