@@ -70,8 +70,8 @@ from .simulator import BETA_MAX, GAMMA_MAX, _check_depth, _check_samples, _check
 
 # CPython's built-in SHA-256: importing hashlib maps OpenSSL's libcrypto,
 # 3.6 MiB of resident memory and about 5 ms, to hash inputs of a few
-# hundred bytes.  Builds without the built-in hashes (FIPS-only) fall
-# back to hashlib.
+# hundred bytes.  Builds without the built-in hashes (FIPS-only) use
+# hashlib.
 try:
     from _sha2 import sha256 as _builtin_sha256  # Python 3.12 on
 except ImportError:
@@ -79,10 +79,6 @@ except ImportError:
         from _sha256 import sha256 as _builtin_sha256  # Python 3.10-3.11
     except ImportError:
         _builtin_sha256 = None
-
-#: Largest input the built-in hash takes.  It is about 6 times slower per
-#: byte than OpenSSL's, so at 1 MiB its extra cost matches libcrypto's load.
-_BUILTIN_SHA256_MAX = 1 << 20
 
 #: Bound on the isotypic verdict's frame, W0 and line residuals.
 TOL_INVARIANT = 1e-8
@@ -225,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _sha256_hex(data: bytes) -> str:
     """The SHA-256 hex digest of ``data``; the same bytes from either hash."""
-    if _builtin_sha256 is not None and len(data) <= _BUILTIN_SHA256_MAX:
+    if _builtin_sha256 is not None:
         return _builtin_sha256(data).hexdigest()
     import hashlib
 

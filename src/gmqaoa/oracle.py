@@ -546,17 +546,19 @@ def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list
 def level_span_generators(
     values, amplitudes, tol_zero: float = TOL_ZERO
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The Grover generators i H_p and -i u u^dag on d + 1 dimensions.
+    """The Grover generators i H_p and -i u u^dag on d dimensions, plus one
+    when H_p does not vanish off the level span.
 
     K = span{P_j u} over the levels of norm above ``tol_zero`` holds u and
     is H_p-invariant, so every commutator acts on K alone, and the part of
     any DLA element on K's complement is a multiple of H_p there.  With Q
     the W0 columns of ``isotypic_split``, returns the block-diagonal
     i (Q^dag H_p Q + [h]) and i (-Q^dag u u^dag Q + [0]), h = ||(I - Q
-    Q^dag) H_p||_F: an isometry of the DLA, so their closure has its
-    dimension at the same ``tol_indep``.  Within level j, I - Q Q^dag is a
-    projector of rank n_j - 1 (supported) or n_j, so h is exactly 0 when
-    H_p vanishes off K.
+    Q^dag) H_p||_F, the trailing blocks left out when h = 0: an isometry of
+    the DLA, so their closure has its dimension at the same ``tol_indep``.
+    Within level j, I - Q Q^dag is a projector of rank n_j - 1 (supported)
+    or n_j, so h is exactly 0 when H_p vanishes off K, and h > 0 implies
+    d < N, so neither generator is larger than the instance.
 
     Both are built from the levels, not from Q: Q^dag H_p Q is
     diag(lambda_j) over the supported levels, largest first, and Q^dag u
@@ -565,10 +567,10 @@ def level_span_generators(
     parity classes.  h is taken as m sqrt(sum (lambda / m)**2 ...), m the
     largest |lambda|, so values whose squares overflow give a finite h.
 
-    Their closure can only undercount: both generators are d + 1
-    block-diagonal, so every bracket is too and has a zero (d, d) entry,
-    and the closure lies in u(d) + span{i E_dd}.  That bounds it at
-    d**2 + 1 when h > 0 and at d**2 when h = 0, which is ``predict_dla``.
+    Their closure can only undercount: it lies in u(d) when h = 0, and in
+    u(d) + span{i E_dd} when h > 0, since both generators are then
+    block-diagonal and every bracket has a zero (d, d) entry.  That bounds
+    it at d**2 and d**2 + 1, which is ``predict_dla``.
     """
     lam, _, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
     level_values = np.empty(level_norms.size)
@@ -576,14 +578,11 @@ def level_span_generators(
     # each string's share of its level's rank off K
     off = 1.0 - supported / np.bincount(level_of)
     top = float(np.max(np.abs(lam)))
-    d = int(np.count_nonzero(supported))
-    h_p = np.zeros((d + 1, d + 1))
-    h_p[:d, :d] = np.diag(level_values[supported])
-    if top > 0.0:
-        h_p[d, d] = top * math.sqrt(float(np.sum((lam / top) ** 2 * off[level_of])))
+    h = top * math.sqrt(float(np.sum((lam / top) ** 2 * off[level_of]))) if top > 0.0 else 0.0
+    h_p = np.diag(np.append(level_values[supported], [h] if h > 0.0 else []))
     w = level_norms[supported]
     g_m = np.zeros_like(h_p)
-    g_m[:d, :d] = -np.outer(w, w)
+    g_m[: w.size, : w.size] = -np.outer(w, w)
     return 1j * h_p, 1j * g_m
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import cli
+from gmqaoa import cli, oracle
 from gmqaoa.cli import main
 from gmqaoa.core import MAX_ABS_OBJECTIVE, build_spectrum
 from gmqaoa.problems import maxcut_objective, parse_graph
@@ -50,7 +50,7 @@ def test_analyze_house(capsys):
     assert report["version"]
 
 
-@pytest.mark.parametrize("size", [0, 64, cli._BUILTIN_SHA256_MAX, cli._BUILTIN_SHA256_MAX + 1])
+@pytest.mark.parametrize("size", [0, 64, 1 << 20, (1 << 20) + 1])
 def test_sha256_hex_matches_hashlib_on_both_sides_of_the_size_rule(size):
     data = bytes(range(256)) * (size // 256) + bytes(size % 256)
     assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
@@ -72,6 +72,21 @@ def test_verify_loads_no_openssl_hash():
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.split() == ["0", "False"], command
+
+
+@pytest.mark.skipif(cli._builtin_sha256 is None, reason="no built-in SHA-256 in this build")
+def test_sha256_hex_hashes_large_inputs_without_openssl():
+    # the built-in hash takes inputs of every size, so 2 MiB maps no libcrypto
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from gmqaoa.cli import _sha256_hex\n"
+        "print(_sha256_hex(bytes(range(256)) * 8192), '_hashlib' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    expected = hashlib.sha256(bytes(range(256)) * 8192).hexdigest()
+    assert done.stdout.split() == [expected, "False"]
 
 
 def test_analyze_p4(capsys):
@@ -707,6 +722,18 @@ def test_verify_x_mixer_oracle_cap(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "dense oracle capped at 64 dimensions, got 1048576" in err
+
+
+def test_verify_runs_a_table_of_distinct_values_at_the_oracle_cap(tmp_path, capsys, monkeypatch):
+    # every string is its own supported level, so H_p vanishes off the level
+    # span and its generators take the instance's 8 dimensions, not 9
+    monkeypatch.setattr(oracle, "ORACLE_DIM_LIMIT", 8)
+    path = tmp_path / "distinct.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "values": list(range(8))}))
+    code, out, err = run_cli(capsys, "verify", "--table", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"] == 64
 
 
 def test_simulate_requires_two_samples(capsys):

@@ -18,8 +18,14 @@ from gmqaoa.core import (
     uniform_overlaps,
     uniform_state,
 )
-from gmqaoa.oracle import _levels, isotypic_split
-from gmqaoa.problems import house_graph, maxcut_objective, parse_custom_table
+from gmqaoa.oracle import _levels, gm_generators, isotypic_split, lie_closure, x_mixer_generator
+from gmqaoa.problems import (
+    ValidationError,
+    cycle_graph,
+    house_graph,
+    maxcut_objective,
+    parse_custom_table,
+)
 from helpers import random_graph, reference_decomposition
 
 # [0,1,2,1,1,2,1,0]: cut sizes of the 3-vertex path, enumerated by hand
@@ -322,3 +328,27 @@ def test_reconstruction_and_counts(table, seed):
     for j, xi in zip(sup, w0):
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
         assert np.all(xi[spectrum.level_of != j] == 0)
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: Spectrum([2.0, 1.0], [1], 1), ValueError, "parallel 1-d arrays"),
+        (lambda: Spectrum([1.0, 2.0], [1, 1], 2), ValueError, "strictly decreasing"),
+        (lambda: Spectrum([2.0, 1.0], [1, 1], 3), ValueError,
+         "must sum to the state-space dimension"),
+        (lambda: Spectrum([2.0, 1.0], [1, 1], 2, level_of=[0]), ValueError,
+         "level_of must map every string index"),
+        (lambda: InitialState(np.array([])), ValueError, "non-empty 1-d array"),
+        (lambda: gm_generators(ObjectiveTable(n=2, q=2, values=P3_VALUES[:4]), uniform_state(3, 2)),
+         ValueError, "dimensions disagree"),
+        (lambda: x_mixer_generator(0), ValueError, "need n >= 1"),
+        (lambda: lie_closure([]), ValueError, "need at least one generator"),
+        (lambda: cycle_graph(2), ValidationError, "at least 3 vertices"),
+    ],
+    ids=["spectrum-lengths", "spectrum-order", "spectrum-sum", "spectrum-level-of",
+         "empty-state", "generator-sizes", "x-mixer-n0", "closure-empty", "cycle-2"],
+)
+def test_library_refuses_malformed_inputs(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()

@@ -544,9 +544,10 @@ def test_level_span_closure_of_faint_level(eps):
 
 
 def test_level_span_closure_can_only_undercount():
-    # both generators are block-diagonal, d + 1, so every bracket is too and
-    # has a zero (d, d) entry: the closure lies in u(d) + span{i E_dd}, at most
-    # d**2 + 1 when h > 0 and d**2 when h = 0, which is the prediction
+    # when h > 0 both generators are block-diagonal, d + 1, so every bracket
+    # is too and has a zero (d, d) entry: the closure lies in u(d) + span{i
+    # E_dd}, at most d**2 + 1; when h = 0 they are d x d and the closure lies
+    # in u(d), at most d**2; either bound is the prediction
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
@@ -561,12 +562,12 @@ def test_level_span_closure_can_only_undercount():
         spectrum = build_spectrum(ObjectiveTable(n=n, q=2, values=values))
         predicted = predict_dla(spectrum, decompose_initial_state(InitialState(amps), spectrum))
         h_span, g_span = level_span_generators(values, amps)
-        d = len(h_span) - 1
+        d = predicted.d
         basis, report = lie_closure([h_span, g_span])
         assert report.dimension == predicted.dim, seed
-        assert not np.any(basis[:, :d, d]) and not np.any(basis[:, d, :d])
-        if h_span[d, d] == 0:
-            assert not np.any(basis[:, d, d])
+        assert len(h_span) == d + predicted.center_dim - 1, seed
+        if predicted.center_dim == 2:
+            assert not np.any(basis[:, :d, d]) and not np.any(basis[:, d, :d])
 
 
 @pytest.mark.xfail(
@@ -598,6 +599,13 @@ def test_level_span_generators_are_an_isometry():
     # string off the span
     _, g_one = level_span_generators(table.values, _basis_state(8, 1).amplitudes)
     assert g_one.shape == (2, 2) and g_one[0, 0] == -1j
+    # all-distinct values: every string is its own supported level, H_p
+    # vanishes off the span (h = 0), and the pair is 8 x 8 with no tail
+    distinct = ObjectiveTable(n=3, q=2, values=np.arange(8.0))
+    h_span, g_span = level_span_generators(distinct.values, state.amplitudes)
+    assert h_span.shape == g_span.shape == (8, 8)
+    for dense, span in zip(gm_generators(distinct, state), (h_span, g_span)):
+        assert np.linalg.norm(span) == pytest.approx(np.linalg.norm(dense), abs=1e-14)
 
 
 def test_level_span_generators_are_imaginary_for_complex_states():

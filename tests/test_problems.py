@@ -483,7 +483,7 @@ def test_local_spectrum_refuses_bad_terms():
     # _local_objective applies the same term check
     cut = 1.0 - np.eye(2)
     late = np.zeros(2**16)
-    late[-1] = 0.5  # past the first slice that is checked
+    late[-1] = 0.5  # the last entry of a 2**16-entry term
     late = late.reshape((2,) * 16)
     for build in (local_spectrum, _local_objective):
         with pytest.raises(ValueError, match="integer"):
