@@ -9,7 +9,6 @@ the large-depth loss statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -118,10 +117,3 @@ def isotypic_summary(spectrum: Spectrum, overlaps: LevelOverlaps) -> Tuple[int, 
     """
     return overlaps.d, spectrum.n_states - overlaps.d
 
-
-def slocal_bound(n: int, s: int, m: int, terms: int) -> int:
-    """Range-size bound m*T + 1 for a sum of T terms on s sites each,
-    every term taking values in 0..m."""
-    if not (0 <= terms <= math.comb(n, s)):
-        raise ValueError(f"term count {terms} exceeds C({n},{s})")
-    return m * terms + 1

@@ -1,10 +1,10 @@
 """Brute-force numerical verification of the structure predictions.
 
-Lie closures from generators, the commutant dimension of the Grover
-pair, and the residuals of the isotypic split.  The oracles of record
-that no report runs, the dense Kronecker commutant and the
-constructive extraction of matrix units from a diagonal/frame
-generator pair, are in ``tests/oracles.py``.
+The Lie closure of real or imaginary generators, the commutant
+dimension of the Grover pair, and the residuals of the isotypic split.
+The oracles of record that no report runs, the closure's dense basis,
+the dense Kronecker commutant and the constructive extraction of matrix
+units from a diagonal/frame generator pair, are in ``tests/oracles.py``.
 
 Dimension conventions, since mixing them is the classic bug here: the
 Lie closure works over the REAL span of skew-Hermitian matrices and
@@ -55,7 +55,7 @@ class ClosureReport:
     around ``tol_indep``: the largest residual of a discarded candidate,
     and the smallest of an accepted element (None when no element was
     tested against a non-empty basis), each that of the candidate as fed
-    to the one acceptance routine of ``lie_closure``: normalized to unit
+    to the one acceptance routine of ``closure_report``: normalized to unit
     norm on generator brackets, unscaled commutators of unit elements on
     all pairs; each is taken against the basis of the candidate's own
     parity class, which, the classes being orthogonal, is the whole basis.
@@ -143,28 +143,22 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
     return h - (np.trace(h) / n) * np.eye(n)
 
 
-def lie_closure(
+def closure_report(
     generators: Sequence[np.ndarray],
     tol_indep: float = TOL_INDEP,
-) -> Tuple[np.ndarray, ClosureReport]:
-    """Close a set of skew-Hermitian generators under the commutator.
+) -> ClosureReport:
+    """Close a set of skew-Hermitian generators under the commutator, on a
+    basis orthonormal under Re tr(A^dag B), and report the closure.
 
-    Returns a ``(k, N, N)`` array of skew-Hermitian matrices, orthonormal
-    under Re tr(A^dag B), and the closure report.
-
-    Parity classes.  When every generator is exactly real or exactly
-    imaginary (checked with exact zeros), the algebra splits as g = k + p
-    with k = g & so(N) and p = g & i Sym(N), since [k, k] and [p, p] lie
-    in so(N) and [k, p] in i Sym(N).  The closure then runs on two
-    classes, each with its own basis array of packed real rows
-    (``_Packing``): N(N-1)/2 coordinates for k, N(N+1)/2 for p.  A
-    bracket's class follows from its factors' classes, it is computed in
-    real arithmetic on their real representatives, and it is projected
-    only against its own class's basis.  Any other generator set runs on
-    one class on all N**2 coordinates, with complex brackets.  Either way
-    a row is half the 2 N**2 floats of a complex matrix.  The returned
-    basis lists the k elements, then the p elements, each in acceptance
-    order.
+    Parity classes.  Every generator is exactly real or exactly imaginary
+    (checked with exact zeros), so the algebra splits as g = k + p with
+    k = g & so(N) and p = g & i Sym(N), since [k, k] and [p, p] lie in
+    so(N) and [k, p] in i Sym(N).  The closure runs on the two classes,
+    each with its own basis array of packed real rows (``_Packing``):
+    N(N-1)/2 coordinates for k, N(N+1)/2 for p.  A bracket's class
+    follows from its factors' classes, it is computed in real arithmetic
+    on their real representatives, and it is projected only against its
+    own class's basis.
 
     One acceptance routine takes every candidate: it projects a batch of
     one class against that class's basis, then, largest residual first,
@@ -212,32 +206,23 @@ def lie_closure(
     candidate is discarded, since a unit candidate's residual never
     exceeds 1.  The generators must be finite and skew-Hermitian relative
     to their largest entry: divided by it, max |g + g^dag| may not exceed
-    1e-10.  They must be square matrices of one size, at least 1x1; other
-    shapes raise ``ValueError``.
+    1e-10.  They must be square matrices of one size, at least 1x1, each
+    exactly real or exactly imaginary; other inputs raise ``ValueError``.
+    A set with complex generators closes to the same dimension through
+    its realification X -> [[Re X, -Im X], [Im X, Re X]], an injective
+    Lie-algebra map from u(N) into so(2N) whose images are real.
     """
-    packing, classes, report = _closure(generators, tol_indep)
-    parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
-    return np.concatenate(parts).astype(complex, copy=False), report
-
-
-def closure_report(
-    generators: Sequence[np.ndarray],
-    tol_indep: float = TOL_INDEP,
-) -> ClosureReport:
-    """The report of ``lie_closure``, without building its dense basis."""
     return _closure(generators, tol_indep)[2]
 
 
 class _Packing:
     """Real coordinates of u(N), split by complex-conjugation parity.
 
-    Three classes, each holding real representatives M of its elements X:
+    Two classes, each holding real representatives M of its elements X:
     ``"k"`` is so(N), X = M real antisymmetric, packed as sqrt(2) M_ab
     over a < b; ``"p"`` is i Sym(N), X = i M with M real symmetric,
-    packed as (M_aa, sqrt(2) M_ab over a < b); ``"u"`` is all of u(N),
-    X = M complex, packed as Re M in ``"k"`` then Im M in ``"p"``
-    coordinates, (sqrt(2) Re X_ab, Im X_aa, sqrt(2) Im X_ab).  Each packing
-    is an isometry for Re tr(A^dag B), and ``pack`` projects onto its class
+    packed as (M_aa, sqrt(2) M_ab over a < b).  Each packing is an
+    isometry for Re tr(A^dag B), and ``pack`` projects onto its class
     first, so a bracket's round-off off the class is dropped.
     """
 
@@ -245,12 +230,10 @@ class _Packing:
         a, b = np.triu_indices(n, 1)
         self.n = n
         self.upper, self.lower, self.diag = a * n + b, b * n + a, np.arange(n) * (n + 1)
-        self.width = {"k": a.size, "p": a.size + n, "u": n * n}
+        self.width = {"k": a.size, "p": a.size + n}
 
     def pack(self, mats: np.ndarray, kind: str) -> np.ndarray:
         """Packed rows of a stack of (N, N) representatives, on the last axis."""
-        if kind == "u":
-            return np.concatenate([self.pack(mats.real, "k"), self.pack(mats.imag, "p")], axis=-1)
         flat = mats.reshape(mats.shape[:-2] + (-1,))
         upper = np.take(flat, self.upper, axis=-1)
         lower = np.take(flat, self.lower, axis=-1)
@@ -260,9 +243,6 @@ class _Packing:
 
     def unpack(self, rows: np.ndarray, kind: str) -> np.ndarray:
         """The (len(rows), N, N) representatives of packed rows."""
-        if kind == "u":
-            split = self.width["k"]
-            return self.unpack(rows[:, :split], "k") + 1j * self.unpack(rows[:, split:], "p")
         flat = np.zeros((len(rows), self.n * self.n))
         if kind == "k":
             flat[:, self.upper] = rows * _SQRT_HALF
@@ -275,14 +255,14 @@ class _Packing:
 
 
 def _check_tol_indep(tol_indep: float) -> None:
-    # why (0, 1): see lie_closure
+    # why (0, 1): see closure_report
     if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
         raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
 
 
 def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packing, list, ClosureReport]:
-    """The routine behind ``lie_closure`` and ``closure_report``: its
-    packing, the (kind, packed rows) of each parity class, and the report."""
+    """The routine behind ``closure_report``: its packing, the (kind,
+    packed rows) of each parity class, and the report."""
     _check_tol_indep(tol_indep)
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
@@ -302,24 +282,23 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
         unit = g / top if top > 0.0 else g
         if np.max(np.abs(unit + unit.conj().T)) > _TOL_SKEW:
             raise ValueError("generators must be skew-Hermitian")
+        # exact zeros, not a tolerance: real generators lie in so(N) and
+        # imaginary ones in i Sym(N), and then every bracket is one or the other
+        if g.real.any() and g.imag.any():
+            raise ValueError("generators must each be exactly real or exactly imaginary")
         tops.append(top)
     _check_oracle_size(dim_space)
 
     packing = _Packing(dim_space)
-    # exact zeros, not a tolerance: real generators lie in so(N) and
-    # imaginary ones in i Sym(N), and then every bracket is graded
-    graded = all(not g.real.any() or not g.imag.any() for g in mats)
     # a class's index is its parity, 0 real and 1 imaginary, so a
     # bracket's class is the XOR of its factors' classes
-    kinds = ("k", "p") if graded else ("u",)
+    kinds = ("k", "p")
     widths = [packing.width[kind] for kind in kinds]
     # the class widths sum to N**2, so the closure spans u(N) exactly when
     # every class array is full
     basis = [np.zeros((w, w)) for w in widths]
-    counts = [0] * len(kinds)
+    counts = [0, 0]
     full = dim_space * dim_space
-    # floats of one bracket matrix on the all-pairs schedule
-    bracket_floats = full * (1 if graded else 2)
     trusted = math.sqrt(np.finfo(float).eps / tol_indep)
     candidates = 0
     max_discarded = 0.0
@@ -366,8 +345,8 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
     for g, top in zip(mats, tops):
         if sum(counts) == full:
             break
-        c = int(graded and g.imag.any())
-        rep = (g.imag if c else g.real) if graded else g
+        c = int(g.imag.any())
+        rep = g.imag if c else g.real
         # scaled to a largest entry of 1 before its norm is taken, so
         # entries whose squares overflow close like unit entries; rep
         # holds all of g's nonzero entries, so g's largest is rep's
@@ -389,7 +368,7 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
         if schedule == "generators":
             span_counts, block = gens, 1
         else:
-            span_counts, block = start, max(1, _BLOCK_FLOATS // (bracket_floats * sum(start)))
+            span_counts, block = start, max(1, _BLOCK_FLOATS // (full * sum(start)))
         spans = [(c, packing.unpack(basis[c][:k], kinds[c])) for c, k in enumerate(span_counts) if k]
         blocks = [
             (cf, lo, min(lo + block, todo.stop))
@@ -563,9 +542,10 @@ def level_span_generators(
     Both are built from the levels, not from Q: Q^dag H_p Q is
     diag(lambda_j) over the supported levels, largest first, and Q^dag u
     is w with w_j = ||P_j u||.  So they are exactly i times a real
-    symmetric matrix for every state, and ``lie_closure`` runs on its two
-    parity classes.  h is taken as m sqrt(sum (lambda / m)**2 ...), m the
-    largest |lambda|, so values whose squares overflow give a finite h.
+    symmetric matrix for every state, and ``closure_report`` runs on its
+    two parity classes.  h is taken as m sqrt(sum (lambda / m)**2 ...),
+    m the largest |lambda|, so values whose squares overflow give a
+    finite h.
 
     Their closure can only undercount: it lies in u(d) when h = 0, and in
     u(d) + span{i E_dd} when h > 0, since both generators are then

@@ -176,17 +176,18 @@ def level_state(values, coefficients: dict[float, complex]) -> InitialState:
 
 
 def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
-    """An all-pairs Lie closure with ``oracle.lie_closure``'s per-candidate test.
+    """An all-pairs Lie closure with ``oracle.closure_report``'s per-candidate test.
 
     Per round, every element of the previous round's additions is commuted
     with every basis element present at the round's start, not only with
     the generators; each commutator takes the same two-pass Gram-Schmidt
     test against the whole current basis.  It forms about D**2 / 2
     candidates for a D-dimensional algebra and reaches the same algebra.
-    Like ``lie_closure``, a run that accepts a residual below
-    sqrt(eps / tol_indep) is redone with each round's commutators accepted
-    largest unscaled residual first (``_pivoted_closure``).  Inputs are
-    not validated.
+    It works on complex matrices, so it closes a complex generator set
+    as given, with no realification or gauge.  Like ``closure_report``,
+    a run that accepts a residual below sqrt(eps / tol_indep) is redone
+    with each round's commutators accepted largest unscaled residual
+    first (``_pivoted_closure``).  Inputs are not validated.
     """
     mats = [np.asarray(g, dtype=complex) for g in generators]
     dim_space = mats[0].shape[0]

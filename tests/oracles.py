@@ -3,6 +3,9 @@
 No report runs these; they check the library's reports against the
 definitions the paper states:
 
+- ``lie_closure``: the dense basis of ``gmqaoa.oracle.closure_report``'s
+  closure, with complex generator sets closed through their
+  realification;
 - ``commutant_dimension``: the dense Kronecker commutant, the nullity of
   sum_k ad_k^dag ad_k on N x N matrices, against which
   ``gmqaoa.oracle.grover_commutant_dimension`` is checked;
@@ -12,22 +15,60 @@ definitions the paper states:
   against which the Monte Carlo's evolution in W0 is checked, with
   ``sample_parameters`` drawing its angles from the Monte Carlo's stream.
 
-The library's own input rules (``_basis_array``, ``_check_tol_rank``,
-``_check_oracle_size``) and angle stream (``_draw_angles``) are shared,
-so these oracles refuse what the library refuses and see the same
-samples.
+The library's own closure (``_closure``), input rules
+(``_basis_array``, ``_check_tol_rank``, ``_check_oracle_size``) and
+angle stream (``_draw_angles``) are shared, so these oracles refuse what
+the library refuses and see the same samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from gmqaoa.core import TOL_ZERO, InitialState, ObjectiveTable, SizeLimitError
-from gmqaoa.oracle import TOL_RANK, _basis_array, _check_oracle_size, _check_tol_rank
+from gmqaoa.oracle import (
+    TOL_INDEP,
+    TOL_RANK,
+    ClosureReport,
+    _basis_array,
+    _check_oracle_size,
+    _check_tol_rank,
+    _closure,
+)
 from gmqaoa.simulator import BETA_MAX, GAMMA_MAX, _draw_angles
+
+
+def lie_closure(
+    generators: Sequence[np.ndarray],
+    tol_indep: float = TOL_INDEP,
+) -> Tuple[np.ndarray, ClosureReport]:
+    """The closure of ``closure_report``, with its dense basis.
+
+    Returns a ``(k, N, N)`` array of skew-Hermitian matrices, orthonormal
+    under Re tr(A^dag B), and the closure report.  The basis lists the
+    so(N) elements, then the i Sym(N) elements, each in acceptance order.
+
+    A set whose generators are not each exactly real or exactly imaginary
+    is closed through its realification X -> [[Re X, -Im X], [Im X, Re X]],
+    an injective Lie-algebra map from u(N) into so(2N): the real images
+    close to the same dimension, and each basis element B maps back to
+    B_11 + i B_21, renormalized, since the map doubles Re tr(A^dag B).
+    The report is then that of the 2N x 2N run, which the oracle cap
+    bounds like any other.
+    """
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    if any(g.real.any() and g.imag.any() for g in mats):
+        n = mats[0].shape[0]
+        real = [np.block([[g.real, -g.imag], [g.imag, g.real]]) for g in mats]
+        basis, report = lie_closure(real, tol_indep)
+        back = basis[:, :n, :n] + 1j * basis[:, n:, :n]
+        return back / np.linalg.norm(back, axis=(1, 2))[:, None, None], report
+    packing, classes, report = _closure(mats, tol_indep)
+    parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
+    return np.concatenate(parts).astype(complex, copy=False), report
 
 
 def _commutant_operator(basis) -> np.ndarray:

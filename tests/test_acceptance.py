@@ -25,7 +25,6 @@ from gmqaoa.oracle import (
     gm_generators,
     isotypic_residuals,
     isotypic_split,
-    lie_closure,
     traceless_part,
     x_mixer_generator,
 )
@@ -43,6 +42,7 @@ from oracles import (
     commutant_dimension,
     extract_matrix_units,
     grover_mixer_identity_check,
+    lie_closure,
     run_circuit,
 )
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from gmqaoa.analytic import (
     predict_commutant,
     predict_dla,
     predict_loss_stats,
-    slocal_bound,
 )
 from gmqaoa.core import (
     InitialState,
@@ -233,18 +230,6 @@ def test_isotypic_summary():
     assert isotypic_summary(spectrum3, overlaps3) == (5, 27)
 
 
-def test_slocal_bound():
-    g = house_graph()
-    assert slocal_bound(5, 2, 1, g.edge_count) == g.edge_count + 1
-    assert slocal_bound(4, 2, 1, 0) == 1
-    # m-clause count cap for width-m disjunctions
-    n, m = 6, 3
-    clause_cap = math.comb(n, m) * 2**m
-    assert slocal_bound(n, m, 1, math.comb(n, m)) <= clause_cap + 1
-    with pytest.raises(ValueError):
-        slocal_bound(4, 2, 1, 7)
-
-
 def test_dla_dim_formula_for_uniform_states():
     rng = np.random.default_rng(29)
     for _ in range(15):
@@ -259,6 +244,9 @@ def test_barren_plateau_bound_for_maxcut():
         g = random_graph(rng, int(rng.integers(2, 10)))
         spectrum, overlaps = uniform_setup(maxcut_objective(g))
         stats = predict_loss_stats(spectrum, overlaps)
-        floor = stats.zeta_var / (slocal_bound(g.vertex_count, 2, 1, g.edge_count) + 1)
+        # the paper's range bound m T + 1 for a sum of T terms valued in
+        # 0..m; MaxCut has T = |E| edge terms and m = 1
+        bound = g.edge_count + 1
+        floor = stats.zeta_var / (bound + 1)
         assert stats.loss_variance >= floor > 0
 

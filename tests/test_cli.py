@@ -1039,7 +1039,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.6.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.7.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -1056,7 +1056,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.6.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.7.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

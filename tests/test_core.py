@@ -18,7 +18,7 @@ from gmqaoa.core import (
     uniform_overlaps,
     uniform_state,
 )
-from gmqaoa.oracle import _levels, gm_generators, isotypic_split, lie_closure, x_mixer_generator
+from gmqaoa.oracle import _levels, closure_report, gm_generators, isotypic_split, x_mixer_generator
 from gmqaoa.problems import (
     ValidationError,
     cycle_graph,
@@ -343,7 +343,7 @@ def test_reconstruction_and_counts(table, seed):
         (lambda: gm_generators(ObjectiveTable(n=2, q=2, values=P3_VALUES[:4]), uniform_state(3, 2)),
          ValueError, "dimensions disagree"),
         (lambda: x_mixer_generator(0), ValueError, "need n >= 1"),
-        (lambda: lie_closure([]), ValueError, "need at least one generator"),
+        (lambda: closure_report([]), ValueError, "need at least one generator"),
         (lambda: cycle_graph(2), ValidationError, "at least 3 vertices"),
     ],
     ids=["spectrum-lengths", "spectrum-order", "spectrum-sum", "spectrum-level-of",

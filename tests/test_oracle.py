@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gmqaoa
-from gmqaoa import oracle, simulator
+from gmqaoa import analytic, oracle, simulator
 from gmqaoa.analytic import predict_commutant, predict_dla, predict_loss_stats
 from gmqaoa.core import (
     InitialState,
@@ -16,13 +16,14 @@ from gmqaoa.core import (
     uniform_state,
 )
 from gmqaoa.oracle import (
+    ORACLE_DIM_LIMIT,
     OracleCapError,
+    closure_report,
     gm_generators,
     grover_commutant_dimension,
     isotypic_residuals,
     isotypic_split,
     level_span_generators,
-    lie_closure,
     traceless_part,
     x_mixer_generator,
 )
@@ -43,6 +44,7 @@ from oracles import (
     commutant_dimension,
     extract_matrix_units,
     frame_condition,
+    lie_closure,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -106,12 +108,20 @@ def test_lie_closure_single_generator():
 
 def test_lie_closure_rejects_non_skew_input():
     with pytest.raises(ValueError, match="skew-Hermitian"):
-        lie_closure([np.eye(2, dtype=complex)])
+        closure_report([np.eye(2, dtype=complex)])
     # NaN passes the skew check: max(|g + g^dag|) > tol is false for NaN
     with pytest.raises(ValueError, match="finite"):
-        lie_closure([np.array([[1j, np.nan], [np.nan, -1j]])])
+        closure_report([np.array([[1j, np.nan], [np.nan, -1j]])])
     with pytest.raises(ValueError, match="finite"):
-        lie_closure([np.array([[np.inf * 1j, 0], [0, 0]])])
+        closure_report([np.array([[np.inf * 1j, 0], [0, 0]])])
+
+
+def test_closure_refuses_generators_neither_real_nor_imaginary():
+    # the second generator is skew-Hermitian, but its real and imaginary
+    # parts are both nonzero, so its brackets fall in neither parity class
+    mixed = np.array([[1j, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="exactly real or exactly imaginary"):
+        closure_report([1j * np.diag([1.0, -1.0]), mixed])
 
 
 def test_lie_closure_checks_the_shape_before_reading_it():
@@ -119,19 +129,17 @@ def test_lie_closure_checks_the_shape_before_reading_it():
     for generators in ([np.array(1j)], [np.zeros((0, 0))], [np.zeros(2)],
                        [np.zeros((2, 3))], [1j * np.eye(2), 1j * np.eye(3)]):
         with pytest.raises(ValueError, match="square matrices of one size"):
-            lie_closure(generators)
+            closure_report(generators)
 
 
 def test_lie_closure_skew_check_is_relative_to_the_largest_entry():
     # a faint Hermitian generator is refused, not dropped as round-off
     with pytest.raises(ValueError, match="skew-Hermitian"):
-        lie_closure([1e-12 * np.eye(2), 1j * np.diag([1.0, -1.0])])
+        closure_report([1e-12 * np.eye(2), 1j * np.diag([1.0, -1.0])])
     # a huge skew generator whose off-diagonal pair differs by round-off
     # of its own size is taken, and its sum with its adjoint does not overflow
-    big = 1j * np.diag([1e200, -1e200])
-    big[0, 1], big[1, 0] = 1e185, -1e185 * (1 + 1e-15)
-    _, report = lie_closure([big])
-    assert report.dimension == 1
+    big = 1j * np.array([[1e200, 1e185], [1e185 * (1 + 1e-15), -1e200]])
+    assert closure_report([big]).dimension == 1
 
 
 def test_lie_closure_p4_gm():
@@ -149,9 +157,11 @@ def random_skew(rng, n):
 
 def test_lie_closure_is_bounded_by_full_algebra():
     # with a tiny tol_indep round-off residuals count as new directions,
-    # but skew-Hermitian 3 x 3 matrices span only 9 real dimensions
+    # but skew-Hermitian 3 x 3 matrices span only 9 real dimensions, and
+    # the so(3) and i Sym(3) classes hold 3 and 6 of them
     rng = np.random.default_rng(4)
-    gens = [random_skew(rng, 3) for _ in range(2)]
+    a, b = rng.normal(size=(2, 3, 3))
+    gens = [a - a.T, 1j * (b + b.T)]
     basis, report = lie_closure(gens, tol_indep=1e-300)
     assert basis.shape == (9, 3, 3)
     assert report.dimension == 9
@@ -213,7 +223,7 @@ def test_lie_closure_refuses_bad_tol_indep(tol):
     rng = np.random.default_rng(4)
     gens = [random_skew(rng, 3) for _ in range(2)]
     with pytest.raises(ValueError, match="tol_indep"):
-        lie_closure(gens, tol_indep=tol)
+        closure_report(gens, tol_indep=tol)
 
 
 def bundled_table(name):
@@ -275,11 +285,35 @@ def grover_test_states(table, seed):
     ]
 
 
+def random_grover_state(name, seed):
+    """A bundled instance's table and a seeded random complex state on it."""
+    table = bundled_table(name)
+    return table, grover_test_states(table, seed)[1]
+
+
 def random_grover_generators(name, seed):
     """Closure generators of a bundled instance under a seeded random complex state."""
-    table = bundled_table(name)
-    h_p, g_m = gm_generators(table, grover_test_states(table, seed)[1])
+    h_p, g_m = gm_generators(*random_grover_state(name, seed))
     return [1j * h_p, 1j * g_m]
+
+
+def gauged_grover_closure(table, state):
+    """The closure of a state's dense Grover pair, closed in its phase gauge.
+
+    D = diag(u_a / |u_a|), 1 where u_a = 0, commutes with H_p and
+    D^dag u = |u|, so D^dag (-i u u^dag) D = -i |u| |u|^T, the pair of the
+    real state |u|: it is imaginary and closes at N x N, where the
+    realified complex pair is 2N x 2N, past the oracle cap at N = 64.
+    Conjugation by D is an automorphism of u(N), so the closure has the
+    pair's dimension, and its basis is carried back as D B D^dag.
+    """
+    amps = state.amplitudes
+    modulus = np.abs(amps)
+    phases = np.ones_like(amps)
+    np.divide(amps, modulus, out=phases, where=modulus > 0)
+    h_p, g_m = gm_generators(table, InitialState(modulus))
+    basis, report = lie_closure([1j * h_p, 1j * g_m])
+    return phases[:, None] * basis * phases.conj(), report
 
 
 def hop_and_field(n):
@@ -290,25 +324,38 @@ def hop_and_field(n):
     return [(hop - hop.T).astype(complex), 1j * field]
 
 
+#: (generators, gauge): the closure under test is ``lie_closure`` of the
+#: generators, or with a (table, state) gauge ``gauged_grover_closure``.
 REFERENCE_CASES = (
-    [pytest.param(uniform_generators(name, "grover"), id=f"{name}-grover") for name in BUNDLED_N32]
+    [
+        pytest.param(uniform_generators(name, "grover"), None, id=f"{name}-grover")
+        for name in BUNDLED_N32
+    ]
     + [
-        pytest.param(uniform_generators(name, "x"), id=f"{name}-x")
+        pytest.param(uniform_generators(name, "x"), None, id=f"{name}-x")
         for name in BUNDLED_N32
         if bundled_table(name).q == 2
     ]
     # a faint supported level: the generator-bracket run meets an
     # ill-conditioned acceptance and both closures redo it pivoted
     + [
-        pytest.param(faint_p3_generators(eps), id=f"p3-faint-{eps:g}")
+        pytest.param(faint_p3_generators(eps), None, id=f"p3-faint-{eps:g}")
         for eps in (1e-5, 1e-4, 3e-5, 3e-6)
     ]
+    # a complex state: house's pair closes realified at 64 x 64, and c6's,
+    # which would realify to 128 x 128, in its phase gauge
     + [
-        pytest.param(random_grover_generators(name, seed=7), id=f"{name}-grover-random")
-        for name in ("house.graph", "c6.graph")
+        pytest.param(
+            random_grover_generators("house.graph", seed=7), None, id="house.graph-grover-random"
+        ),
+        pytest.param(
+            random_grover_generators("c6.graph", seed=7),
+            random_grover_state("c6.graph", seed=7),
+            id="c6.graph-grover-random",
+        ),
     ]
     # a real generator and an imaginary one: both parity classes from the start
-    + [pytest.param(hop_and_field(6), id="hop-field-6")]
+    + [pytest.param(hop_and_field(6), None, id="hop-field-6")]
 )
 
 
@@ -319,11 +366,12 @@ def span_residual(basis, other):
     return float(np.max(np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1)))
 
 
-@pytest.mark.parametrize("generators", REFERENCE_CASES)
-def test_lie_closure_matches_reference(generators):
+@pytest.mark.parametrize("generators, gauge", REFERENCE_CASES)
+def test_lie_closure_matches_reference(generators, gauge):
     # the generator-bracket schedule reaches the algebra the all-pairs
-    # schedule does: the same dimension and the same span
-    basis, report = lie_closure(generators)
+    # schedule does: the same dimension and the same span; the reference
+    # closes the generators themselves, complex or not
+    basis, report = lie_closure(generators) if gauge is None else gauged_grover_closure(*gauge)
     ref_basis, ref = reference_lie_closure(generators)
     assert report.dimension == ref.dimension
     assert span_residual(basis, ref_basis) <= 1e-8
@@ -886,6 +934,10 @@ def test_closure_confirms_sum_zero_branch():
 
 
 def _closure_dim(table, state):
+    # a complex state's pair realifies to 2N x 2N, past the oracle cap at
+    # N = 64, where it closes in its phase gauge instead
+    if 2 * table.size > ORACLE_DIM_LIMIT:
+        return gauged_grover_closure(table, state)[1].dimension
     h_p, g_m = gm_generators(table, state)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     return report.dimension
@@ -999,7 +1051,7 @@ def test_isotypic_split_cap_and_bad_inputs():
 def test_oracles_of_record_are_off_the_package_surface():
     # no report runs them, so they live in tests/oracles.py, not in gmqaoa
     moved = (
-        "commutant_dimension", "_commutant_operator", "extract_matrix_units",
+        "lie_closure", "commutant_dimension", "_commutant_operator", "extract_matrix_units",
         "frame_condition", "FrameConditionError", "AmbiguousSelectorError",
         "MatrixUnitError", "ParameterSet", "apply_phase_layer", "apply_grover_mixer",
         "run_circuit", "loss", "sample_parameters", "grover_mixer_identity_check",
@@ -1009,3 +1061,5 @@ def test_oracles_of_record_are_off_the_package_surface():
         assert hasattr(oracles, name), name
         for module in (gmqaoa, oracle, simulator):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # the range bound m T + 1 had no caller outside the tests
+    assert not hasattr(analytic, "slocal_bound")
