@@ -41,7 +41,6 @@ from .oracle import (
     OracleCapError,
     _check_oracle_size,
     _check_tol_indep,
-    _check_tol_rank,
     closure_report,
     gm_generators,
     grover_commutant_dimension,
@@ -198,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
     verify.add_argument("--tol-indep", type=_flag(float, _check_tol_indep), default=TOL_INDEP)
-    verify.add_argument("--tol-rank", type=_flag(float, _check_tol_rank), default=TOL_RANK)
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")
@@ -440,7 +438,7 @@ def cmd_verify(args):
     tolerances = {
         "tol_zero": args.tol_zero,
         "tol_indep": args.tol_indep,
-        "tol_rank": args.tol_rank,
+        "tol_rank": TOL_RANK,
         "tol_invariant": TOL_INVARIANT,
     }
     report, table, state, *_ = _analysis(
@@ -456,9 +454,7 @@ def cmd_verify(args):
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
-        commutant = grover_commutant_dimension(
-            table.values, state.amplitudes, tol_rank=args.tol_rank, tol_zero=args.tol_zero
-        )
+        commutant = grover_commutant_dimension(table.values, state.amplitudes, tol_zero=args.tol_zero)
         # likewise a subspace is invariant under the DLA iff it is invariant
         # under its generators, taken at unit norm
         units = [g / np.linalg.norm(g) for g in gm_generators(table, state) if np.any(g)]

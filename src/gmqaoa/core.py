@@ -254,10 +254,24 @@ def decompose_initial_state(
         raise ValueError("state and spectrum dimensions disagree")
     if spectrum.level_of is None:
         raise ValueError("the spectrum has no level_of: build it from a dense table")
-    mags_sq = amps.real**2
-    mags_sq += amps.imag**2
-    weights = np.sqrt(np.bincount(spectrum.level_of, weights=mags_sq, minlength=spectrum.r))
-    return _level_overlaps(weights, tol_zero)
+    return _level_overlaps(_level_norms(amps, spectrum.level_of, spectrum.r), tol_zero)
+
+
+def _level_norms(amps: np.ndarray, level_of: np.ndarray, r: int) -> np.ndarray:
+    """||P_j amps|| for each of the r levels.  A level below 2**-485 may
+    have lost squares that went subnormal or to 0 (1e-160 read
+    9.99994e-161), so it is summed again with its amplitudes scaled by
+    2**600, exactly: their squares then lie in [2**-948, 2**230]."""
+    sq = amps.real**2
+    sq += amps.imag**2
+    norms = np.sqrt(np.bincount(level_of, weights=sq, minlength=r))
+    faint = norms < 2.0**-485
+    if faint.any():
+        pick = faint[level_of]
+        big = amps[pick] * 2.0**600
+        sums = np.bincount(level_of[pick], weights=big.real**2 + big.imag**2, minlength=r)
+        norms[faint] = np.sqrt(sums[faint]) * 2.0**-600
+    return norms
 
 
 def uniform_overlaps(spectrum: Spectrum, tol_zero: float = TOL_ZERO) -> LevelOverlaps:

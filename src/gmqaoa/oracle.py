@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero
+from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero, _level_norms
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -74,7 +74,7 @@ class ClosureReport:
 
 @dataclass(frozen=True)
 class CommutantReport:
-    """Commutant dimension and its margin around ``tol_rank``: the largest
+    """Commutant dimension and its margin around ``TOL_RANK``: the largest
     eigenvalue counted as null and the smallest counted as non-null, each
     None when no eigenvalue falls on its side."""
 
@@ -408,13 +408,6 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
     return packing, [(kind, rows[:k]) for kind, rows, k in zip(kinds, basis, counts)], report
 
 
-def _check_tol_rank(tol_rank: float) -> None:
-    # at 0 round-off decides which null eigenvalues count, and the zero
-    # padding in grover_commutant_dimension would count toward the rank
-    if not (math.isfinite(tol_rank) and tol_rank > 0.0):
-        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
-
-
 def _basis_array(basis) -> np.ndarray:
     elements = np.asarray(basis, dtype=complex)
     if len(elements) == 0:
@@ -430,8 +423,9 @@ def _levels(values, amplitudes, tol_zero: float):
     Checks that values and amplitudes are parallel 1-d arrays within the
     oracle cap, the values finite and the amplitudes of finite nonzero
     norm, and returns the values, the normalized amplitudes u, each
-    string's level, the norms ||P_j u|| and the mask of the levels with
-    norm above ``tol_zero``, of which there must be one.  Levels are the
+    string's level, the norms ||P_j u||, the mask of the levels with norm
+    above ``tol_zero``, of which there must be one, and the unit level
+    components u_j / ||P_j u|| (0 where unsupported).  Levels are the
     distinct values, largest first, by exact equality (the oracle's own
     grouping, independent of ``build_spectrum``)."""
     _check_tol_zero(tol_zero)
@@ -449,16 +443,17 @@ def _levels(values, amplitudes, tol_zero: float):
     u = amps / nrm
     uniq, inverse = np.unique(lam, return_inverse=True)
     level_of = (len(uniq) - 1) - inverse
-    level_norms = np.sqrt(np.bincount(level_of, weights=u.real**2 + u.imag**2))
+    level_norms = _level_norms(u, level_of, len(uniq))
     supported = level_norms > tol_zero
     if not supported.any():
         raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
-    return lam, u, level_of, level_norms, supported
+    # u * (1 / norm), each factor scaled by 2**600, exactly, so it is finite for a subnormal norm
+    inv = np.divide(2.0**-600, level_norms[level_of], out=np.zeros(lam.size), where=supported[level_of])
+    xi = u * 2.0**600 * inv
+    return lam, u, level_of, level_norms, supported, xi
 
 
-def grover_commutant_dimension(
-    values, amplitudes, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO
-) -> CommutantReport:
+def grover_commutant_dimension(values, amplitudes, tol_zero: float = TOL_ZERO) -> CommutantReport:
     """Complex dimension of the commutant of diag(values) and the
     projector onto ``amplitudes``, from the 2N generator equations.
 
@@ -472,17 +467,13 @@ def grover_commutant_dimension(
     ``tol_zero`` is unsupported, as in ``decompose_initial_state``, and
     constrains nothing; at least one level must be supported.  The rank
     of M is the number of eigenvalues of M M^dag (squared singular values
-    of M) at or above ``tol_rank``.
+    of M) at or above the constant ``TOL_RANK``; the scaling puts every
+    non-null one at 1 or 2 and the null ones at round-off (measured < 2e-20).
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
-    ``tol_rank`` must be finite and > 0.
     """
-    _check_tol_rank(tol_rank)
-    lam, u, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
+    lam, u, level_of, _, _, v = _levels(values, amplitudes, tol_zero)
     n = lam.size
-    scale = np.zeros_like(level_norms)
-    np.divide(1.0, level_norms, out=scale, where=supported)
-    v = u * scale[level_of]
     a, b = np.nonzero(level_of[:, None] == level_of[None, :])
     proj = np.eye(n) - np.outer(u, u.conj())
     m = np.vstack([proj[:, a] * v[b], v[a].conj() * proj[b, :].T])
@@ -490,7 +481,7 @@ def grover_commutant_dimension(
     sing = np.linalg.svd(m, compute_uv=False)
     eigs[: sing.size] = sing**2
     eigs.sort()
-    null = int(np.searchsorted(eigs, tol_rank))
+    null = int(np.searchsorted(eigs, TOL_RANK))
     return CommutantReport(
         dimension=a.size - (2 * n - null),
         max_null=float(eigs[null - 1]) if null else None,
@@ -506,15 +497,13 @@ def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list
     the identity's columns on its strings, or for a supported level the QR
     factor of [xi_j | identity] without its first column (which spans
     xi_j).  Returns d + (N - d) unit vectors of full length."""
-    lam, u, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
+    lam, _, level_of, _, supported, xi = _levels(values, amplitudes, tol_zero)
     w0, lines = [], []
-    for j, norm in enumerate(level_norms):
+    for j, kept in enumerate(supported):
         idx = np.flatnonzero(level_of == j)
         block = np.eye(len(idx), dtype=complex)
-        if supported[j]:
-            xi = np.zeros(lam.size, dtype=complex)
-            xi[idx] = u[idx] / norm
-            w0.append(xi)
+        if kept:
+            w0.append(np.where(level_of == j, xi, 0.0))
             block = np.linalg.qr(np.column_stack([xi[idx], block]))[0][:, 1:]
         full = np.zeros((lam.size, block.shape[1]), dtype=complex)
         full[idx] = block
@@ -552,7 +541,7 @@ def level_span_generators(
     block-diagonal and every bracket has a zero (d, d) entry.  That bounds
     it at d**2 and d**2 + 1, which is ``predict_dla``.
     """
-    lam, _, level_of, level_norms, supported = _levels(values, amplitudes, tol_zero)
+    lam, _, level_of, level_norms, supported, _ = _levels(values, amplitudes, tol_zero)
     level_values = np.empty(level_norms.size)
     level_values[level_of] = lam
     # each string's share of its level's rank off K

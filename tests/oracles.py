@@ -8,21 +8,24 @@ definitions the paper states:
   realification;
 - ``commutant_dimension``: the dense Kronecker commutant, the nullity of
   sum_k ad_k^dag ad_k on N x N matrices, against which
-  ``gmqaoa.oracle.grover_commutant_dimension`` is checked;
+  ``gmqaoa.oracle.grover_commutant_dimension`` is checked.  Its spectrum
+  has no structural gap, so it keeps its own ``tol_rank``, with the rule
+  ``_check_tol_rank``;
 - ``extract_matrix_units``: the constructive proof's recovery of every
   matrix unit from a diagonal/frame generator pair (acceptance test A6);
 - ``run_circuit`` and its layers: the dense q**n statevector circuit,
   against which the Monte Carlo's evolution in W0 is checked, with
   ``sample_parameters`` drawing its angles from the Monte Carlo's stream.
 
-The library's own closure (``_closure``), input rules
-(``_basis_array``, ``_check_tol_rank``, ``_check_oracle_size``) and
-angle stream (``_draw_angles``) are shared, so these oracles refuse what
-the library refuses and see the same samples.
+The library's own closure (``_closure``), input rules (``_basis_array``,
+``_check_oracle_size``) and angle stream (``_draw_angles``) are shared,
+so these oracles refuse what the library refuses and see the same
+samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -35,7 +38,6 @@ from gmqaoa.oracle import (
     ClosureReport,
     _basis_array,
     _check_oracle_size,
-    _check_tol_rank,
     _closure,
 )
 from gmqaoa.simulator import BETA_MAX, GAMMA_MAX, _draw_angles
@@ -88,6 +90,12 @@ def _commutant_operator(basis) -> np.ndarray:
         acc -= np.kron(bh, b.T)
         acc -= np.kron(b, bh.T)
     return 0.5 * (acc + acc.conj().T)
+
+
+def _check_tol_rank(tol_rank: float) -> None:
+    # at 0 round-off decides which null eigenvalues count
+    if not (math.isfinite(tol_rank) and tol_rank > 0.0):
+        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
 
 
 def commutant_dimension(basis, tol_rank: float = TOL_RANK) -> int:

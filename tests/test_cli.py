@@ -51,7 +51,7 @@ def test_analyze_house(capsys):
 
 
 @pytest.mark.parametrize("size", [0, 64, 1 << 20, (1 << 20) + 1])
-def test_sha256_hex_matches_hashlib_on_both_sides_of_the_size_rule(size):
+def test_sha256_hex_matches_hashlib(size):
     data = bytes(range(256)) * (size // 256) + bytes(size % 256)
     assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
@@ -592,8 +592,10 @@ def test_verify_x_mixer_rejects_nonbinary(capsys):
         (3, [0, 1e-12, 2e-12, 0, 0, 5, 5, 5], 17),
         # 9 against 50
         (3, [1e12, 0, 1, -1e12, 3, 3, 1e-6, 2], 50),
+        # two subnormal levels: 4 against 16, also at --tol-indep 1e-13
+        (2, [5e-324, 0, 1e-320, 2], 16),
     ],
-    ids=["1e10-n2", "1e-12-n3", "1e12-n3"],
+    ids=["1e10-n2", "1e-12-n3", "1e12-n3", "subnormal-n2"],
 )
 def test_verify_wide_range_table_matches_prediction(tmp_path, capsys, n, values, predicted):
     table = tmp_path / "wide.json"
@@ -871,8 +873,6 @@ def test_out_flag_writes_file(tmp_path, capsys):
         ("analyze", "--tol-zero=inf"),
         ("analyze", "--tol-zero=abc"),
         ("simulate", "--tol-zero=nan"),
-        ("verify", "--tol-rank=nan"),
-        ("verify", "--tol-rank=-1e-8"),
         ("verify", "--tol-indep=-1"),
         ("verify", "--tol-indep=inf"),
     ],
@@ -889,13 +889,16 @@ def test_bad_tolerance_rejected(capsys, command, flag):
 @pytest.mark.parametrize("value", ["-3", "0", "2.5", "abc", "3"])
 def test_bad_dim_cap_rejected(capsys, value):
     # the closure has no dimension cap: it stops only on an empty round or
-    # at all of u(N), so every --dim-cap is an unknown flag
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--maxcut", str(DATA / "p3.graph"), f"--dim-cap={value}"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unrecognized arguments: --dim-cap={value}" in captured.err
+    # at all of u(N), so every --dim-cap is an unknown flag; the commutant
+    # cuts at the constant TOL_RANK, inside its structural rank gap, so
+    # every --tol-rank is one too
+    for flag in ("--dim-cap", "--tol-rank"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--maxcut", str(DATA / "p3.graph"), f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}={value}" in captured.err
 
 
 def test_verify_closure_stops_at_full_algebra(capsys):
@@ -921,22 +924,12 @@ def test_verify_refuses_tol_indep_of_one(capsys, value):
     assert "--tol-indep" in captured.err and "in (0, 1)" in captured.err
 
 
-def test_verify_refuses_zero_tol_rank(capsys):
-    # at tol_rank 0 the solver's zero padding counted toward the rank: commutant 8, not 12
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--maxcut", str(DATA / "p3.graph"), "--tol-rank", "0"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--tol-rank" in captured.err
-
-
 @pytest.mark.parametrize(
     "command, flag",
     [
         ("analyze", ("--tol-zero", "-1")),
         ("verify", ("--tol-indep", "1")),
-        ("verify", ("--tol-rank", "0")),
+        ("verify", ("--tol-zero", "nan")),
         ("verify", ("--tol-indep", "0")),
         ("analyze", ("--threshold", "nan")),
         ("simulate", ("--depth", "0")),
@@ -1039,7 +1032,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.7.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", "0.8.0", "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -1056,7 +1049,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.7.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", "0.8.0", command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

@@ -209,6 +209,18 @@ def test_decompose_matches_per_string_reference(amp, tol_zero):
         assert np.max(np.abs(xi - components[j])) <= 1e-12
 
 
+@pytest.mark.parametrize("faint", [1e-160, 1e-170, 5e-324])
+def test_decompose_reads_a_faint_level_exactly(faint):
+    # unscaled, its square goes subnormal (1e-160 read 9.99994e-161) or to 0
+    values = [0.0, 1.0, 1.0, 0.0]
+    spectrum = build_spectrum(ObjectiveTable(n=2, q=2, values=values))
+    state = InitialState(np.array([faint, 1.0, 0.0, 0.0]))
+    overlaps = decompose_initial_state(state, spectrum, tol_zero=0.0)
+    assert overlaps.c.tolist() == [1.0, faint]
+    # the oracle's split reads the same levels
+    assert overlaps.d == len(isotypic_split(values, state.amplitudes, tol_zero=0.0)[0])
+
+
 def test_decompose_allocates_no_per_level_arrays():
     # bound fixed before measuring: four full-length complex arrays, for any d
     table = maxcut_objective(random_graph(np.random.default_rng(3), 16))

@@ -685,14 +685,26 @@ def test_level_span_generators_refuse_bad_inputs():
         level_span_generators([0.0, 1.0], [0.6, 0.8], tol_zero=0.9)
 
 
-def test_grover_commutant_is_flat_across_tol_rank():
-    table = bundled_table("house.graph")
-    amps = uniform_state(table.n, table.q).amplitudes
-    dims = {
-        grover_commutant_dimension(table.values, amps, tol_rank=tol).dimension
-        for tol in np.logspace(-13, -3, 11)
-    }
-    assert dims == {206}
+def test_grover_commutant_rank_gap_is_structural():
+    # the level scaling puts every non-null squared singular value at 1 or 2
+    # and the null ones at round-off, so the constant TOL_RANK cut needs no flag:
+    # complex states up to N = 64, with faint and unsupported levels
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(1, 65))
+        values = rng.integers(0, int(rng.integers(1, n + 1)), size=n).astype(float)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for level in np.unique(values):
+            kind = rng.integers(3)
+            if kind == 0:
+                amps[values == level] = 0.0
+            elif kind == 1:
+                amps[values == level] *= 10.0 ** -rng.uniform(3, 9)
+        if not amps.any():
+            amps[0] = 1.0
+        report = grover_commutant_dimension(values, amps)
+        assert report.min_nonnull is None or report.min_nonnull >= 1 - 1e-12
+        assert report.max_null is None or report.max_null < 1e-16
 
 
 def test_grover_commutant_margin_sides():
@@ -749,10 +761,7 @@ def test_level_oracles_refuse_amplitudes_whose_squares_overflow(entry):
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])
 def test_commutant_solvers_refuse_bad_tol_rank(tol):
     # -1 counts no eigenvalue as null and inf every one; nan misreads the rank either way;
-    # at 0 round-off picks the null eigenvalues, and zero padding would count toward the rank
-    amps = np.full(4, 0.5)
-    with pytest.raises(ValueError, match="tol_rank"):
-        grover_commutant_dimension([0.0, 1.0, 1.0, 2.0], amps, tol_rank=tol)
+    # at 0 round-off picks the null eigenvalues
     with pytest.raises(ValueError, match="tol_rank"):
         commutant_dimension([1j * np.diag([0.0, 1.0, 1.0, 2.0])], tol_rank=tol)
 
@@ -1026,6 +1035,17 @@ def test_isotypic_split_structure():
         frame = np.column_stack(w0 + lines)
         assert frame.shape == (spectrum.n_states, spectrum.n_states)
         assert np.max(np.abs(frame.conj().T @ frame - np.eye(spectrum.n_states))) < 1e-12
+
+
+@pytest.mark.parametrize("faint", [1e-160, 1e-170, 5e-324])
+def test_faint_level_keeps_a_unit_w0_vector(faint):
+    # unscaled, the faint level's squares go subnormal (1e-160: its norm read
+    # 9.99994e-161 and its W0 vector 1.0000056) or to 0, and 1 / 5e-324 overflows
+    values, amps = [0, 1, 1, 0], [faint, 1, 0, 0]
+    w0, lines = isotypic_split(values, amps, tol_zero=0)
+    assert len(w0) == 2 and len(lines) == 2
+    assert all(abs(np.linalg.norm(v) - 1.0) <= 1e-15 for v in w0)
+    assert grover_commutant_dimension(values, amps, tol_zero=0).dimension == 3
 
 
 def test_isotypic_split_fails_against_the_x_mixer_closure():
