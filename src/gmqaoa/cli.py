@@ -28,7 +28,6 @@ from .core import (
     TOL_ZERO,
     InitialState,
     _check_letters,
-    _check_tol_zero,
     build_spectrum,
     decompose_initial_state,
     dense_size,
@@ -175,7 +174,6 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
                     help="replace the objective by its >= T indicator")
     sp.add_argument("--threshold-strict", action="store_true",
                     help="use > T instead of >= T")
-    sp.add_argument("--tol-zero", type=_flag(float, _check_tol_zero), default=TOL_ZERO)
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (default json; sweep defaults to csv)")
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -332,9 +330,9 @@ def _analysis(args, command: str, config: dict, dense: bool = False):
     if spectrum is None:
         spectrum = build_spectrum(table)
     if uniform:
-        overlaps = uniform_overlaps(spectrum, tol_zero=args.tol_zero)
+        overlaps = uniform_overlaps(spectrum)
     else:
-        overlaps = decompose_initial_state(state, spectrum, tol_zero=args.tol_zero)
+        overlaps = decompose_initial_state(state, spectrum)
     dla = predict_dla(spectrum, overlaps)
     commutant = predict_commutant(spectrum, overlaps)
     stats = predict_loss_stats(spectrum, overlaps)
@@ -346,7 +344,7 @@ def _analysis(args, command: str, config: dict, dense: bool = False):
         "config": {
             "problem": descriptor,
             "init": args.init,
-            "tolerances": {"tol_zero": args.tol_zero},
+            "tolerances": {"tol_zero": TOL_ZERO},
             "format": args.format,
             **config,
         },
@@ -436,7 +434,7 @@ def _verdict(predicted, observed) -> dict:
 
 def cmd_verify(args):
     tolerances = {
-        "tol_zero": args.tol_zero,
+        "tol_zero": TOL_ZERO,
         "tol_indep": args.tol_indep,
         "tol_rank": TOL_RANK,
         "tol_invariant": TOL_INVARIANT,
@@ -448,17 +446,17 @@ def cmd_verify(args):
         # comparison dimensions are defined for the traceless coupling form
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
     else:
-        generators = level_span_generators(table.values, state.amplitudes, tol_zero=args.tol_zero)
+        generators = level_span_generators(table.values, state.amplitudes)
     closure = closure_report(generators, tol_indep=args.tol_indep)
 
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
-        commutant = grover_commutant_dimension(table.values, state.amplitudes, tol_zero=args.tol_zero)
+        commutant = grover_commutant_dimension(table.values, state.amplitudes)
         # likewise a subspace is invariant under the DLA iff it is invariant
         # under its generators, taken at unit norm
         units = [g / np.linalg.norm(g) for g in gm_generators(table, state) if np.any(g)]
-        w0, lines = isotypic_split(table.values, state.amplitudes, tol_zero=args.tol_zero)
+        w0, lines = isotypic_split(table.values, state.amplitudes)
         split = isotypic_residuals(units, w0, lines)
         oracle["commutant_margin"] = {
             "max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull

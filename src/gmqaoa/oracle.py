@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, _check_tol_zero, _level_norms
+from .core import TOL_ZERO, InitialState, ObjectiveTable, SizeLimitError, _level_norms, dense_size
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -37,7 +37,8 @@ _TOL_SKEW = 1e-10
 #: new directions; normalizing them would amplify noise into fake dimensions.
 _ZERO_FLOOR = 1e-10
 
-#: Floats per block of commutators on the all-pairs schedule (32 MiB).
+#: Floats per block of commutators on the all-pairs schedule (32 MiB),
+#: unless one frontier element's brackets with one class already take more.
 _BLOCK_FLOATS = 1 << 22
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -118,9 +119,13 @@ def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.nd
 
 def x_mixer_generator(n: int) -> np.ndarray:
     """Sum of single-site bit flips as a dense 2**n matrix (binary alphabet only)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    size = 1 << n
+    try:
+        size = dense_size(n, 2)
+    except SizeLimitError:
+        # past the dense-table limit is past the oracle cap too
+        raise OracleCapError(
+            f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got 2**{n}"
+        ) from None
     _check_oracle_size(size)
     idx = np.arange(size)
     b = np.zeros((size, size), dtype=complex)
@@ -170,10 +175,12 @@ def closure_report(
     Gram-Schmidt with a second pass; a generator is scaled by its largest
     entry before its norm is taken, and commutators whose norm sits at the
     round-off floor are treated as zero rather than normalized.  On the
-    all-pairs schedule the commutators go in unscaled, in blocks of at
-    most ``_BLOCK_FLOATS`` floats, since the round-off of a commutator of
-    unit elements scales with the unit norms of its factors and not with
-    its own norm.
+    all-pairs schedule the commutators go in unscaled, since the round-off
+    of a commutator of unit elements scales with the unit norms of its
+    factors and not with its own norm, in blocks of at most
+    ``_BLOCK_FLOATS`` floats (32 MiB) or of one frontier element's brackets
+    with one class, whichever is larger: at N = 64 a class span of up to
+    2080 elements gives 2080 * 64**2 floats (65 MiB).
 
     Deterministic schedule: the generators are orthonormalized in input
     order into S; then, per round, every element f of the previous round's
@@ -417,18 +424,18 @@ def _basis_array(basis) -> np.ndarray:
     return elements
 
 
-def _levels(values, amplitudes, tol_zero: float):
+def _levels(values, amplitudes):
     """The one reading of a Grover oracle's input.
 
     Checks that values and amplitudes are parallel 1-d arrays within the
     oracle cap, the values finite and the amplitudes of finite nonzero
     norm, and returns the values, the normalized amplitudes u, each
     string's level, the norms ||P_j u||, the mask of the levels with norm
-    above ``tol_zero``, of which there must be one, and the unit level
+    above ``TOL_ZERO`` (one at least, since the r norms of the unit u
+    square-sum to 1, so one is at least 1 / sqrt(r)), and the unit level
     components u_j / ||P_j u|| (0 where unsupported).  Levels are the
     distinct values, largest first, by exact equality (the oracle's own
     grouping, independent of ``build_spectrum``)."""
-    _check_tol_zero(tol_zero)
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
@@ -444,16 +451,13 @@ def _levels(values, amplitudes, tol_zero: float):
     uniq, inverse = np.unique(lam, return_inverse=True)
     level_of = (len(uniq) - 1) - inverse
     level_norms = _level_norms(u, level_of, len(uniq))
-    supported = level_norms > tol_zero
-    if not supported.any():
-        raise ValueError(f"no level has weight above tol_zero = {tol_zero:g}")
-    # u * (1 / norm), each factor scaled by 2**600, exactly, so it is finite for a subnormal norm
-    inv = np.divide(2.0**-600, level_norms[level_of], out=np.zeros(lam.size), where=supported[level_of])
-    xi = u * 2.0**600 * inv
+    supported = level_norms > TOL_ZERO
+    inv = np.divide(1.0, level_norms[level_of], out=np.zeros(lam.size), where=supported[level_of])
+    xi = u * inv
     return lam, u, level_of, level_norms, supported, xi
 
 
-def grover_commutant_dimension(values, amplitudes, tol_zero: float = TOL_ZERO) -> CommutantReport:
+def grover_commutant_dimension(values, amplitudes) -> CommutantReport:
     """Complex dimension of the commutant of diag(values) and the
     projector onto ``amplitudes``, from the 2N generator equations.
 
@@ -464,15 +468,15 @@ def grover_commutant_dimension(values, amplitudes, tol_zero: float = TOL_ZERO) -
     u^dag X P = 0: 2N equations M x = 0 with u^dag X u eliminated.  The
     unknowns of level j are scaled by 1 / ||P_j u||, so the rank gap does
     not shrink with a level's amplitude; a level with ||P_j u|| <=
-    ``tol_zero`` is unsupported, as in ``decompose_initial_state``, and
-    constrains nothing; at least one level must be supported.  The rank
-    of M is the number of eigenvalues of M M^dag (squared singular values
-    of M) at or above the constant ``TOL_RANK``; the scaling puts every
-    non-null one at 1 or 2 and the null ones at round-off (measured < 2e-20).
+    ``TOL_ZERO`` is unsupported, as in ``decompose_initial_state``, and
+    constrains nothing.  The rank of M is the number of eigenvalues of
+    M M^dag (squared singular values of M) at or above the constant
+    ``TOL_RANK``; the scaling puts every non-null one at 1 or 2 and the
+    null ones at round-off (measured < 2e-20).
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
     """
-    lam, u, level_of, _, _, v = _levels(values, amplitudes, tol_zero)
+    lam, u, level_of, _, _, v = _levels(values, amplitudes)
     n = lam.size
     a, b = np.nonzero(level_of[:, None] == level_of[None, :])
     proj = np.eye(n) - np.outer(u, u.conj())
@@ -489,15 +493,15 @@ def grover_commutant_dimension(values, amplitudes, tol_zero: float = TOL_ZERO) -
     )
 
 
-def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list, list]:
+def isotypic_split(values, amplitudes) -> Tuple[list, list]:
     """W0 and the invariant lines of the predicted isotypic split of C^N.
 
     W0 is spanned by the level components xi_j = P_j xi / ||P_j xi|| with
-    ||P_j xi|| > ``tol_zero``, largest value first.  Level j's lines are
+    ||P_j xi|| > ``TOL_ZERO``, largest value first.  Level j's lines are
     the identity's columns on its strings, or for a supported level the QR
     factor of [xi_j | identity] without its first column (which spans
     xi_j).  Returns d + (N - d) unit vectors of full length."""
-    lam, _, level_of, _, supported, xi = _levels(values, amplitudes, tol_zero)
+    lam, _, level_of, _, supported, xi = _levels(values, amplitudes)
     w0, lines = [], []
     for j, kept in enumerate(supported):
         idx = np.flatnonzero(level_of == j)
@@ -511,13 +515,11 @@ def isotypic_split(values, amplitudes, tol_zero: float = TOL_ZERO) -> Tuple[list
     return w0, lines
 
 
-def level_span_generators(
-    values, amplitudes, tol_zero: float = TOL_ZERO
-) -> Tuple[np.ndarray, np.ndarray]:
+def level_span_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     """The Grover generators i H_p and -i u u^dag on d dimensions, plus one
     when H_p does not vanish off the level span.
 
-    K = span{P_j u} over the levels of norm above ``tol_zero`` holds u and
+    K = span{P_j u} over the levels of norm above ``TOL_ZERO`` holds u and
     is H_p-invariant, so every commutator acts on K alone, and the part of
     any DLA element on K's complement is a multiple of H_p there.  With Q
     the W0 columns of ``isotypic_split``, returns the block-diagonal
@@ -541,7 +543,7 @@ def level_span_generators(
     block-diagonal and every bracket has a zero (d, d) entry.  That bounds
     it at d**2 and d**2 + 1, which is ``predict_dla``.
     """
-    lam, _, level_of, level_norms, supported, _ = _levels(values, amplitudes, tol_zero)
+    lam, _, level_of, level_norms, supported, _ = _levels(values, amplitudes)
     level_values = np.empty(level_norms.size)
     level_values[level_of] = lam
     # each string's share of its level's rank off K

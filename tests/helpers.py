@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from gmqaoa import problems
-from gmqaoa.core import InitialState, ObjectiveTable
+from gmqaoa.core import TOL_ZERO, InitialState, ObjectiveTable
 from gmqaoa.oracle import TOL_INDEP, TOL_RANK, _ZERO_FLOOR, ClosureReport, gm_generators
 from gmqaoa.problems import CnfFormula, Graph
 from oracles import _commutant_operator
@@ -136,13 +136,11 @@ def twirled_mean_loss(objective: ObjectiveTable, state: InitialState) -> tuple[f
     return float(np.trace(phi @ h_p).real), basis.shape[1]
 
 
-def reference_decomposition(
-    amplitudes, values, tol_zero: float
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def reference_decomposition(amplitudes, values) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Weights c_j and unit components xi_j by a per-string loop.
 
     Levels are the distinct values in descending order.  A level counts
-    when its weight ||P_j xi|| exceeds ``tol_zero``; then c_j is that
+    when its weight ||P_j xi|| exceeds ``TOL_ZERO``; then c_j is that
     weight and xi_j = P_j xi / c_j.
     """
     amps = [complex(a) for a in amplitudes]
@@ -152,7 +150,7 @@ def reference_decomposition(
     for j, value in enumerate(levels):
         members = [x for x in range(len(amps)) if float(values[x]) == value]
         weight = sum(abs(amps[x]) ** 2 for x in members) ** 0.5
-        if not weight > tol_zero:
+        if not weight > TOL_ZERO:
             continue
         c[j] = weight
         xi = np.zeros(len(amps), dtype=complex)

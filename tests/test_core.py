@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmqaoa.core import (
-    TOL_ZERO,
     InitialState,
     LevelOverlaps,
     ObjectiveTable,
@@ -65,7 +64,7 @@ def assert_grouped_as_sorted(table, counted):
     uniq, counts = np.unique(table.values, return_counts=True)
     assert spectrum.values.view(np.int64).tolist() == uniq[::-1].view(np.int64).tolist()
     assert spectrum.multiplicities.tolist() == counts[::-1].tolist()
-    level_of = _levels(table.values, np.ones(table.size), TOL_ZERO)[2]
+    level_of = _levels(table.values, np.ones(table.size))[2]
     assert spectrum.level_of.tolist() == level_of.tolist()
 
 
@@ -171,15 +170,6 @@ def test_decompose_accepts_complex_phase():
     assert overlaps.c[0] * w0[0] + overlaps.c[1] * w0[1] == pytest.approx(state.amplitudes)
 
 
-def test_decompose_refuses_nan_coefficients():
-    # a NaN tolerance would support no level, so the tol_zero rule refuses it
-    spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
-    amp = np.zeros(8, dtype=complex)
-    amp[5] = 1.0
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="tol_zero"):
-        decompose_initial_state(InitialState(amp), spectrum, tol_zero=float("nan"))
-
-
 def _p3_state(level_one, rest):
     """P3 state with ``level_one`` on the cut-1 strings 1, 3, 4, 6 and ``rest`` on 0, 2, 5, 7."""
     amp = np.zeros(8, dtype=complex)
@@ -189,36 +179,24 @@ def _p3_state(level_one, rest):
 
 
 @pytest.mark.parametrize(
-    "amp, tol_zero",
+    "amp",
     [
-        (_p3_state([0.3, 0.2 + 0.4j, -0.1j, 0.5 - 0.5j], [0.4, -0.2, 0.1 + 0.3j, 0.2]), 1e-10),
-        (_p3_state([1e-12j, -0.3, 0.2 + 0.1j, 0.4], [-1e-13, 0.5, 0.2, 0.3]), 1e-10),
-        (_p3_state([0.06, -0.08, 0.08j, 0.07], [0.6, 0.5, 0.4, 0.4]), 0.1),
+        _p3_state([0.3, 0.2 + 0.4j, -0.1j, 0.5 - 0.5j], [0.4, -0.2, 0.1 + 0.3j, 0.2]),
+        _p3_state([1e-12j, -0.3, 0.2 + 0.1j, 0.4], [-1e-13, 0.5, 0.2, 0.3]),
+        _p3_state([0.06, -0.08, 0.08j, 0.07], [0.6, 0.5, 0.4, 0.4]),
     ],
     ids=["complex-behind-real-lead", "tiny-amplitude-before-lead", "largest-magnitude-fallback"],
 )
-def test_decompose_matches_per_string_reference(amp, tol_zero):
+def test_decompose_matches_per_string_reference(amp):
     spectrum = build_spectrum(ObjectiveTable(n=3, q=2, values=P3_VALUES))
-    overlaps = decompose_initial_state(InitialState(amp), spectrum, tol_zero=tol_zero)
-    c, components = reference_decomposition(amp, P3_VALUES, tol_zero)
+    overlaps = decompose_initial_state(InitialState(amp), spectrum)
+    c, components = reference_decomposition(amp, P3_VALUES)
     assert np.max(np.abs(overlaps.c - c)) <= 1e-12
     assert overlaps.supported_levels == sorted(components)
-    w0, _ = isotypic_split(P3_VALUES, amp, tol_zero=tol_zero)
+    w0, _ = isotypic_split(P3_VALUES, amp)
     assert len(w0) == len(components)
     for j, xi in zip(overlaps.supported_levels, w0):
         assert np.max(np.abs(xi - components[j])) <= 1e-12
-
-
-@pytest.mark.parametrize("faint", [1e-160, 1e-170, 5e-324])
-def test_decompose_reads_a_faint_level_exactly(faint):
-    # unscaled, its square goes subnormal (1e-160 read 9.99994e-161) or to 0
-    values = [0.0, 1.0, 1.0, 0.0]
-    spectrum = build_spectrum(ObjectiveTable(n=2, q=2, values=values))
-    state = InitialState(np.array([faint, 1.0, 0.0, 0.0]))
-    overlaps = decompose_initial_state(state, spectrum, tol_zero=0.0)
-    assert overlaps.c.tolist() == [1.0, faint]
-    # the oracle's split reads the same levels
-    assert overlaps.d == len(isotypic_split(values, state.amplitudes, tol_zero=0.0)[0])
 
 
 def test_decompose_allocates_no_per_level_arrays():
@@ -296,24 +274,6 @@ def test_uniform_overlaps_of_p3_are_exact():
     overlaps = uniform_overlaps(spectrum)
     assert overlaps.c.tolist() == [0.5, np.sqrt(0.5), 0.5]
     assert float(np.sum(overlaps.c**2)) == 1.0
-
-
-@pytest.mark.parametrize(
-    "tol_zero, message",
-    [
-        (0.3, r"tol_zero = 0.3 drops level weights up to 0.25, so .* = 0.937"),
-        (float("nan"), "tol_zero = nan"),
-        (-1.0, "tol_zero = -1.0"),
-    ],
-)
-def test_uniform_overlaps_share_the_tol_zero_rule(tol_zero, message):
-    # house's cut-0 level weighs sqrt(2/32) = 0.25
-    spectrum = build_spectrum(maxcut_objective(house_graph()))
-    with pytest.raises(ValueError, match=message):
-        uniform_overlaps(spectrum, tol_zero=tol_zero)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
-        decompose_initial_state(uniform_state(5, 2), spectrum, tol_zero=tol_zero)
-    assert uniform_overlaps(spectrum, tol_zero=0.2).d == 5
 
 
 def test_decompose_needs_level_of():

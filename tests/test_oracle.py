@@ -9,6 +9,7 @@ import gmqaoa
 from gmqaoa import analytic, oracle, simulator
 from gmqaoa.analytic import predict_commutant, predict_dla, predict_loss_stats
 from gmqaoa.core import (
+    TOL_ZERO,
     InitialState,
     ObjectiveTable,
     build_spectrum,
@@ -80,6 +81,13 @@ def test_x_mixer_generator_cap():
         x_mixer_generator(7)
     with pytest.raises(OracleCapError):
         x_mixer_generator(40)
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_x_mixer_generator_sizes_through_dense_size(n):
+    # neither a bool nor 2.5 is a site count: dense_size refuses both
+    with pytest.raises(ValueError, match="must be integers"):
+        x_mixer_generator(n)
 
 
 def test_x_mixer_generator():
@@ -681,8 +689,6 @@ def test_level_span_generators_refuse_bad_inputs():
         level_span_generators(np.zeros(128), np.full(128, 128**-0.5))
     with pytest.raises(ValueError, match="nonzero norm"):
         level_span_generators([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="tol_zero"):
-        level_span_generators([0.0, 1.0], [0.6, 0.8], tol_zero=0.9)
 
 
 def test_grover_commutant_rank_gap_is_structural():
@@ -726,27 +732,6 @@ def test_grover_commutant_rejects_bad_inputs():
         grover_commutant_dimension([0.0, np.nan], [1.0, 0.0])
     with pytest.raises(ValueError, match="nonzero norm"):
         grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
-
-
-@pytest.mark.parametrize(
-    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
-)
-def test_level_oracles_refuse_when_no_level_is_supported(entry):
-    # tol_zero above every level norm (each 0.5) leaves no level supported
-    with pytest.raises(ValueError, match="tol_zero"):
-        entry([0.0, 1.0, 2.0, 3.0], [0.5] * 4, tol_zero=2.0)
-
-
-@pytest.mark.parametrize("tol_zero", [-1.0, np.nan, np.inf])
-@pytest.mark.parametrize(
-    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
-)
-def test_level_oracles_refuse_tol_zero_outside_its_rule(entry, tol_zero):
-    # below 0 the zero-weight levels 1 and 2 would count as supported: the solver
-    # would divide by their norm 0, the split give NaN W0 vectors and the pair d = 3
-    amps = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
-    with pytest.raises(ValueError, match="tol_zero"):
-        entry([0.0, 1.0, 1.0, 2.0], amps, tol_zero=tol_zero)
 
 
 @pytest.mark.parametrize(
@@ -1037,15 +1022,20 @@ def test_isotypic_split_structure():
         assert np.max(np.abs(frame.conj().T @ frame - np.eye(spectrum.n_states))) < 1e-12
 
 
-@pytest.mark.parametrize("faint", [1e-160, 1e-170, 5e-324])
-def test_faint_level_keeps_a_unit_w0_vector(faint):
-    # unscaled, the faint level's squares go subnormal (1e-160: its norm read
-    # 9.99994e-161 and its W0 vector 1.0000056) or to 0, and 1 / 5e-324 overflows
-    values, amps = [0, 1, 1, 0], [faint, 1, 0, 0]
-    w0, lines = isotypic_split(values, amps, tol_zero=0)
-    assert len(w0) == 2 and len(lines) == 2
+@pytest.mark.parametrize("faint", [5e-324, 1e-160, 1e-12, 9e-11, 1.5e-10, 1e-8])
+def test_level_oracles_share_the_support_cut_of_the_decomposition(faint):
+    # the cut is the constant TOL_ZERO on both sides: the level of weight
+    # `faint` is supported above it, and its W0 vector then has unit norm
+    values, amps = [0.0, 1.0, 1.0, 0.0], [faint, 1.0, 0.0, 0.0]
+    d = 2 if faint > TOL_ZERO else 1
+    spectrum = build_spectrum(ObjectiveTable(n=2, q=2, values=np.array(values)))
+    assert decompose_initial_state(InitialState(np.array(amps)), spectrum).d == d
+    w0, lines = isotypic_split(values, amps)
+    assert len(w0) == d and len(lines) == 4 - d
     assert all(abs(np.linalg.norm(v) - 1.0) <= 1e-15 for v in w0)
-    assert grover_commutant_dimension(values, amps, tol_zero=0).dimension == 3
+    assert level_span_generators(values, amps)[0].shape == (d + 1, d + 1)
+    # 1 + sum (n_j - 1)**2 over supported levels + sum n_j**2 over the rest
+    assert grover_commutant_dimension(values, amps).dimension == (3 if d == 2 else 6)
 
 
 def test_isotypic_split_fails_against_the_x_mixer_closure():
