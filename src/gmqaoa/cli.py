@@ -39,7 +39,6 @@ from .oracle import (
     TOL_RANK,
     OracleCapError,
     _check_oracle_size,
-    _check_tol_indep,
     closure_report,
     gm_generators,
     grover_commutant_dimension,
@@ -194,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="predictions plus brute-force oracle checks")
     _add_common_args(verify)
     verify.add_argument("--mixer", choices=("grover", "x"), default="grover")
-    verify.add_argument("--tol-indep", type=_flag(float, _check_tol_indep), default=TOL_INDEP)
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo loss statistics at one depth")
@@ -435,7 +433,7 @@ def _verdict(predicted, observed) -> dict:
 def cmd_verify(args):
     tolerances = {
         "tol_zero": TOL_ZERO,
-        "tol_indep": args.tol_indep,
+        "tol_indep": TOL_INDEP,
         "tol_rank": TOL_RANK,
         "tol_invariant": TOL_INVARIANT,
     }
@@ -447,7 +445,7 @@ def cmd_verify(args):
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
     else:
         generators = level_span_generators(table.values, state.amplitudes)
-    closure = closure_report(generators, tol_indep=args.tol_indep)
+    closure = closure_report(generators)
 
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":

@@ -28,6 +28,10 @@ ORACLE_DIM_LIMIT = 64
 #: Relative residual above which a commutator counts as independent.
 TOL_INDEP = 1e-9
 
+#: An acceptance below this residual, sqrt(eps / TOL_INDEP) = 4.7e-4,
+#: abandons the generator-bracket run of ``closure_report``.
+_TRUSTED = math.sqrt(np.finfo(float).eps / TOL_INDEP)
+
 #: Eigenvalues of the commutant operator below this count as null.
 TOL_RANK = 1e-8
 
@@ -53,7 +57,7 @@ class ClosureReport:
     """Outcome of a closure run.
 
     ``max_residual_discarded`` and ``min_residual_accepted`` are the margin
-    around ``tol_indep``: the largest residual of a discarded candidate,
+    around ``TOL_INDEP``: the largest residual of a discarded candidate,
     and the smallest of an accepted element (None when no element was
     tested against a non-empty basis), each that of the candidate as fed
     to the one acceptance routine of ``closure_report``: normalized to unit
@@ -148,10 +152,7 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
     return h - (np.trace(h) / n) * np.eye(n)
 
 
-def closure_report(
-    generators: Sequence[np.ndarray],
-    tol_indep: float = TOL_INDEP,
-) -> ClosureReport:
+def closure_report(generators: Sequence[np.ndarray]) -> ClosureReport:
     """Close a set of skew-Hermitian generators under the commutator, on a
     basis orthonormal under Re tr(A^dag B), and report the closure.
 
@@ -168,7 +169,7 @@ def closure_report(
     One acceptance routine takes every candidate: it projects a batch of
     one class against that class's basis, then, largest residual first,
     projects each pick once more and appends it when that second residual
-    exceeds ``tol_indep``, projecting the rest of the batch off the new
+    exceeds ``TOL_INDEP``, projecting the rest of the batch off the new
     element.  It is fed two ways.  The generators, and on the
     generator-bracket schedule each commutator, go in alone at unit
     Hilbert-Schmidt norm, so a lone candidate takes classical
@@ -197,10 +198,10 @@ def closure_report(
     generators hold a direction only at a small weight (a faint supported
     level), every bracket with a generator reaches it at such a residual
     and round-off compounds into fake directions.  So an acceptance below
-    ``sqrt(eps / tol_indep)`` (eps the float64 round-off unit; 4.7e-4 at
-    the default ``tol_indep``), where two chained acceptances can lift
-    round-off above ``tol_indep``, abandons the generator-bracket run; the
-    second generator's own residual counts.  The closure then restarts
+    ``_TRUSTED`` = sqrt(eps / ``TOL_INDEP``) = 4.7e-4 (eps the float64
+    round-off unit), where two chained acceptances can lift round-off
+    above ``TOL_INDEP``, abandons the generator-bracket run; the second
+    generator's own residual counts.  The closure then restarts
     from S, in the same arrays, on the all-pairs schedule, whose span is
     every element present at the round's start, so such a direction is
     reached through brackets of elements already at unit norm.  The
@@ -208,18 +209,16 @@ def closure_report(
     ``candidates`` and the margins count that run.
 
     Stops when a round adds nothing or when the basis spans all N**2 real
-    dimensions of u(N).  ``tol_indep`` must be finite and in (0, 1): at 0
-    round-off residuals count as new directions, and at 1 or above every
-    candidate is discarded, since a unit candidate's residual never
-    exceeds 1.  The generators must be finite and skew-Hermitian relative
-    to their largest entry: divided by it, max |g + g^dag| may not exceed
-    1e-10.  They must be square matrices of one size, at least 1x1, each
-    exactly real or exactly imaginary; other inputs raise ``ValueError``.
+    dimensions of u(N).  The generators must be finite and skew-Hermitian
+    relative to their largest entry: divided by it, max |g + g^dag| may
+    not exceed 1e-10.  They must be square matrices of one size, at least
+    1x1, each exactly real or exactly imaginary; other inputs raise
+    ``ValueError``.
     A set with complex generators closes to the same dimension through
     its realification X -> [[Re X, -Im X], [Im X, Re X]], an injective
     Lie-algebra map from u(N) into so(2N) whose images are real.
     """
-    return _closure(generators, tol_indep)[2]
+    return _closure(generators)[2]
 
 
 class _Packing:
@@ -261,16 +260,9 @@ class _Packing:
         return flat.reshape(-1, self.n, self.n)
 
 
-def _check_tol_indep(tol_indep: float) -> None:
-    # why (0, 1): see closure_report
-    if not (math.isfinite(tol_indep) and 0.0 < tol_indep < 1.0):
-        raise ValueError(f"tol_indep must be finite and in (0, 1), got {tol_indep}")
-
-
-def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packing, list, ClosureReport]:
+def _closure(generators: Sequence[np.ndarray]) -> Tuple[_Packing, list, ClosureReport]:
     """The routine behind ``closure_report``: its packing, the (kind,
     packed rows) of each parity class, and the report."""
-    _check_tol_indep(tol_indep)
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -306,7 +298,6 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
     basis = [np.zeros((w, w)) for w in widths]
     counts = [0, 0]
     full = dim_space * dim_space
-    trusted = math.sqrt(np.finfo(float).eps / tol_indep)
     candidates = 0
     max_discarded = 0.0
     min_accepted = math.inf
@@ -322,7 +313,7 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
             # a lone candidate needs no pick, and its 1-d norm is the cheap one
             k = int(np.argmax(np.linalg.norm(res, axis=1))) if len(res) > 1 else 0
             first = float(np.linalg.norm(res[k]))
-            if first <= tol_indep:
+            if first <= TOL_INDEP:
                 max_discarded = max(max_discarded, first)
                 return
             count = counts[c]
@@ -331,7 +322,7 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
             res[k] = 0.0
             left -= 1
             rnorm = float(np.linalg.norm(vec))
-            if rnorm <= tol_indep:
+            if rnorm <= TOL_INDEP:
                 max_discarded = max(max_discarded, rnorm)
                 continue
             if sum(counts):
@@ -347,7 +338,7 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
             accept(c, row[None] / nrm)
 
     def stopped() -> bool:
-        return sum(counts) == full or (schedule == "generators" and min_accepted < trusted)
+        return sum(counts) == full or (schedule == "generators" and min_accepted < _TRUSTED)
 
     for g, top in zip(mats, tops):
         if sum(counts) == full:
@@ -363,7 +354,7 @@ def _closure(generators: Sequence[np.ndarray], tol_indep: float) -> Tuple[_Packi
     frontier = [range(k) for k in gens]
     rounds = 0
     while True:
-        if schedule == "generators" and min_accepted < trusted:
+        if schedule == "generators" and min_accepted < _TRUSTED:
             schedule = "all-pairs"
             counts[:] = gens
             frontier, rounds, candidates = [range(k) for k in gens], 0, 0
@@ -430,12 +421,13 @@ def _levels(values, amplitudes):
     Checks that values and amplitudes are parallel 1-d arrays within the
     oracle cap, the values finite and the amplitudes of finite nonzero
     norm, and returns the values, the normalized amplitudes u, each
-    string's level, the norms ||P_j u||, the mask of the levels with norm
-    above ``TOL_ZERO`` (one at least, since the r norms of the unit u
-    square-sum to 1, so one is at least 1 / sqrt(r)), and the unit level
-    components u_j / ||P_j u|| (0 where unsupported).  Levels are the
-    distinct values, largest first, by exact equality (the oracle's own
-    grouping, independent of ``build_spectrum``)."""
+    string's level, the norms ||P_j u||, the mask of the levels whose
+    norm in the amplitudes as given exceeds ``TOL_ZERO`` (the reading of
+    ``decompose_initial_state``, so a level at the cut is unsupported on
+    both sides), and the unit level components u_j / ||P_j u|| (0 where
+    unsupported).  Levels are the distinct values, largest first, by
+    exact equality (the oracle's own grouping, independent of
+    ``build_spectrum``)."""
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
@@ -451,7 +443,7 @@ def _levels(values, amplitudes):
     uniq, inverse = np.unique(lam, return_inverse=True)
     level_of = (len(uniq) - 1) - inverse
     level_norms = _level_norms(u, level_of, len(uniq))
-    supported = level_norms > TOL_ZERO
+    supported = _level_norms(amps, level_of, len(uniq)) > TOL_ZERO
     inv = np.divide(1.0, level_norms[level_of], out=np.zeros(lam.size), where=supported[level_of])
     xi = u * inv
     return lam, u, level_of, level_norms, supported, xi
@@ -471,8 +463,10 @@ def grover_commutant_dimension(values, amplitudes) -> CommutantReport:
     ``TOL_ZERO`` is unsupported, as in ``decompose_initial_state``, and
     constrains nothing.  The rank of M is the number of eigenvalues of
     M M^dag (squared singular values of M) at or above the constant
-    ``TOL_RANK``; the scaling puts every non-null one at 1 or 2 and the
-    null ones at round-off (measured < 2e-20).
+    ``TOL_RANK``; the scaling puts every non-null one at 1 or 2, and the
+    null ones at round-off or, for an unsupported level of weight w, near
+    2 w**2: about 2 * ``TOL_ZERO``**2 = 2e-20 at most, twelve decades
+    below ``TOL_RANK``.
     This equals the commutant of the whole Grover DLA, since an operator
     commutes with a Lie algebra iff it commutes with its generators.
     """
@@ -525,7 +519,7 @@ def level_span_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     the W0 columns of ``isotypic_split``, returns the block-diagonal
     i (Q^dag H_p Q + [h]) and i (-Q^dag u u^dag Q + [0]), h = ||(I - Q
     Q^dag) H_p||_F, the trailing blocks left out when h = 0: an isometry of
-    the DLA, so their closure has its dimension at the same ``tol_indep``.
+    the DLA, so their closure has its dimension at the same ``TOL_INDEP``.
     Within level j, I - Q Q^dag is a projector of rank n_j - 1 (supported)
     or n_j, so h is exactly 0 when H_p vanishes off K, and h > 0 implies
     d < N, so neither generator is larger than the instance.

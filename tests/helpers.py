@@ -173,7 +173,7 @@ def level_state(values, coefficients: dict[float, complex]) -> InitialState:
     return InitialState(amps / np.linalg.norm(amps))
 
 
-def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
+def reference_lie_closure(generators):
     """An all-pairs Lie closure with ``oracle.closure_report``'s per-candidate test.
 
     Per round, every element of the previous round's additions is commuted
@@ -183,7 +183,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
     candidates for a D-dimensional algebra and reaches the same algebra.
     It works on complex matrices, so it closes a complex generator set
     as given, with no realification or gauge.  Like ``closure_report``,
-    a run that accepts a residual below sqrt(eps / tol_indep) is redone
+    a run that accepts a residual below sqrt(eps / TOL_INDEP) is redone
     with each round's commutators accepted largest unscaled residual
     first (``_pivoted_closure``).  Inputs are not validated.
     """
@@ -207,7 +207,7 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
             for _ in range(2):
                 res = res - (rows[:count] @ res) @ rows[:count]
                 rnorm = float(np.linalg.norm(res))
-                if rnorm <= tol_indep:
+                if rnorm <= TOL_INDEP:
                     max_discarded = max(max_discarded, rnorm)
                     return False
             min_accepted = min(min_accepted, rnorm)
@@ -245,12 +245,12 @@ def reference_lie_closure(generators, tol_indep: float = TOL_INDEP):
         max_residual_discarded=max_discarded,
         min_residual_accepted=min_accepted if min_accepted < math.inf else None,
     )
-    if min_accepted < math.sqrt(np.finfo(float).eps / tol_indep):
-        return _pivoted_closure(basis[:n_gens], tol_indep)
+    if min_accepted < math.sqrt(np.finfo(float).eps / TOL_INDEP):
+        return _pivoted_closure(basis[:n_gens])
     return basis[:count], report
 
 
-def _pivoted_closure(gens, tol_indep):
+def _pivoted_closure(gens):
     """All-pairs rounds of unit generators, each round's commutators taken
     largest unscaled residual first, one round at a time.
 
@@ -274,7 +274,7 @@ def _pivoted_closure(gens, tol_indep):
                 cands = cands - (cands @ rows.T) @ rows
             norms = np.linalg.norm(cands, axis=1)
             k = int(np.argmax(norms))
-            if norms[k] <= tol_indep:
+            if norms[k] <= TOL_INDEP:
                 break
             new = cands[k].view(complex).reshape(dim_space, dim_space)
             new = 0.5 * (new - new.conj().T)

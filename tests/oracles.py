@@ -32,21 +32,11 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from gmqaoa.core import TOL_ZERO, InitialState, ObjectiveTable, SizeLimitError
-from gmqaoa.oracle import (
-    TOL_INDEP,
-    TOL_RANK,
-    ClosureReport,
-    _basis_array,
-    _check_oracle_size,
-    _closure,
-)
+from gmqaoa.oracle import TOL_RANK, ClosureReport, _basis_array, _check_oracle_size, _closure
 from gmqaoa.simulator import BETA_MAX, GAMMA_MAX, _draw_angles
 
 
-def lie_closure(
-    generators: Sequence[np.ndarray],
-    tol_indep: float = TOL_INDEP,
-) -> Tuple[np.ndarray, ClosureReport]:
+def lie_closure(generators: Sequence[np.ndarray]) -> Tuple[np.ndarray, ClosureReport]:
     """The closure of ``closure_report``, with its dense basis.
 
     Returns a ``(k, N, N)`` array of skew-Hermitian matrices, orthonormal
@@ -65,10 +55,10 @@ def lie_closure(
     if any(g.real.any() and g.imag.any() for g in mats):
         n = mats[0].shape[0]
         real = [np.block([[g.real, -g.imag], [g.imag, g.real]]) for g in mats]
-        basis, report = lie_closure(real, tol_indep)
+        basis, report = lie_closure(real)
         back = basis[:, :n, :n] + 1j * basis[:, n:, :n]
         return back / np.linalg.norm(back, axis=(1, 2))[:, None, None], report
-    packing, classes, report = _closure(mats, tol_indep)
+    packing, classes, report = _closure(mats)
     parts = [packing.unpack(rows, kind) * (1j if kind == "p" else 1) for kind, rows in classes]
     return np.concatenate(parts).astype(complex, copy=False), report
 

@@ -158,19 +158,14 @@ def test_lie_closure_p4_gm():
     assert report.dimension == 17
 
 
-def random_skew(rng, n):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (m - m.conj().T)
-
-
 def test_lie_closure_is_bounded_by_full_algebra():
-    # with a tiny tol_indep round-off residuals count as new directions,
-    # but skew-Hermitian 3 x 3 matrices span only 9 real dimensions, and
-    # the so(3) and i Sym(3) classes hold 3 and 6 of them
+    # two generic generators close to all of u(3): skew-Hermitian 3 x 3
+    # matrices span only 9 real dimensions, and the so(3) and i Sym(3)
+    # classes hold 3 and 6 of them, so the closure stops there
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(2, 3, 3))
     gens = [a - a.T, 1j * (b + b.T)]
-    basis, report = lie_closure(gens, tol_indep=1e-300)
+    basis, report = lie_closure(gens)
     assert basis.shape == (9, 3, 3)
     assert report.dimension == 9
 
@@ -221,17 +216,6 @@ def test_commutant_dimension_examples():
 def test_commutant_cap():
     with pytest.raises(OracleCapError):
         commutant_dimension([1j * np.eye(65, dtype=complex)])
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, 1.0, 1e300])
-def test_lie_closure_refuses_bad_tol_indep(tol):
-    # at 0 or below round-off counts as new directions; nan accepts every
-    # candidate, and at 1 or above (inf included) every one is discarded,
-    # since a unit candidate's residual never exceeds 1
-    rng = np.random.default_rng(4)
-    gens = [random_skew(rng, 3) for _ in range(2)]
-    with pytest.raises(ValueError, match="tol_indep"):
-        closure_report(gens, tol_indep=tol)
 
 
 def bundled_table(name):
@@ -442,7 +426,7 @@ def test_closure_margin_spans_six_decades(name):
 
 def test_closure_reports_faint_level_fragility():
     # the predicted algebra is su_3 + u_1 (10); the generator-bracket run
-    # meets an acceptance below sqrt(eps / tol_indep), so the report comes
+    # meets an acceptance below sqrt(eps / TOL_INDEP), so the report comes
     # from the all-pairs run, where the faint level enters at residuals of
     # order its norm (4.8e-4 at 1e-4), six decades above the discards
     spectrum = build_spectrum(bundled_table("p3.graph"))
@@ -479,7 +463,7 @@ def test_closure_of_faint_level_matches_prediction(name, eps, dim):
 def test_closure_guard_counts_the_second_generators_own_residual(eps, schedule, margin):
     # eps X is off-diagonal, so at unit norm the second generator keeps a
     # residual of about eps ||X|| / ||H|| against the first: 4.4e-5 at
-    # eps = 1e-4, below sqrt(eps / tol_indep) = 4.7e-4, so the closure reruns
+    # eps = 1e-4, below sqrt(eps / TOL_INDEP) = 4.7e-4, so the closure reruns
     # on all pairs; at 1e-2 it is 4.4e-3, the margin of the generator run
     h = np.diag([1.0, 2.0, 4.0])
     x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -1036,6 +1020,19 @@ def test_level_oracles_share_the_support_cut_of_the_decomposition(faint):
     assert level_span_generators(values, amps)[0].shape == (d + 1, d + 1)
     # 1 + sum (n_j - 1)**2 over supported levels + sum n_j**2 over the rest
     assert grover_commutant_dimension(values, amps).dimension == (3 if d == 2 else 6)
+
+
+def test_level_oracles_cut_support_on_the_amplitudes_as_given():
+    # the level's norm is exactly TOL_ZERO in the amplitudes as given, and
+    # above it once they are divided by their norm of 1 - 1e-12: it is
+    # unsupported in the decomposition, so in the oracles too
+    values, amps = [0.0, 1.0, 1.0, 0.0], [TOL_ZERO, 1.0 - 1e-12, 0.0, 0.0]
+    spectrum = build_spectrum(ObjectiveTable(n=2, q=2, values=np.array(values)))
+    assert decompose_initial_state(InitialState(np.array(amps)), spectrum).d == 1
+    w0, lines = isotypic_split(values, amps)
+    assert len(w0) == 1 and len(lines) == 3
+    assert level_span_generators(values, amps)[0].shape == (2, 2)
+    assert grover_commutant_dimension(values, amps).dimension == 6
 
 
 def test_isotypic_split_fails_against_the_x_mixer_closure():
