@@ -171,8 +171,6 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
                     help="initial state: 'uniform' or a JSON amplitude file")
     sp.add_argument("--threshold", type=_flag(float, _check_threshold), metavar="T",
                     help="replace the objective by its >= T indicator")
-    sp.add_argument("--threshold-strict", action="store_true",
-                    help="use > T instead of >= T")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (default json; sweep defaults to csv)")
     sp.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -208,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--depths", type=_flag(_depths, _each_depth), metavar="a,b,c", required=True)
     sweep.add_argument("--samples", type=_flag(int, _check_samples), default=4096)
     sweep.add_argument("--seed", type=_flag(int, _check_seed), default=0)
-    sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sweep.set_defaults(func=cmd_sweep, format="csv")
     return parser
 
@@ -252,8 +249,6 @@ def _load_problem(args):
     kind, path = chosen[0]
     if args.colors is not None and kind != "coloring":
         raise ValueError("--colors requires --coloring")
-    if args.threshold_strict and args.threshold is None:
-        raise ValueError("--threshold-strict requires --threshold")
     data = _read_file(path)
     text = data.decode("utf-8")
     table = terms = None
@@ -275,12 +270,12 @@ def _load_problem(args):
         _check_verify_size(n, q, args.mixer)
     if args.threshold is not None:
         table = _local_objective(n, q, terms) if table is None else table
-        table, terms = threshold_transform(table, args.threshold, strict=args.threshold_strict), None
+        table, terms = threshold_transform(table, args.threshold), None
     descriptor = {"kind": kind, "path": path}
     if kind == "coloring":
         descriptor["colors"] = args.colors
     if args.threshold is not None:
-        descriptor["threshold"] = {"t": args.threshold, "strict": args.threshold_strict}
+        descriptor["threshold"] = {"t": args.threshold}
     return n, q, terms, table, descriptor, _sha256_hex(data)
 
 

@@ -419,15 +419,15 @@ def _levels(values, amplitudes):
     """The one reading of a Grover oracle's input.
 
     Checks that values and amplitudes are parallel 1-d arrays within the
-    oracle cap, the values finite and the amplitudes of finite nonzero
-    norm, and returns the values, the normalized amplitudes u, each
-    string's level, the norms ||P_j u||, the mask of the levels whose
-    norm in the amplitudes as given exceeds ``TOL_ZERO`` (the reading of
-    ``decompose_initial_state``, so a level at the cut is unsupported on
-    both sides), and the unit level components u_j / ||P_j u|| (0 where
-    unsupported).  Levels are the distinct values, largest first, by
-    exact equality (the oracle's own grouping, independent of
-    ``build_spectrum``)."""
+    oracle cap, the values finite and the amplitudes a state (norm 1
+    within ``TOL_NORM``, the rule of ``InitialState``), and returns the
+    values, the normalized amplitudes u, each string's level, the norms
+    ||P_j u||, the mask of the levels whose norm in the amplitudes as
+    given exceeds ``TOL_ZERO`` (the reading of ``decompose_initial_state``,
+    so a level at the cut is unsupported on both sides), and the unit
+    level components u_j / ||P_j u|| (0 where unsupported).  Levels are
+    the distinct values, largest first, by exact equality (the oracle's
+    own grouping, independent of ``build_spectrum``)."""
     lam = np.asarray(values, dtype=float)
     amps = np.asarray(amplitudes, dtype=complex)
     if lam.ndim != 1 or lam.size == 0 or amps.shape != lam.shape:
@@ -435,11 +435,8 @@ def _levels(values, amplitudes):
     _check_oracle_size(lam.size)
     if not np.all(np.isfinite(lam)):
         raise ValueError("values must be finite")
-    with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
-        nrm = float(np.linalg.norm(amps))
-    if not (math.isfinite(nrm) and nrm > 0.0):
-        raise ValueError("amplitudes must have a finite nonzero norm")
-    u = amps / nrm
+    InitialState(amps)
+    u = amps / np.linalg.norm(amps)
     uniq, inverse = np.unique(lam, return_inverse=True)
     level_of = (len(uniq) - 1) - inverse
     level_norms = _level_norms(u, level_of, len(uniq))

@@ -386,13 +386,12 @@ def _check_threshold(t: float) -> None:
         raise ValueError(f"threshold must be a finite number, got {t!r}")
 
 
-def threshold_transform(objective: ObjectiveTable, t: float, strict: bool = False) -> ObjectiveTable:
-    """Two-valued objective marking strings at or above the finite threshold.
-
-    Non-strict (>= t) by default; ``strict`` switches to > t.
-    """
+def threshold_transform(objective: ObjectiveTable, t: float) -> ObjectiveTable:
+    """Two-valued objective marking the strings whose value is >= the
+    finite threshold t.  For t below the largest float, the strict cut
+    > t is >= ``math.nextafter(t, math.inf)``: no float lies between."""
     _check_threshold(t)
-    marked = objective.values > t if strict else objective.values >= t
+    marked = objective.values >= t
     return ObjectiveTable(n=objective.n, q=objective.q, values=marked.astype(float))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmqaoa import cli, oracle
+from gmqaoa import __version__, cli, oracle
 from gmqaoa.cli import main
 from gmqaoa.core import MAX_ABS_OBJECTIVE, build_spectrum
 from gmqaoa.problems import maxcut_objective, parse_graph
@@ -635,15 +636,6 @@ def test_verify_level_at_tol_zero_is_unsupported_on_both_sides(tmp_path, capsys,
     assert code == 0
 
 
-def test_threshold_strict_requires_threshold(capsys):
-    code, out, err = run_cli(
-        capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--threshold-strict"
-    )
-    assert code == 2
-    assert out == ""
-    assert "--threshold" in err
-
-
 def test_colors_requires_coloring(capsys):
     code, out, err = run_cli(capsys, "analyze", "--maxcut", str(DATA / "p3.graph"), "--colors", "3")
     assert code == 2
@@ -901,9 +893,14 @@ def test_bad_dim_cap_rejected(capsys, value):
     # cuts at the constant TOL_RANK, inside its structural rank gap, so
     # every --tol-rank is one too; the closure cuts at the constant
     # TOL_INDEP, so every --tol-indep is one; support is decided at the
-    # constant TOL_ZERO, so every --tol-zero is one, for every command
+    # constant TOL_ZERO, so every --tol-zero is one, for every command; the
+    # strict cut > T is --threshold nextafter(T, inf), so every
+    # --threshold-strict is one too; sweep runs in one thread and takes
+    # no --threads
     cases = [("verify", "--dim-cap"), ("verify", "--tol-rank"), ("verify", "--tol-indep")]
-    cases += [(command, "--tol-zero") for command in ("analyze", "verify", "simulate", "sweep")]
+    cases += [(command, flag) for command in ("analyze", "verify", "simulate", "sweep")
+              for flag in ("--tol-zero", "--threshold-strict")]
+    cases += [("sweep", "--threads")]
     for command, flag in cases:
         depths = ["--depths", "1"] if command == "sweep" else []
         with pytest.raises(SystemExit) as exc:
@@ -957,11 +954,9 @@ def test_importing_the_package_loads_none_of_its_modules():
 
 
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")
-    from gmqaoa import __version__
-
-    with open(DATA.parent / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == __version__
+    # a regex, not tomllib, so that the check also runs on Python 3.10
+    text = (DATA.parent / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [__version__]
 
 
 def _strict_json(text):
@@ -1002,7 +997,7 @@ _ANALYZE_HEADER = [
 ]
 
 _P3_ANALYZE_ROW = [
-    "gmqaoa", "0.10.0", "analyze", "maxcut", str(DATA / "p3.graph"),
+    "gmqaoa", __version__, "analyze", "maxcut", str(DATA / "p3.graph"),
     "3", "2", "8", "3", "2:2|1:4|0:2", "3", "1.0",
     "su_3 + u_1 + u_1", "10", "2", "12",
     "3", "5",
@@ -1019,7 +1014,7 @@ def test_csv_header_and_p3_row(capsys, command):
     )
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
-    head = ["gmqaoa", "0.10.0", command, "maxcut", str(DATA / "p3.graph")]
+    head = ["gmqaoa", __version__, command, "maxcut", str(DATA / "p3.graph")]
     if command == "analyze":
         assert header == _ANALYZE_HEADER
         assert row == _P3_ANALYZE_ROW

@@ -64,7 +64,7 @@ def assert_grouped_as_sorted(table, counted):
     uniq, counts = np.unique(table.values, return_counts=True)
     assert spectrum.values.view(np.int64).tolist() == uniq[::-1].view(np.int64).tolist()
     assert spectrum.multiplicities.tolist() == counts[::-1].tolist()
-    level_of = _levels(table.values, np.ones(table.size))[2]
+    level_of = _levels(table.values, np.full(table.size, table.size**-0.5))[2]
     assert spectrum.level_of.tolist() == level_of.tolist()
 
 

@@ -671,7 +671,7 @@ def test_level_span_generators_are_imaginary_for_complex_states():
 def test_level_span_generators_refuse_bad_inputs():
     with pytest.raises(OracleCapError):
         level_span_generators(np.zeros(128), np.full(128, 128**-0.5))
-    with pytest.raises(ValueError, match="nonzero norm"):
+    with pytest.raises(ValueError, match="differs from 1"):
         level_span_generators([0.0, 1.0], [0.0, 0.0])
 
 
@@ -692,7 +692,7 @@ def test_grover_commutant_rank_gap_is_structural():
                 amps[values == level] *= 10.0 ** -rng.uniform(3, 9)
         if not amps.any():
             amps[0] = 1.0
-        report = grover_commutant_dimension(values, amps)
+        report = grover_commutant_dimension(values, amps / np.linalg.norm(amps))
         assert report.min_nonnull is None or report.min_nonnull >= 1 - 1e-12
         assert report.max_null is None or report.max_null < 1e-16
 
@@ -714,7 +714,7 @@ def test_grover_commutant_rejects_bad_inputs():
         grover_commutant_dimension(np.zeros(65), np.full(65, 65**-0.5))
     with pytest.raises(ValueError, match="finite"):
         grover_commutant_dimension([0.0, np.nan], [1.0, 0.0])
-    with pytest.raises(ValueError, match="nonzero norm"):
+    with pytest.raises(ValueError, match="differs from 1"):
         grover_commutant_dimension([0.0, 1.0], [0.0, 0.0])
 
 
@@ -723,8 +723,19 @@ def test_grover_commutant_rejects_bad_inputs():
 )
 def test_level_oracles_refuse_amplitudes_whose_squares_overflow(entry):
     # the norm of [1e308, 1e308] overflows to inf: a refusal, not a numpy warning
-    with pytest.raises(ValueError, match="finite nonzero norm"):
+    with pytest.raises(ValueError, match="differs from 1"):
         entry([0.0, 1.0], [1e308, 1e308])
+
+
+@pytest.mark.parametrize(
+    "entry", [grover_commutant_dimension, isotypic_split, level_span_generators]
+)
+def test_level_oracles_refuse_amplitudes_of_small_norm(entry):
+    # support is cut at TOL_ZERO on the amplitudes as given, so a state of
+    # norm 1.4e-11 would support no level: the commutant would read 8 (the
+    # unit state gives 3) and the isotypic split no W0 vector
+    with pytest.raises(ValueError, match="differs from 1"):
+        entry([0.0, 1.0, 1.0, 0.0], [1e-11, 1e-11, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -261,8 +262,18 @@ def test_threshold_transform():
     assert np.all(nothing.values == 0)
     marked = threshold_transform(table, 2.0)
     assert sorted(np.flatnonzero(marked.values).tolist()) == [0b010, 0b101]
-    strict = threshold_transform(table, 2.0, strict=True)
-    assert np.all(strict.values == 0)
+    # the strict cut > t is the >= cut at the next float up, also on
+    # float tables with ties at t and values one float either side of it
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        values = rng.normal(size=16) * 10.0 ** float(rng.integers(-8, 9))
+        values[:2] = 0.0, -0.0
+        t = float(rng.choice(values))
+        values[rng.choice(16, size=5, replace=False)] = (
+            t, t, t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)
+        )
+        strict = threshold_transform(ObjectiveTable(n=4, q=2, values=values), math.nextafter(t, math.inf))
+        assert np.array_equal(strict.values, (values > t).astype(float))
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
