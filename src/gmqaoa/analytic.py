@@ -3,14 +3,12 @@
 Everything here is a function of the objective's level-set spectrum and
 of the initial state's per-level weights c_j = ||P_j xi||: the
 classification of the generated Lie algebra and its center, the
-commutant dimension, the isotypic decomposition of the state space, and
-the large-depth loss statistics.
+commutant dimension and the large-depth loss statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -21,17 +19,9 @@ from .core import LevelOverlaps, Spectrum
 class DlaPrediction:
     """Predicted Lie-algebra type for the two-generator circuit."""
 
-    d: int
     algebra: str
     dim: int
     center_dim: int
-
-
-@dataclass(frozen=True)
-class CommutantPrediction:
-    """Largest possible commutant dimension, attained by the Grover mixer."""
-
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -68,18 +58,19 @@ def predict_dla(spectrum: Spectrum, overlaps: LevelOverlaps) -> DlaPrediction:
     outside = (overlaps.c == 0) | (spectrum.multiplicities > 1)
     center_dim = 1 + bool(np.any((spectrum.values != 0) & outside))
     algebra = f"su_{d}" + " + u_1" * center_dim
-    return DlaPrediction(d=d, algebra=algebra, dim=d**2 - 1 + center_dim, center_dim=center_dim)
+    return DlaPrediction(algebra=algebra, dim=d**2 - 1 + center_dim, center_dim=center_dim)
 
 
-def predict_commutant(spectrum: Spectrum, overlaps: LevelOverlaps) -> CommutantPrediction:
-    """Commutant dimension 1 + sum over supported levels of (n_j - 1)**2
-    plus sum over unsupported levels of n_j**2 (complex dimensions)."""
+def predict_commutant(spectrum: Spectrum, overlaps: LevelOverlaps) -> int:
+    """Largest possible commutant dimension, attained by the Grover mixer:
+    1 + sum over supported levels of (n_j - 1)**2 plus sum over
+    unsupported levels of n_j**2 (complex dimensions)."""
     supported = set(overlaps.supported_levels)
     dim = 1
     for j in range(spectrum.r):
         nj = int(spectrum.multiplicities[j])
         dim += (nj - 1) ** 2 if j in supported else nj**2
-    return CommutantPrediction(dim=dim)
+    return dim
 
 
 def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStatsPrediction:
@@ -106,14 +97,4 @@ def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStats
         l1=l1,
         l2=l2,
     )
-
-
-def isotypic_summary(spectrum: Spectrum, overlaps: LevelOverlaps) -> Tuple[int, int]:
-    """Dimension of the irreducible block and the count of invariant lines.
-
-    The span of the supported components xi_j is the unique irreducible
-    block (dimension d); its orthogonal complement splits into q**n - d
-    one-dimensional invariant subspaces.
-    """
-    return overlaps.d, spectrum.n_states - overlaps.d
 

@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analytic import isotypic_summary, predict_commutant, predict_dla, predict_loss_stats
+from .analytic import predict_commutant, predict_dla, predict_loss_stats
 from .core import (
     TOL_ZERO,
     InitialState,
@@ -41,6 +41,7 @@ from .oracle import (
     _check_oracle_size,
     closure_report,
     gm_generators,
+    graded_pieces,
     grover_commutant_dimension,
     isotypic_residuals,
     isotypic_split,
@@ -50,7 +51,6 @@ from .oracle import (
 )
 from .problems import (
     ParseError,
-    ValidationError,
     _check_threshold,
     _local_objective,
     cnf_terms,
@@ -288,15 +288,15 @@ def _load_init(args, table):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid amplitude JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(payload, list):
-        raise ValidationError("amplitude file must hold a JSON array")
+        raise ValueError("amplitude file must hold a JSON array")
     amps = []
     for entry in payload:
         parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
         if not all(is_json_number(v) for v in parts):
-            raise ValidationError("amplitudes must be numbers or [re, im] pairs")
+            raise ValueError("amplitudes must be numbers or [re, im] pairs")
         amps.append(complex(*parts))
     if len(amps) != table.size:
-        raise ValidationError(f"expected {table.size} amplitudes, got {len(amps)}")
+        raise ValueError(f"expected {table.size} amplitudes, got {len(amps)}")
     return InitialState(np.asarray(amps, dtype=complex)), _sha256_hex(data)
 
 
@@ -327,9 +327,7 @@ def _analysis(args, command: str, config: dict, dense: bool = False):
     else:
         overlaps = decompose_initial_state(state, spectrum)
     dla = predict_dla(spectrum, overlaps)
-    commutant = predict_commutant(spectrum, overlaps)
     stats = predict_loss_stats(spectrum, overlaps)
-    irreducible_dim, invariant_lines = isotypic_summary(spectrum, overlaps)
     report = {
         "tool": "gmqaoa",
         "version": __version__,
@@ -354,8 +352,9 @@ def _analysis(args, command: str, config: dict, dense: bool = False):
             "supported_levels": list(overlaps.supported_levels),
         },
         "dla": {"algebra": dla.algebra, "dim": dla.dim, "center_dim": dla.center_dim},
-        "commutant": asdict(commutant),
-        "isotypic": {"irreducible_dim": irreducible_dim, "invariant_lines": invariant_lines},
+        "commutant": {"dim": predict_commutant(spectrum, overlaps)},
+        # W0 = span{xi_j} is the one irreducible block; its complement splits into lines
+        "isotypic": {"irreducible_dim": overlaps.d, "invariant_lines": spectrum.n_states - overlaps.d},
         "loss_stats": asdict(stats),
     }
     return report, table, state, spectrum, overlaps
@@ -439,7 +438,7 @@ def cmd_verify(args):
         # comparison dimensions are defined for the traceless coupling form
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
     else:
-        generators = level_span_generators(table.values, state.amplitudes)
+        generators = graded_pieces(*level_span_generators(table.values, state.amplitudes))
     closure = closure_report(generators)
 
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}

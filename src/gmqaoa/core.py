@@ -43,10 +43,6 @@ TOL_WEIGHT_SUM = 1e-6
 MAX_ABS_OBJECTIVE = 1e64
 
 
-class SizeLimitError(ValueError):
-    """q**n exceeds the dense-table limit."""
-
-
 def _is_integer(value) -> bool:
     # a bool is an int to Python, but not a count, a vertex, a literal or a seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -58,9 +54,9 @@ def _check_letters(q: int) -> None:
 
 
 def dense_size(n: int, q: int) -> int:
-    """q**n, or ValueError unless n >= 1 and q >= 2 are integers, or
-    SizeLimitError above the dense-table limit: the one size rule of every
-    table and state.
+    """q**n, or ValueError unless n >= 1 and q >= 2 are integers and q**n
+    is within the dense-table limit: the one size rule of every table and
+    state.
 
     With q >= 2, n alone already rules out a too-large table, so a huge n
     is refused before q**n is formed.
@@ -71,7 +67,7 @@ def dense_size(n: int, q: int) -> int:
         raise ValueError(f"need n >= 1 sites and q >= 2 letters, got n = {n}, q = {q}")
     _check_letters(q)
     if n >= DENSE_SIZE_LIMIT.bit_length() or q**n > DENSE_SIZE_LIMIT:
-        raise SizeLimitError(f"q**n = {q}**{n} exceeds the dense-table limit {DENSE_SIZE_LIMIT}")
+        raise ValueError(f"q**n = {q}**{n} exceeds the dense-table limit {DENSE_SIZE_LIMIT}")
     return q**n
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, SizeLimitError, _level_norms, dense_size
+from .core import TOL_ZERO, InitialState, ObjectiveTable, _level_norms, dense_size
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -123,13 +123,7 @@ def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.nd
 
 def x_mixer_generator(n: int) -> np.ndarray:
     """Sum of single-site bit flips as a dense 2**n matrix (binary alphabet only)."""
-    try:
-        size = dense_size(n, 2)
-    except SizeLimitError:
-        # past the dense-table limit is past the oracle cap too
-        raise OracleCapError(
-            f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got 2**{n}"
-        ) from None
+    size = dense_size(n, 2)
     _check_oracle_size(size)
     idx = np.arange(size)
     b = np.zeros((size, size), dtype=complex)
@@ -546,6 +540,20 @@ def level_span_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     g_m = np.zeros_like(h_p)
     g_m[: w.size, : w.size] = -np.outer(w, w)
     return 1j * h_p, 1j * g_m
+
+
+def graded_pieces(h: np.ndarray, g: np.ndarray) -> list:
+    """``[h]`` and the nonzero parts of ``g`` on the entries of each
+    distinct |h_aa - h_bb|.  For a diagonal imaginary h each part is
+    p(ad_h**2) g, p a real polynomial, so they generate the algebra of h
+    and g; grouping by exact float equality can only merge classes, which
+    keeps that.  A piece holds g's entries at one scale, so no bracket has
+    to separate g's grades, which at a level gap far below the largest
+    value would fall under ``TOL_INDEP``."""
+    diag = np.diagonal(h)
+    gap = np.abs(diag[:, None] - diag[None, :])
+    parts = (np.where(gap == v, g, 0.0) for v in np.unique(gap))
+    return [h] + [part for part in parts if part.any()]
 
 
 def isotypic_residuals(basis, w0: Sequence[np.ndarray], lines: Sequence[np.ndarray]) -> IsotypicReport:

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ObjectiveTable, SizeLimitError, Spectrum, _is_integer, dense_size
+from .core import ObjectiveTable, Spectrum, _is_integer, dense_size
 
 #: Largest sum over the terms of max |t| that ``local_spectrum`` and
 #: ``_local_objective`` accept: up to 2**53 every partial sum of integer
@@ -20,17 +20,12 @@ MAX_EXACT_TERM_SUM = 2**53
 
 
 class ParseError(ValueError):
-    """Malformed input text; carries the offending line number when known."""
+    """Malformed input text; the message names the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class ValidationError(ValueError):
-    """Structurally valid text describing an invalid instance."""
 
 
 @dataclass(frozen=True)
@@ -42,24 +37,20 @@ class Graph:
 
     def __post_init__(self):
         if not _is_integer(self.vertex_count) or self.vertex_count < 1:
-            raise ValidationError(f"vertex count must be an integer >= 1, got {self.vertex_count!r}")
+            raise ValueError(f"vertex count must be an integer >= 1, got {self.vertex_count!r}")
         seen = set()
         for u, v in self.edges:
             if not (_is_integer(u) and _is_integer(v)):
-                raise ValidationError(f"edge ({u!r},{v!r}) has a vertex that is not an integer")
+                raise ValueError(f"edge ({u!r},{v!r}) has a vertex that is not an integer")
             if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise ValidationError(f"edge ({u},{v}) references a vertex outside 1..{self.vertex_count}")
+                raise ValueError(f"edge ({u},{v}) references a vertex outside 1..{self.vertex_count}")
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {u}")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ValidationError(f"duplicate edge ({u},{v})")
+                raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -71,22 +62,16 @@ class CnfFormula:
 
     def __post_init__(self):
         if not _is_integer(self.variable_count) or self.variable_count < 1:
-            raise ValidationError(f"variable count must be an integer >= 1, got {self.variable_count!r}")
+            raise ValueError(f"variable count must be an integer >= 1, got {self.variable_count!r}")
         for idx, clause in enumerate(self.clauses):
             if len(clause) == 0:
-                raise ValidationError(f"clause {idx + 1} is empty")
+                raise ValueError(f"clause {idx + 1} is empty")
             for lit in clause:
                 if not _is_integer(lit):
-                    raise ValidationError(f"clause {idx + 1} uses literal {lit!r}, not an integer")
+                    raise ValueError(f"clause {idx + 1} uses literal {lit!r}, not an integer")
                 if lit == 0 or not (1 <= abs(lit) <= self.variable_count):
-                    raise ValidationError(
-                        f"clause {idx + 1} uses literal {lit} outside 1..{self.variable_count}"
-                    )
+                    raise ValueError(f"clause {idx + 1} uses literal {lit} outside 1..{self.variable_count}")
         object.__setattr__(self, "clauses", tuple(tuple(int(l) for l in c) for c in self.clauses))
-
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
 
 
 def path_graph(n: int) -> Graph:
@@ -95,7 +80,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValidationError("a cycle needs at least 3 vertices")
+        raise ValueError("a cycle needs at least 3 vertices")
     return Graph(n, tuple((i, i + 1) for i in range(1, n)) + ((n, 1),))
 
 
@@ -496,18 +481,13 @@ def parse_custom_table(text: str) -> ObjectiveTable:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(payload, dict):
-        raise ValidationError("expected a JSON object with keys q, n, values")
+        raise ValueError("expected a JSON object with keys q, n, values")
     for key in ("q", "n", "values"):
         if key not in payload:
-            raise ValidationError(f"missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
     q, n, values = payload["q"], payload["n"], payload["values"]
     if not all(_is_integer(v) for v in (q, n)):
-        raise ValidationError("q and n must be integers")
+        raise ValueError("q and n must be integers")
     if not isinstance(values, list) or not all(is_json_number(v) for v in values):
-        raise ValidationError("values must be a list of numbers")
-    try:
-        return ObjectiveTable(n=n, q=q, values=np.asarray(values, dtype=float))
-    except SizeLimitError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        raise ValueError("values must be a list of numbers")
+    return ObjectiveTable(n=n, q=q, values=np.asarray(values, dtype=float))

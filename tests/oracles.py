@@ -31,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from gmqaoa.core import TOL_ZERO, InitialState, ObjectiveTable, SizeLimitError
+from gmqaoa.core import TOL_ZERO, InitialState, ObjectiveTable
 from gmqaoa.oracle import TOL_RANK, ClosureReport, _basis_array, _check_oracle_size, _closure
 from gmqaoa.simulator import BETA_MAX, GAMMA_MAX, _draw_angles
 
@@ -289,7 +289,7 @@ def grover_mixer_identity_check(n: int) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 10:
-        raise SizeLimitError("dense product check capped at n = 10")
+        raise ValueError("dense product check capped at n = 10")
     size = 1 << n
     idx = np.arange(size)
     prod = np.eye(size)
