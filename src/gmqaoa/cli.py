@@ -224,23 +224,11 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
-def _check_verify_size(n: int, q: int, mixer: str) -> None:
-    """The rules of ``verify`` that depend on (n, q) alone, in order: the
-    dense-table limit (exit 2), a binary alphabet for the x mixer (exit
-    2), and the dense-oracle cap (exit 3)."""
-    size = dense_size(n, q)
-    if mixer == "x" and q != 2:
-        raise ValueError("--mixer x requires a binary alphabet (q = 2)")
-    _check_oracle_size(size)
-
-
 def _load_problem(args):
     """The problem as ``(n, q, terms, table, descriptor, digest)``.
 
     ``terms`` are the local terms of --maxcut/--cnf/--coloring, with
-    ``table`` None; --table and --threshold give the dense ``table``, with
-    ``terms`` None.  ``verify`` applies its size rules as soon as (n, q)
-    are read, before any table, state or ``--init`` file.
+    ``table`` None; --table gives the dense ``table``, with ``terms`` None.
     """
     chosen = [(kind, getattr(args, kind)) for kind in ("maxcut", "cnf", "coloring", "table")
               if getattr(args, kind) is not None]
@@ -266,16 +254,9 @@ def _load_problem(args):
     else:
         table = parse_custom_table(text)
         n, q = table.n, table.q
-    if args.command == "verify":
-        _check_verify_size(n, q, args.mixer)
-    if args.threshold is not None:
-        table = _local_objective(n, q, terms) if table is None else table
-        table, terms = threshold_transform(table, args.threshold), None
     descriptor = {"kind": kind, "path": path}
     if kind == "coloring":
         descriptor["colors"] = args.colors
-    if args.threshold is not None:
-        descriptor["threshold"] = {"t": args.threshold}
     return n, q, terms, table, descriptor, _sha256_hex(data)
 
 
@@ -300,19 +281,32 @@ def _load_init(args, table):
     return InitialState(np.asarray(amps, dtype=complex)), _sha256_hex(data)
 
 
-def _analysis(args, command: str, config: dict, dense: bool = False):
+def _analysis(args, command: str, config: dict):
     """Load the problem and state, run the closed forms and open the report.
 
     ``config`` adds the command's settings; its ``tolerances`` replace the
     common ones.  Returns the report, the dense table and state, the
-    spectrum and the overlaps.  Local terms under the uniform state are
+    spectrum and the overlaps.  ``verify`` builds the table and state for
+    its oracles, but first applies its rules on (n, q) alone, in order:
+    the dense-table limit (exit 2), a binary alphabet for the x mixer
+    (exit 2) and the dense-oracle cap (exit 3).  --threshold then gives
+    the dense table.  Otherwise local terms under the uniform state are
     counted by ``local_spectrum``, with no table, unless its plan needs a
     factor larger than the table; the uniform weights come from the
     multiplicities whichever way the spectrum was built, so the state is
-    loaded only for another init.  ``dense`` builds the table and state
-    all the same, for the oracles; otherwise an unbuilt one is None.
+    loaded only for another init, and an unbuilt table or state is None.
     """
     n, q, terms, table, descriptor, problem_digest = _load_problem(args)
+    dense = command == "verify"
+    if dense:
+        size = dense_size(n, q)
+        if args.mixer == "x" and q != 2:
+            raise ValueError("--mixer x requires a binary alphabet (q = 2)")
+        _check_oracle_size(size)
+    if args.threshold is not None:
+        table = _local_objective(n, q, terms) if table is None else table
+        table, terms = threshold_transform(table, args.threshold), None
+        descriptor["threshold"] = {"t": args.threshold}
     uniform = args.init == "uniform"
     spectrum = local_spectrum(n, q, terms) if terms is not None and uniform else None
     if dense or spectrum is None:
@@ -431,9 +425,7 @@ def cmd_verify(args):
         "tol_rank": TOL_RANK,
         "tol_invariant": TOL_INVARIANT,
     }
-    report, table, state, *_ = _analysis(
-        args, "verify", {"mixer": args.mixer, "tolerances": tolerances}, dense=True
-    )
+    report, table, state, *_ = _analysis(args, "verify", {"mixer": args.mixer, "tolerances": tolerances})
     if args.mixer == "x":
         # comparison dimensions are defined for the traceless coupling form
         generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]

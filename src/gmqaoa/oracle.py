@@ -544,15 +544,26 @@ def level_span_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
 
 def graded_pieces(h: np.ndarray, g: np.ndarray) -> list:
     """``[h]`` and the nonzero parts of ``g`` on the entries of each
-    distinct |h_aa - h_bb|.  For a diagonal imaginary h each part is
-    p(ad_h**2) g, p a real polynomial, so they generate the algebra of h
-    and g; grouping by exact float equality can only merge classes, which
-    keeps that.  A piece holds g's entries at one scale, so no bracket has
-    to separate g's grades, which at a level gap far below the largest
-    value would fall under ``TOL_INDEP``."""
-    diag = np.diagonal(h)
-    gap = np.abs(diag[:, None] - diag[None, :])
-    parts = (np.where(gap == v, g, 0.0) for v in np.unique(gap))
+    distinct |h_aa - h_bb|, smallest first.  For a diagonal imaginary h
+    each part is p(ad_h**2) g, p a real polynomial, so they generate the
+    algebra of h and g.  A piece holds g's entries at one scale, so no
+    bracket has to separate g's grades, which at a level gap far below the
+    largest value would fall under ``TOL_INDEP``.
+
+    The gaps are grouped exactly, not by their rounded float: each is the
+    pair (s, e) with s = fl(a - b) and a - b = s + e exactly (TwoSum),
+    negated where s < 0, so gaps such as B - 1, B and B + 1 at B = 1e16 stay
+    apart.  Rounding is monotone, so the pairs sort as the gaps do."""
+    diag = np.diagonal(h).imag
+    a, b = diag[:, None], -diag[None, :]
+    s = a + b
+    b_part = s - a
+    err = (a - (s - b_part)) + (b - b_part)
+    pairs = np.stack([np.abs(s), np.sign(s) * err], axis=-1).reshape(-1, 2)
+    # return_inverse also keeps numpy 2's unique from importing numpy.ma
+    keys, grade = np.unique(pairs, axis=0, return_inverse=True)
+    grade = grade.reshape(s.shape)
+    parts = (np.where(grade == k, g, 0.0) for k in range(len(keys)))
     return [h] + [part for part in parts if part.any()]
 
 

@@ -90,6 +90,24 @@ def test_verify_loads_no_openssl_hash():
         assert done.stdout.split() == ["0", "False"], command
 
 
+def test_verify_loads_no_numpy_ma():
+    # numpy 2's unique imports numpy.ma, about 10 ms, unless it is asked
+    # for indices; numpy 1.x imports numpy.ma with numpy itself
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from gmqaoa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['verify', '--maxcut', {str(DATA / 'p3.graph')!r}])\n"
+        "print(code, eager or 'numpy.ma' not in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["0", "True"]
+
+
 @pytest.mark.skipif(cli._builtin_sha256 is None, reason="no built-in SHA-256 in this build")
 def test_sha256_hex_hashes_large_inputs_without_openssl():
     # the built-in hash takes inputs of every size, so 2 MiB maps no libcrypto
@@ -604,6 +622,10 @@ def test_verify_x_mixer_rejects_nonbinary(capsys):
         ),
         # two subnormal levels: 4 against 16
         pytest.param(2, [5e-324, 0, 1e-320, 2], 16, id="subnormal-n2"),
+        # the gaps 1e16 - 1, 1e16 and 1e16 + 1 round to one float: grouped
+        # by that float, the graded pieces closed to 10 against 16
+        pytest.param(2, [1e16, 0, 1, -1e16], 16, id="1e16-n2"),
+        pytest.param(2, [1e64, 0, 1, -1e64], 16, id="1e64-n2"),
     ],
 )
 def test_verify_wide_range_table_matches_prediction(tmp_path, capsys, n, values, predicted):

@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -638,6 +639,35 @@ def test_graded_pieces_sum_to_the_mixer_and_close_like_the_pair(name):
         # each piece holds the mixer on the entries of one level gap
         assert all(len(np.unique(gap[piece != 0])) == 1 for piece in pieces[1:])
         assert closure_report(pieces).dimension == level_span_dim(table.values, state.amplitudes)
+
+
+def test_graded_pieces_group_by_the_exact_level_gap():
+    # seeded diagonals of wide, two-decimal and small integer values, many
+    # of whose gaps round to one float (1e16 - 1, 1e16 and 1e16 + 1): each
+    # piece holds g on one exact gap, the gaps rise strictly from piece to
+    # piece, and the pieces sum to g
+    rng = np.random.default_rng(37)
+    for case in range(40):
+        size = 2 ** int(rng.integers(1, 5))
+        pool = np.concatenate([
+            [0.0, 1.0, -1.0, 0.1, 0.2, 0.3],
+            rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.choice([16, 17, 20, 64], 4),
+            np.round(rng.uniform(-2, 2, 4), 2),
+        ])
+        values = rng.choice(pool, size)
+        h = 1j * np.diag(values)
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        pieces = graded_pieces(h, g)
+        assert pieces[0] is h
+        assert np.array_equal(sum(pieces[1:]), g), case
+        exact = [Fraction(v) for v in values]
+        gaps = []
+        for piece in pieces[1:]:
+            rows, cols = np.nonzero(piece)
+            gap = {abs(exact[r] - exact[c]) for r, c in zip(rows, cols)}
+            assert len(gap) == 1, case
+            gaps += gap
+        assert gaps == sorted(set(gaps)), case
 
 
 def test_graded_level_span_closure_matches_prediction():
