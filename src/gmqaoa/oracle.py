@@ -326,24 +326,23 @@ def _closure(generators: Sequence[np.ndarray]) -> Tuple[_Packing, list, ClosureR
                 res -= np.outer(res @ rows[count], rows[count])
             counts[c] += 1
 
-    def accept_unit(c: int, row: np.ndarray, floor: float) -> None:
+    def accept_unit(c: int, row: np.ndarray) -> None:
         nrm = float(np.linalg.norm(row))
-        if nrm > floor:
+        if nrm > _ZERO_FLOOR:
             accept(c, row[None] / nrm)
 
     def stopped() -> bool:
         return sum(counts) == full or (schedule == "generators" and min_accepted < _TRUSTED)
 
     for g, top in zip(mats, tops):
-        if sum(counts) == full:
-            break
         c = int(g.imag.any())
         rep = g.imag if c else g.real
         # scaled to a largest entry of 1 before its norm is taken, so
         # entries whose squares overflow close like unit entries; rep
-        # holds all of g's nonzero entries, so g's largest is rep's
+        # holds all of g's nonzero entries, so g's largest is rep's, and
+        # its packed norm is at least 1, far above the floor
         if top > 0.0:
-            accept_unit(c, packing.pack(rep / top, kinds[c]), 0.0)
+            accept_unit(c, packing.pack(rep / top, kinds[c]))
     gens = list(counts)
     frontier = [range(k) for k in gens]
     rounds = 0
@@ -381,7 +380,7 @@ def _closure(generators: Sequence[np.ndarray]) -> Tuple[_Packing, list, ClosureR
                     accept(c, batch)
                 else:
                     for row in batch:
-                        accept_unit(c, row, _ZERO_FLOOR)
+                        accept_unit(c, row)
                         if stopped():
                             break
                 if stopped():

@@ -93,15 +93,6 @@ def house_graph() -> Graph:
     return Graph(5, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (4, 5)))
 
 
-#: Most column pairs that a term straddling the split in
-#: ``_local_objective`` adds to its product; a wider term is broadcast-added
-#: onto the product instead.  The bound is on memory, not time: r pairs add
-#: r columns to each factor, so one 20-literal clause on 20 variables sent
-#: to the product raises the peak from about one table (8 MiB) to about
-#: 50 MiB, though the product is the faster path on most such inputs.
-MAX_STRADDLE_RANK = 16
-
-
 def _checked_terms(n: int, q: int, terms) -> list:
     """The terms as ``(sites, table)`` pairs with int sites and float tables.
 
@@ -155,7 +146,7 @@ def _local_objective(n: int, q: int, terms) -> ObjectiveTable:
     0 the least significant digit; this is the one place that maps sites
     to string indices.
 
-    The table is one matrix product V @ U.T, viewed as a
+    The table is a sum of matrix products V @ U.T, viewed as a
     ``(q**(n-h), q**h)`` matrix whose rows are the digits of the high sites
     h..n-1 and whose columns are those of the low sites 0..h-1, h = n // 2.
     The terms inside each half are added up into a half-table, which gives
@@ -163,45 +154,54 @@ def _local_objective(n: int, q: int, terms) -> ObjectiveTable:
     term that straddles the split, with k sites on its smaller side, gives
     r = q**k pairs, one per digit assignment a of those k sites: the term
     fixed at a, spread over the other half, and the one-hot indicator of
-    a.  A straddling term with r > ``MAX_STRADDLE_RANK`` is broadcast-added
-    onto the product instead.  The terms are integers whose partial sums
-    stay within ``MAX_EXACT_TERM_SUM``, so every product and partial sum is
-    exact and the table does not depend on the summation order.  Every
-    entry sums a product with the low half-table, which holds no -0.0, so
-    the table holds none either.
+    a.  A product takes at most b = q**n // (4 * (q**(n-h) + q**h)) such
+    pairs, whose factors and stacked copies hold at most half a table; it
+    is added into the table before a term would pass b, a term with r > b
+    is broadcast-added, and the half-table pair joins the last product.
+    Sums are exact (``MAX_EXACT_TERM_SUM``) in any split or order, and each
+    entry sums in the low half-table, which holds no -0.0, so none is -0.0.
     """
     dense_size(n, q)
     h = n // 2
     sizes = (n - h, h)  # sites in the high half (rows), in the low half (columns)
+    budget = q**n // (4 * (q ** sizes[0] + q ** sizes[1]))
     halves = [np.zeros((q,) * m) for m in sizes]
-    blocks, wide = ([], []), []
+    blocks, wide, width, values = ([], []), [], 0, None
     for sites, table in _checked_terms(n, q, terms):
         upper = [i for i, site in enumerate(sites) if site >= h]
         lower = [i for i, site in enumerate(sites) if site < h]
-        sides = (upper, lower)
         axes = [n - 1 - site if site >= h else h - 1 - site for site in sites]
         if not (upper and lower):
             half = int(not upper)  # a term on no site joins the low half
             halves[half] += _on_grid(table, axes, sizes[half], q)
-        elif q ** min(len(upper), len(lower)) > MAX_STRADDLE_RANK:
+        elif q ** min(len(upper), len(lower)) > budget:
             wide.append((sites, table))
         else:
-            cut = int(len(sides[1]) <= len(sides[0]))  # the half with fewer of its sites
-            fixed, kept = sides[cut], sides[1 - cut]
+            cut = int(len(lower) <= len(upper))  # the half with fewer of its sites
+            fixed, kept = (lower, upper) if cut else (upper, lower)
             r = q ** len(fixed)
+            if width + r > budget:  # fold the product so far into the table
+                values, blocks, width = _add_product(values, *blocks), ([], []), 0
+            width += r
             # last axis: the digit assignment of the fixed sites, in C order
             sliced = np.moveaxis(table, fixed, range(len(kept), len(sites)))
             sliced = sliced.reshape((q,) * len(kept) + (r,))
             one_hot = np.eye(r).reshape((q,) * len(fixed) + (r,))
             blocks[1 - cut].append(_columns(sliced, [axes[i] for i in kept], sizes[1 - cut], q))
             blocks[cut].append(_columns(one_hot, [axes[i] for i in fixed], sizes[cut], q))
-    rows = np.hstack([np.ones((q ** sizes[0], 1)), halves[0].reshape(-1, 1), *blocks[0]])
-    cols = np.hstack([halves[1].reshape(-1, 1), np.ones((q ** sizes[1], 1)), *blocks[1]])
-    values = rows @ cols.T
+    rows = [np.ones((q ** sizes[0], 1)), halves[0].reshape(-1, 1), *blocks[0]]
+    cols = [halves[1].reshape(-1, 1), np.ones((q ** sizes[1], 1)), *blocks[1]]
+    values = _add_product(values, rows, cols)
     grid = values.reshape((q,) * n)
     for sites, table in wide:
         grid += _on_grid(table, [n - 1 - site for site in sites], n, q)
     return ObjectiveTable(n=n, q=q, values=values.reshape(-1))
+
+
+def _add_product(values, rows, cols) -> np.ndarray:
+    """``values += hstack(rows) @ hstack(cols).T``, or the product if ``values`` is None."""
+    product = np.hstack(rows) @ np.hstack(cols).T
+    return product if values is None else np.add(values, product, out=values)
 
 
 def local_spectrum(n: int, q: int, terms):

@@ -1013,9 +1013,13 @@ def test_importing_the_package_loads_none_of_its_modules():
 
 
 def test_pyproject_version_is_the_package_version():
-    # a regex, not tomllib, so that the check also runs on Python 3.10
+    # the build reads the version from the package, so pyproject.toml holds
+    # no second literal; a regex, not tomllib, so that the check also runs
+    # on Python 3.10
     text = (DATA.parent / "pyproject.toml").read_text()
-    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [__version__]
+    assert re.findall(r"^dynamic = (.*)$", text, flags=re.M) == ['["version"]']
+    assert re.findall(r"^version = (.*)$", text, flags=re.M) == ['{attr = "gmqaoa.__version__"}']
+    assert re.search(r"^\[tool\.setuptools\.dynamic\]\nversion = ", text, flags=re.M)
 
 
 def _strict_json(text):

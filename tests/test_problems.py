@@ -196,10 +196,14 @@ def test_builders_allocate_one_table():
         tuple(int(v) * int(rng.choice([-1, 1])) for v in rng.choice(16, size=3, replace=False) + 1)
         for _ in range(48)
     )
+    # 200 8-literal clauses on 18 variables: far more straddling columns
+    # than one product's budget of 64, so the product is folded many times
+    dense = _random_clauses(np.random.default_rng(11), 18, 200, 8)
     builds = [
         lambda: maxcut_objective(random_graph(np.random.default_rng(3), 16)),
         lambda: cnf_objective(CnfFormula(16, clauses)),
         lambda: coloring_objective(random_graph(np.random.default_rng(5), 10), 3),
+        lambda: cnf_objective(CnfFormula(18, dense)),
     ]
     for build in builds:
         tracemalloc.start()
@@ -229,19 +233,23 @@ def _random_clauses(rng, n, m, width):
 @pytest.mark.parametrize(
     "n, q, terms",
     [
+        # budget 128: the 200 straddling columns take two products
         (20, 2, maxcut_terms(complete_graph(20))),
+        # budget 32: 108 straddling columns take four products
         (16, 2, cnf_terms(CnfFormula(16, _random_clauses(np.random.default_rng(2), 16, 64, 3)))),
         (10, 3, coloring_terms(random_graph(np.random.default_rng(4), 10), 3)),
         (8, 4, coloring_terms(complete_graph(8), 4)),
-        # two sites on the smaller side of the split: r = 4 or 9 column pairs
+        # two sites on the smaller side of the split: r = 4 or 9 column pairs,
+        # within the budget of 4 at n = 10, 8 at n = 12 and 10 at q = 3, n = 8
         (10, 2, cnf_terms(CnfFormula(10, _random_clauses(np.random.default_rng(6), 10, 24, 5)))),
-        (8, 2, cnf_terms(CnfFormula(8, ((1, 2, -5, 6, 7, -8), (8, 1, -2, 7))))),
+        (12, 2, cnf_terms(CnfFormula(12, ((1, 2, -5, 6, 7, -8), (8, 1, -2, 7))))),
         (
-            6,
+            8,
             3,
             [((4, 0, 5, 1), np.random.default_rng(8).integers(-5, 6, (3,) * 4)), ((5, 2, 0), np.ones((3,) * 3))],
         ),
-        # 5 sites on each side of the split: 2**5 column pairs, so broadcast-added
+        # 5 sites on each side of the split: 2**5 column pairs, past the
+        # budget of 4, so broadcast-added
         (10, 2, cnf_terms(CnfFormula(10, ((1, -2, 3, 4, -5, 6, 7, -8, 9, 10), (2, -7), (4,))))),
         (4, 2, [((0, 3), np.array([[-0.0, -3.0], [2.0, -0.0]])), ((), -0.0), ((1,), [-0.0, 1.0])]),
     ],
@@ -443,11 +451,11 @@ def test_local_spectrum_of_seeded_random_graphs():
 
 
 @st.composite
-def term_lists(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def term_lists(draw, fewest_sites=1, most_sites=5, most_terms=6):
+    n = draw(st.integers(min_value=fewest_sites, max_value=most_sites))
     q = draw(st.integers(min_value=2, max_value=3))
     terms = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+    for _ in range(draw(st.integers(min_value=0, max_value=most_terms))):
         width = draw(st.integers(min_value=0, max_value=min(n, 3)))
         sites = draw(st.permutations(range(n)))[:width]
         entries = draw(st.lists(st.integers(-3, 3), min_size=q**width, max_size=q**width))
@@ -464,6 +472,14 @@ def test_local_spectrum_matches_dense_levels(problem):
 @given(term_lists())
 @settings(max_examples=80, deadline=None)
 def test_local_objective_of_term_lists_is_the_broadcast_sum(problem):
+    assert_broadcast_sum(*problem)
+
+
+@given(term_lists(fewest_sites=8, most_sites=9, most_terms=16))
+@settings(max_examples=40, deadline=None)
+def test_local_objective_folds_term_lists_to_the_broadcast_sum(problem):
+    # below n = 6 no straddling term fits the product's budget; from n = 8
+    # the budget is 2 to 15 columns, so most of these lists fold the product
     assert_broadcast_sum(*problem)
 
 
