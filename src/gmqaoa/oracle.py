@@ -507,34 +507,33 @@ def level_span_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     is H_p-invariant, so every commutator acts on K alone, and the part of
     any DLA element on K's complement is a multiple of H_p there.  With Q
     the W0 columns of ``isotypic_split``, returns the block-diagonal
-    i (Q^dag H_p Q + [h]) and i (-Q^dag u u^dag Q + [0]), h = ||(I - Q
-    Q^dag) H_p||_F, the trailing blocks left out when h = 0: an isometry of
-    the DLA, so their closure has its dimension at the same ``TOL_INDEP``.
-    Within level j, I - Q Q^dag is a projector of rank n_j - 1 (supported)
-    or n_j, so h is exactly 0 when H_p vanishes off K, and h > 0 implies
-    d < N, so neither generator is larger than the instance.
+    i (Q^dag H_p Q + [t]) and i (-Q^dag u u^dag Q + [0]), the trailing
+    blocks left out when H_p vanishes off K, i.e. unless a level of nonzero
+    value is unsupported or holds more than one string (``predict_dla``'s
+    rule; then d < N, so neither generator outgrows the instance).
+
+    The tail t is the largest |value|, not ||(I - Q Q^dag) H_p||_F: every
+    bracket of two block-diagonal generators has a zero tail, so X + x ->
+    X + t x is a Lie-algebra automorphism of u(d) + u(1) for every real
+    t != 0, and the closure has one dimension at every nonzero tail.  The
+    pair is an isomorphism onto the DLA, not an isometry, and its tail
+    cannot sink under ``TOL_INDEP`` beside the largest entry.
 
     Both are built from the levels, not from Q: Q^dag H_p Q is
     diag(lambda_j) over the supported levels, largest first, and Q^dag u
     is w with w_j = ||P_j u||.  So they are exactly i times a real
     symmetric matrix for every state, and ``closure_report`` runs on its
-    two parity classes.  h is taken as m sqrt(sum (lambda / m)**2 ...),
-    m the largest |lambda|, so values whose squares overflow give a
-    finite h.
-
-    Their closure can only undercount: it lies in u(d) when h = 0, and in
-    u(d) + span{i E_dd} when h > 0, since both generators are then
-    block-diagonal and every bracket has a zero (d, d) entry.  That bounds
-    it at d**2 and d**2 + 1, which is ``predict_dla``.
+    two parity classes.  Their closure can only undercount: it lies in
+    u(d) with no tail, and in u(d) + span{i E_dd} with one, since both
+    generators are then block-diagonal and every bracket has a zero (d, d)
+    entry.  That bounds it at d**2 and d**2 + 1, which is ``predict_dla``.
     """
     lam, _, level_of, level_norms, supported, _ = _levels(values, amplitudes)
     level_values = np.empty(level_norms.size)
     level_values[level_of] = lam
-    # each string's share of its level's rank off K
-    off = 1.0 - supported / np.bincount(level_of)
-    top = float(np.max(np.abs(lam)))
-    h = top * math.sqrt(float(np.sum((lam / top) ** 2 * off[level_of]))) if top > 0.0 else 0.0
-    h_p = np.diag(np.append(level_values[supported], [h] if h > 0.0 else []))
+    off = (level_values != 0.0) & (~supported | (np.bincount(level_of) > 1))
+    tail = [np.max(np.abs(lam))] if off.any() else []
+    h_p = np.diag(np.append(level_values[supported], tail))
     w = level_norms[supported]
     g_m = np.zeros_like(h_p)
     g_m[: w.size, : w.size] = -np.outer(w, w)

@@ -611,15 +611,11 @@ def test_verify_x_mixer_rejects_nonbinary(capsys):
         pytest.param(2, [1e10, 0, 1, -1e10], 16, id="1e10-n2"),
         # 5 against 17
         pytest.param(3, [0, 1e-12, 2e-12, 0, 0, 5, 5, 5], 17, id="1e-12-n3"),
-        # 9 against 50; the graded pieces give 49
-        pytest.param(
-            3, [1e12, 0, 1, -1e12, 3, 3, 1e-6, 2], 50, id="1e12-n3",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="iH_p's part off the level span, h = 3 beside entries of 1e12, "
-                "enters the closure at 3e-12 of the largest entry, below TOL_INDEP",
-            ),
-        ),
+        # 9 against 50; the graded pieces gave 49 while the level span's
+        # tail was H_p's norm off the span, h = 3 beside entries of 1e12
+        pytest.param(3, [1e12, 0, 1, -1e12, 3, 3, 1e-6, 2], 50, id="1e12-n3"),
+        # that tail, h = 3e-12 beside -1e10, closed to 9 against 10
+        pytest.param(2, [3e-12, 1, 3e-12, -1e10], 10, id="3e-12-tail-n2"),
         # two subnormal levels: 4 against 16
         pytest.param(2, [5e-324, 0, 1e-320, 2], 16, id="subnormal-n2"),
         # the gaps 1e16 - 1, 1e16 and 1e16 + 1 round to one float: grouped
@@ -635,6 +631,26 @@ def test_verify_wide_range_table_matches_prediction(tmp_path, capsys, n, values,
     report = json.loads(out)
     assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"] == predicted
     assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the plain x pair's brackets separate O(1) level gaps beside entries of 1e10 "
+    "and 1e12 under TOL_INDEP: it closes to 3 and 16, and with the x verdicts not-run "
+    "verify exits 0",
+)
+@pytest.mark.parametrize(
+    "n, values, dim",
+    [(2, [1e10, 0, 1, -1e10], 15), (3, [1e12, 0, 1, -1e12, 3, 3, 1e-6, 2], 63)],
+    ids=["1e10-n2", "1e12-n3"],
+)
+def test_verify_x_mixer_closes_wide_range_tables(tmp_path, capsys, n, values, dim):
+    # dim su(2**n): the graded pieces of the same pair reach it, and so
+    # does the plain pair once the largest values are scaled to O(10)
+    table = tmp_path / "wide.json"
+    table.write_text(json.dumps({"q": 2, "n": n, "values": values}))
+    _, out, _ = run_cli(capsys, "verify", "--table", str(table), "--mixer", "x")
+    assert json.loads(out)["oracle"]["closure"]["dimension"] == dim
 
 
 def verify_faint_lowest_level(tmp_path, capsys, graph, eps):

@@ -673,10 +673,7 @@ def test_graded_pieces_group_by_the_exact_level_gap():
 def test_graded_level_span_closure_matches_prediction():
     # seeded: integer, decimal, wide and mixed values on n <= 4 sites,
     # complex states, a level at weight 1e-2 to 1e-8 in a third of the
-    # cases and a zeroed level in a fifth.  Nonzero values stay within 8
-    # decades of the largest, so H_p's part off the level span, when
-    # nonzero, is at least 1e-8 of it; further below, under TOL_INDEP, the
-    # closure misses that center direction (test_cli's 1e12-n3 case)
+    # cases and a zeroed level in a fifth; nonzero values span 24 decades
     rng = np.random.default_rng(36)
     for case in range(60):
         n = int(rng.integers(1, 5))
@@ -687,9 +684,9 @@ def test_graded_level_span_closure_matches_prediction():
         elif kind == 1:
             values = np.round(rng.uniform(-2, 2, size), 1)
         elif kind == 2:
-            values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4, 4, size)
+            values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12, 12, size)
         else:
-            big = rng.choice([-1e8, 1e8], size)
+            big = rng.choice([-1e12, 1e12], size)
             values = np.where(rng.random(size) < 0.3, big, rng.integers(-3, 4, size))
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
         levels = np.unique(values)
@@ -707,25 +704,30 @@ def test_graded_level_span_closure_matches_prediction():
         assert closure_report(pieces).dimension == predicted.dim, case
 
 
-def test_level_span_generators_are_an_isometry():
-    # p3, uniform: H_p is 2, 1, 0 on levels of 2, 4 and 2 strings, so its
-    # norm off the level span is sqrt(4 * 1 + 1 * 3) and both generators
-    # keep their Frobenius norm
+def test_level_span_generators_put_the_tail_at_the_largest_value():
+    # p3, uniform: H_p is 2, 1, 0 on levels of 2, 4 and 2 strings, so it
+    # does not vanish off the level span, and the tail is the largest
+    # |value|, not H_p's norm there, sqrt(4 * 1 + 1 * 3); the mixer keeps
+    # its Frobenius norm
     table = bundled_table("p3.graph")
     state = uniform_state(3, 2)
     h_span, g_span = level_span_generators(table.values, state.amplitudes)
     assert h_span.shape == g_span.shape == (4, 4)
-    assert h_span[3, 3] == 1j * np.sqrt(7.0)
+    assert h_span[3, 3] == 2j
     assert np.allclose(np.diag(h_span)[:3], [2j, 1j, 0.0], atol=1e-15)
-    for dense, span in zip(gm_generators(table, state), (h_span, g_span)):
-        assert np.linalg.norm(span) == pytest.approx(np.linalg.norm(dense), abs=1e-14)
+    _, g_m = gm_generators(table, state)
+    assert np.linalg.norm(g_span) == pytest.approx(np.linalg.norm(g_m), abs=1e-14)
+    for span in (h_span, g_span):
         assert np.max(np.abs(span + span.conj().T)) == 0.0
+    # H_p off the span is 3e-12, beside -1e10: the tail is 1e10
+    h_wide, _ = level_span_generators([3e-12, 1.0, 3e-12, -1e10], np.full(4, 0.5))
+    assert h_wide[3, 3] == 1e10j
     # a basis state on one string: one supported level and every other
     # string off the span
     _, g_one = level_span_generators(table.values, _basis_state(8, 1).amplitudes)
     assert g_one.shape == (2, 2) and g_one[0, 0] == -1j
     # all-distinct values: every string is its own supported level, H_p
-    # vanishes off the span (h = 0), and the pair is 8 x 8 with no tail
+    # vanishes off the span, and the pair is 8 x 8 with no tail
     distinct = ObjectiveTable(n=3, q=2, values=np.arange(8.0))
     h_span, g_span = level_span_generators(distinct.values, state.amplitudes)
     assert h_span.shape == g_span.shape == (8, 8)
