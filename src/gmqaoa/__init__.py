@@ -1,3 +1,3 @@
 """Structure analysis and numerical verification for Grover-mixer QAOA circuits."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -65,12 +65,8 @@ def predict_commutant(spectrum: Spectrum, overlaps: LevelOverlaps) -> int:
     """Largest possible commutant dimension, attained by the Grover mixer:
     1 + sum over supported levels of (n_j - 1)**2 plus sum over
     unsupported levels of n_j**2 (complex dimensions)."""
-    supported = set(overlaps.supported_levels)
-    dim = 1
-    for j in range(spectrum.r):
-        nj = int(spectrum.multiplicities[j])
-        dim += (nj - 1) ** 2 if j in supported else nj**2
-    return dim
+    m = spectrum.multiplicities
+    return int(1 + np.sum(np.where(overlaps.c > 0, (m - 1) ** 2, m**2)))
 
 
 def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStatsPrediction:
@@ -81,7 +77,7 @@ def predict_loss_stats(spectrum: Spectrum, overlaps: LevelOverlaps) -> LossStats
     variance is Var(zeta)/(d+1), where zeta is uniform on the d supported
     objective values.
     """
-    lam = spectrum.values[overlaps.supported_levels]
+    lam = spectrum.values[overlaps.c > 0]
     d = overlaps.d
     zeta_mean = float(np.mean(lam))
     zeta_var = float(np.var(lam))

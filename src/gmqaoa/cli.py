@@ -46,7 +46,6 @@ from .oracle import (
     isotypic_residuals,
     isotypic_split,
     level_span_generators,
-    traceless_part,
     x_mixer_generator,
 )
 from .problems import (
@@ -343,7 +342,7 @@ def _analysis(args, command: str, config: dict):
             "d": overlaps.d,
             "sum_c_squared": float(np.sum(overlaps.c**2)),
             "c": [float(x) for x in overlaps.c],
-            "supported_levels": list(overlaps.supported_levels),
+            "supported_levels": overlaps.supported_levels,
         },
         "dla": {"algebra": dla.algebra, "dim": dla.dim, "center_dim": dla.center_dim},
         "commutant": {"dim": predict_commutant(spectrum, overlaps)},
@@ -355,7 +354,7 @@ def _analysis(args, command: str, config: dict):
 
 
 def _monte_carlo(args, spectrum, overlaps, p: int) -> dict:
-    sup = overlaps.supported_levels
+    sup = overlaps.c > 0
     return asdict(monte_carlo_stats(
         spectrum.values[sup], overlaps.c[sup], p=p, samples=args.samples, seed=args.seed
     ))
@@ -426,21 +425,22 @@ def cmd_verify(args):
         "tol_invariant": TOL_INVARIANT,
     }
     report, table, state, *_ = _analysis(args, "verify", {"mixer": args.mixer, "tolerances": tolerances})
+    values, amps = table.values, state.amplitudes
     if args.mixer == "x":
         # comparison dimensions are defined for the traceless coupling form
-        generators = [1j * traceless_part(np.diag(table.values)), 1j * x_mixer_generator(table.n)]
+        generators = [1j * np.diag(values - values.mean()), 1j * x_mixer_generator(table.n)]
     else:
-        generators = graded_pieces(*level_span_generators(table.values, state.amplitudes))
+        generators = graded_pieces(*level_span_generators(values, amps))
     closure = closure_report(generators)
 
     oracle = {"mixer": args.mixer, "closure": asdict(closure)}
     if args.mixer == "grover":
         # exact for the DLA: commuting with it is commuting with its generators
-        commutant = grover_commutant_dimension(table.values, state.amplitudes)
+        commutant = grover_commutant_dimension(values, amps)
         # likewise a subspace is invariant under the DLA iff it is invariant
         # under its generators, taken at unit norm
-        units = [g / np.linalg.norm(g) for g in gm_generators(table, state) if np.any(g)]
-        w0, lines = isotypic_split(table.values, state.amplitudes)
+        units = [g / np.linalg.norm(g) for g in gm_generators(values, amps) if np.any(g)]
+        w0, lines = isotypic_split(values, amps)
         split = isotypic_residuals(units, w0, lines)
         oracle["commutant_margin"] = {
             "max_null": commutant.max_null, "min_nonnull": commutant.min_nonnull

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TOL_ZERO, InitialState, ObjectiveTable, _level_norms, dense_size
+from .core import TOL_ZERO, InitialState, _level_norms, dense_size
 
 #: Dense-oracle cap on the state-space dimension.
 ORACLE_DIM_LIMIT = 64
@@ -104,21 +104,17 @@ def _check_oracle_size(n: int) -> None:
         raise OracleCapError(f"dense oracle capped at {ORACLE_DIM_LIMIT} dimensions, got {n}")
 
 
-def gm_generators(objective: ObjectiveTable, state: InitialState) -> Tuple[np.ndarray, np.ndarray]:
+def gm_generators(values, amplitudes) -> Tuple[np.ndarray, np.ndarray]:
     """Dense Hermitian problem Hamiltonian and Grover mixer.
 
     The problem Hamiltonian is diagonal with the objective values; the
-    mixer is the negative rank-one projector onto the state.  Multiply by
-    1j to obtain the skew-Hermitian closure generators.
+    mixer is the negative rank-one projector onto the amplitudes as
+    given.  Both are read and checked by ``_levels``.  Multiply by 1j to
+    obtain the skew-Hermitian closure generators.
     """
-    size = objective.size
-    _check_oracle_size(size)
-    amps = state.amplitudes
-    if amps.shape[0] != size:
-        raise ValueError("state and objective dimensions disagree")
-    h_p = np.diag(objective.values.astype(complex))
-    g_m = -np.outer(amps, amps.conj())
-    return h_p, g_m
+    lam = _levels(values, amplitudes)[0]
+    amps = np.asarray(amplitudes, dtype=complex)
+    return np.diag(lam.astype(complex)), -np.outer(amps, amps.conj())
 
 
 def x_mixer_generator(n: int) -> np.ndarray:
@@ -130,20 +126,6 @@ def x_mixer_generator(n: int) -> np.ndarray:
     for j in range(n):
         b[idx, idx ^ (1 << j)] += 1.0
     return b
-
-
-def traceless_part(h: np.ndarray) -> np.ndarray:
-    """Remove the identity component of a square matrix.
-
-    The standard-mixer comparison dimensions are defined for the
-    traceless coupling form of the problem Hamiltonian; a counting
-    objective carries a constant shift that can add one identity
-    direction to the closure on some instances (e.g. the 3-vertex path
-    reaches 10 instead of 9).
-    """
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    return h - (np.trace(h) / n) * np.eye(n)
 
 
 def closure_report(generators: Sequence[np.ndarray]) -> ClosureReport:

@@ -127,7 +127,7 @@ def twirled_mean_loss(objective: ObjectiveTable, state: InitialState) -> tuple[f
     by the problem Hamiltonian and the Grover mixer is the Hilbert-Schmidt
     projection of rho onto the commutant of the two generators.
     """
-    h_p, g_m = gm_generators(objective, state)
+    h_p, g_m = gm_generators(objective.values, state.amplitudes)
     basis = commutant_null_space([h_p, g_m])
     amps = state.amplitudes
     rho = np.outer(amps, amps.conj()).ravel()

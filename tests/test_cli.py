@@ -464,19 +464,21 @@ def test_verify_faint_supported_level(tmp_path, capsys):
     assert all(v["verdict"] == "match" for v in report["oracle"]["verdicts"].values())
 
 
-@pytest.mark.parametrize("graph", ["p3", "house", "c6"])
-def test_verify_faint_lowest_level(tmp_path, capsys, graph):
+@pytest.mark.parametrize(
+    "graph, rerun_from", [("p3", 1e-4), ("house", 3e-4), ("c6", 3e-4)], ids=["p3", "house", "c6"]
+)
+def test_verify_faint_lowest_level(tmp_path, capsys, graph, rerun_from):
     # the lowest level at norm eps, the rest uniform: the closure on the
-    # level span finds the predicted algebra where the dense one does not
-    values = maxcut_objective(parse_graph((DATA / f"{graph}.graph").read_text())).values
-    low = values == values.min()
+    # level span finds the predicted algebra where the dense one does not.
+    # The generator run's smallest acceptance is about 3.6 eps on p3 and
+    # 1.2 eps on house and c6, so from rerun_from it falls under _TRUSTED
+    # and these verdicts come from the all-pairs rerun
     for eps in (1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-8):
-        amps = np.where(low, eps / np.sqrt(low.sum()), np.sqrt((1 - eps**2) / (~low).sum()))
-        init = write_init(tmp_path / "init.json", amps.astype(complex))
-        code, out, _ = run_cli(capsys, "verify", "--maxcut", str(DATA / f"{graph}.graph"), "--init", init)
-        report = json.loads(out)
+        code, report = verify_faint_lowest_level(tmp_path, capsys, graph, eps)
         assert code == 0, eps
-        assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"], eps
+        closure = report["oracle"]["closure"]
+        assert closure["dimension"] == report["dla"]["dim"], eps
+        assert closure["schedule"] == ("all-pairs" if eps <= rerun_from else "generators"), eps
         assert all(v["verdict"] == "match" for v in report["oracle"]["verdicts"].values()), eps
 
 
@@ -699,14 +701,20 @@ def test_verify_table_of_many_levels_closes_on_generator_brackets(tmp_path, caps
     assert code == 0
 
 
-@pytest.mark.parametrize("graph, d", [("house", 4), ("c6", 3)])
-def test_verify_level_at_tol_zero_is_unsupported_on_both_sides(tmp_path, capsys, graph, d):
-    # the lowest level's weight is exactly TOL_ZERO in the amplitudes as
-    # given, but above it once they are divided by their norm, just under
-    # 1; the prediction and the oracles both cut the first reading
-    code, report = verify_faint_lowest_level(tmp_path, capsys, graph, 1e-10)
+@pytest.mark.parametrize(
+    "graph, eps, d",
+    [("house", 1e-10, 4), ("c6", 1e-10, 3), ("p3", 1e-160, 2), ("p3", 1e-170, 2), ("p3", 5e-324, 2)],
+    ids=["house-4", "c6-3", "p3-2-1e-160", "p3-2-1e-170", "p3-2-5e-324"],
+)
+def test_verify_level_at_tol_zero_is_unsupported_on_both_sides(tmp_path, capsys, graph, eps, d):
+    # the lowest level's weight is at most TOL_ZERO in the amplitudes as
+    # given; at 1e-10 it is above it once they are divided by their norm,
+    # just under 1, and far below it the level's squares underflow; the
+    # prediction and the oracles both cut the first reading
+    code, report = verify_faint_lowest_level(tmp_path, capsys, graph, eps)
     verdicts = report["oracle"]["verdicts"]
     assert report["overlaps"]["d"] == verdicts["isotypic"]["observed"]["irreducible_dim"] == d
+    assert report["oracle"]["closure"]["dimension"] == report["dla"]["dim"]
     assert all(v["verdict"] == "match" for v in verdicts.values())
     assert code == 0
 
@@ -1147,6 +1155,7 @@ def _at_path(report, path):
         ("verify", cli._VERIFY_COLUMNS, ()),
         ("simulate", cli._SIMULATE_COLUMNS, ("--depth", "4", "--samples", "64")),
         ("sweep", cli._SWEEP_COLUMNS, ("--depths", "1,3", "--samples", "32")),
+        ("verify", cli._VERIFY_COLUMNS, ("--mixer", "x")),
     ],
 )
 def test_out_file_and_csv_cells_match_the_report(tmp_path, capsys, command, columns, extra, fmt):
@@ -1173,3 +1182,9 @@ def test_out_file_and_csv_cells_match_the_report(tmp_path, capsys, command, colu
     else:
         expected = [[_csv_text(_at_path(report, path)) for _, path in columns]]
     assert rows == expected
+    if "x" in extra:
+        # an x report has no commutant or isotypic residual paths, and no verdict is run
+        row = dict(zip(header, rows[0]))
+        empty = ("oracle_commutant_dim", "w0_residual", "complement_line_residual")
+        assert [row[name] for name in empty] == [""] * 3
+        assert {row[name] for name in header if name.startswith("verdict_")} == {"not-run"}

@@ -308,8 +308,7 @@ def test_reconstruction_and_counts(table, seed):
         (lambda: Spectrum([2.0, 1.0], [1, 1], 3), "must sum to the state-space dimension"),
         (lambda: Spectrum([2.0, 1.0], [1, 1], 2, level_of=[0]), "level_of must map every string index"),
         (lambda: InitialState(np.array([])), "non-empty 1-d array"),
-        (lambda: gm_generators(ObjectiveTable(n=2, q=2, values=P3_VALUES[:4]), uniform_state(3, 2)),
-         "dimensions disagree"),
+        (lambda: gm_generators(P3_VALUES[:4], uniform_state(3, 2).amplitudes), "1-d arrays of one length"),
         (lambda: x_mixer_generator(0), "need n >= 1"),
         (lambda: closure_report([]), "need at least one generator"),
         (lambda: cycle_graph(2), "at least 3 vertices"),

@@ -27,7 +27,6 @@ from gmqaoa.oracle import (
     isotypic_residuals,
     isotypic_split,
     level_span_generators,
-    traceless_part,
     x_mixer_generator,
 )
 from gmqaoa.problems import (
@@ -64,7 +63,7 @@ def p3_setup():
 def test_gm_generators_examples():
     table = ObjectiveTable(n=1, q=2, values=[0.0, 1.0])
     state = uniform_state(1, 2)
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     assert np.allclose(np.diag(h_p), table.values)
     assert np.allclose(g_m, -0.5 * np.ones((2, 2)))
     eigs = np.sort(np.linalg.eigvalsh(g_m))
@@ -74,7 +73,7 @@ def test_gm_generators_examples():
 def test_gm_generators_cap():
     table = ObjectiveTable(n=7, q=2, values=np.zeros(128))
     with pytest.raises(OracleCapError):
-        gm_generators(table, uniform_state(7, 2))
+        gm_generators(table.values, uniform_state(7, 2).amplitudes)
 
 
 def test_x_mixer_generator_cap():
@@ -100,13 +99,6 @@ def test_x_mixer_generator():
         coupled = sorted(np.flatnonzero(np.abs(b[idx]) > 0).tolist())
         assert coupled == sorted({idx ^ 1, idx ^ 2})
     assert np.trace(b) == 0
-
-
-def test_traceless_part():
-    h = np.diag([2.0, 1.0, 0.0, 1.0]).astype(complex)
-    t = traceless_part(h)
-    assert abs(np.trace(t)) < 1e-14
-    assert np.allclose(t + np.trace(h) / 4 * np.eye(4), h)
 
 
 def test_lie_closure_single_generator():
@@ -156,7 +148,7 @@ def test_lie_closure_skew_check_is_relative_to_the_largest_entry():
 def test_lie_closure_p4_gm():
     table = maxcut_objective(path_graph(4))
     state = uniform_state(4, 2)
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     assert report.dimension == 17
 
@@ -186,7 +178,7 @@ def test_lie_closure_monotone_in_generators():
 
 def test_closure_basis_is_orthonormal_and_contains_generators():
     table, state, _, _ = p3_setup()
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     generators = [1j * h_p, 1j * g_m]
     basis, report = lie_closure(generators)
     vecs = basis.reshape(len(basis), -1)
@@ -203,7 +195,7 @@ def test_commutant_dimension_examples():
     assert commutant_dimension([1j * np.eye(3, dtype=complex)]) == 9
 
     table, state, _, _ = p3_setup()
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     generators = [1j * h_p, 1j * g_m]
     basis, _ = lie_closure(generators)
     assert commutant_dimension(basis) == 12
@@ -211,7 +203,7 @@ def test_commutant_dimension_examples():
     assert commutant_dimension(generators) == 12
 
     two_valued = ObjectiveTable(n=1, q=2, values=[0.0, 1.0])
-    h1, g1 = gm_generators(two_valued, uniform_state(1, 2))
+    h1, g1 = gm_generators(two_valued.values, uniform_state(1, 2).amplitudes)
     basis1, _ = lie_closure([1j * h1, 1j * g1])
     assert commutant_dimension(basis1) == 1
 
@@ -242,9 +234,10 @@ BUNDLED_N32 = [
 def uniform_generators(name, mixer):
     """Closure generators of a bundled instance under the uniform state."""
     table = bundled_table(name)
-    h_p, g_m = gm_generators(table, uniform_state(table.n, table.q))
+    values = table.values
     if mixer == "x":
-        return [1j * traceless_part(h_p), 1j * x_mixer_generator(table.n)]
+        return [1j * np.diag(values - values.mean()), 1j * x_mixer_generator(table.n)]
+    h_p, g_m = gm_generators(values, uniform_state(table.n, table.q).amplitudes)
     return [1j * h_p, 1j * g_m]
 
 
@@ -263,7 +256,7 @@ def faint_p3_state(eps):
 
 
 def faint_p3_generators(eps):
-    h_p, g_m = gm_generators(bundled_table("p3.graph"), faint_p3_state(eps))
+    h_p, g_m = gm_generators(bundled_table("p3.graph").values, faint_p3_state(eps).amplitudes)
     return [1j * h_p, 1j * g_m]
 
 
@@ -288,7 +281,8 @@ def random_grover_state(name, seed):
 
 def random_grover_generators(name, seed):
     """Closure generators of a bundled instance under a seeded random complex state."""
-    h_p, g_m = gm_generators(*random_grover_state(name, seed))
+    table, state = random_grover_state(name, seed)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     return [1j * h_p, 1j * g_m]
 
 
@@ -306,7 +300,7 @@ def gauged_grover_closure(table, state):
     modulus = np.abs(amps)
     phases = np.ones_like(amps)
     np.divide(amps, modulus, out=phases, where=modulus > 0)
-    h_p, g_m = gm_generators(table, InitialState(modulus))
+    h_p, g_m = gm_generators(table.values, modulus)
     basis, report = lie_closure([1j * h_p, 1j * g_m])
     return phases[:, None] * basis * phases.conj(), report
 
@@ -454,7 +448,7 @@ def test_closure_of_faint_level_matches_prediction(name, eps, dim):
     state = faint_lowest_state(name, eps)
     spectrum = build_spectrum(table)
     assert predict_dla(spectrum, decompose_initial_state(state, spectrum)).dim == dim
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     assert report.schedule == "all-pairs"
     assert report.dimension == dim
@@ -480,7 +474,8 @@ def test_all_pairs_rerun_holds_one_basis_array():
     # N = 64 and both generators are imaginary, so the basis is two packed
     # class arrays of 2016 and 2080 rows, 31 and 33 MiB; the rerun reuses
     # the arrays of the generator run instead of allocating a second pair
-    h_p, g_m = gm_generators(bundled_table("c6.graph"), faint_lowest_state("c6.graph", 1e-4))
+    state = faint_lowest_state("c6.graph", 1e-4)
+    h_p, g_m = gm_generators(bundled_table("c6.graph").values, state.amplitudes)
     tracemalloc.start()
     try:
         _, report = lie_closure([1j * h_p, 1j * g_m])
@@ -496,7 +491,7 @@ def test_grover_commutant_matches_dense_solver(name):
     table = bundled_table(name)
     assert table.size <= 32
     for state in grover_test_states(table, seed=sum(map(ord, name))):
-        h_p, g_m = gm_generators(table, state)
+        h_p, g_m = gm_generators(table.values, state.amplitudes)
         report = grover_commutant_dimension(table.values, state.amplitudes)
         assert report.dimension == commutant_dimension([1j * h_p, 1j * g_m])
         # the gap around tol_rank spans ten decades on every instance
@@ -523,7 +518,7 @@ def test_grover_commutant_of_faint_level():
     spectrum = build_spectrum(table)
     overlaps = decompose_initial_state(state, spectrum)
     assert len(overlaps.supported_levels) == spectrum.r
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     report = grover_commutant_dimension(table.values, amps)
     assert report.dimension == predict_commutant(spectrum, overlaps) == 12
     # the commutant of the DLA is, by definition, that of its generators; the
@@ -544,7 +539,7 @@ def test_grover_commutant_of_faint_level():
 def test_dense_commutant_of_faint_level_at_default_tol_rank():
     # gives 15: the faint level's constraints count as null
     state = faint_p3_state(1e-5)
-    h_p, g_m = gm_generators(bundled_table("p3.graph"), state)
+    h_p, g_m = gm_generators(bundled_table("p3.graph").values, state.amplitudes)
     assert commutant_dimension([1j * h_p, 1j * g_m]) == 12
 
 
@@ -715,7 +710,7 @@ def test_level_span_generators_put_the_tail_at_the_largest_value():
     assert h_span.shape == g_span.shape == (4, 4)
     assert h_span[3, 3] == 2j
     assert np.allclose(np.diag(h_span)[:3], [2j, 1j, 0.0], atol=1e-15)
-    _, g_m = gm_generators(table, state)
+    _, g_m = gm_generators(table.values, state.amplitudes)
     assert np.linalg.norm(g_span) == pytest.approx(np.linalg.norm(g_m), abs=1e-14)
     for span in (h_span, g_span):
         assert np.max(np.abs(span + span.conj().T)) == 0.0
@@ -731,7 +726,7 @@ def test_level_span_generators_put_the_tail_at_the_largest_value():
     distinct = ObjectiveTable(n=3, q=2, values=np.arange(8.0))
     h_span, g_span = level_span_generators(distinct.values, state.amplitudes)
     assert h_span.shape == g_span.shape == (8, 8)
-    for dense, span in zip(gm_generators(distinct, state), (h_span, g_span)):
+    for dense, span in zip(gm_generators(distinct.values, state.amplitudes), (h_span, g_span)):
         assert np.linalg.norm(span) == pytest.approx(np.linalg.norm(dense), abs=1e-14)
 
 
@@ -835,7 +830,7 @@ def test_commutant_solvers_refuse_bad_tol_rank(tol):
 
 def test_isotypic_residuals():
     table, state, spectrum, overlaps = p3_setup()
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     basis, _ = lie_closure([1j * h_p, 1j * g_m])
 
     full = [np.eye(8, dtype=complex)[:, k] for k in range(8)]
@@ -867,7 +862,7 @@ def test_isotypic_residuals_match_one_subspace_at_a_time():
     # each column's residual is that of W0, or of its own line, taken alone
     table = bundled_table("house.graph")
     state = _random_complex_state(32, 11)
-    units = [g / np.linalg.norm(g) for g in gm_generators(table, state)]
+    units = [g / np.linalg.norm(g) for g in gm_generators(table.values, state.amplitudes)]
     w0, lines = isotypic_split(table.values, state.amplitudes)
     q = np.column_stack(w0)
     image = np.asarray(units) @ q
@@ -900,7 +895,7 @@ def test_isotypic_residuals_refuse_malformed_shapes():
 
 def test_oracles_accept_matrix_lists_and_refuse_empty_bases():
     table, state, _, _ = p3_setup()
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     basis, _ = lie_closure([1j * h_p, 1j * g_m])
     w0, lines = isotypic_split(table.values, state.amplitudes)
     assert isotypic_residuals(list(basis), w0, lines) == isotypic_residuals(basis, w0, lines)
@@ -1004,7 +999,7 @@ def test_closure_confirms_sum_zero_branch():
     prediction = predict_dla(spectrum, overlaps)
     assert prediction.center_dim == 1
     assert prediction.algebra == "su_2 + u_1"
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     assert report.dimension == prediction.dim == 4
 
@@ -1014,7 +1009,7 @@ def _closure_dim(table, state):
     # N = 64, where it closes in its phase gauge instead
     if 2 * table.size > ORACLE_DIM_LIMIT:
         return gauged_grover_closure(table, state)[1].dimension
-    h_p, g_m = gm_generators(table, state)
+    h_p, g_m = gm_generators(table.values, state.amplitudes)
     _, report = lie_closure([1j * h_p, 1j * g_m])
     return report.dimension
 
@@ -1058,11 +1053,10 @@ def test_x_mixer_affine_shift_can_add_identity_direction():
     # the counting objective carries a constant shift; on the 3-vertex
     # path it contributes one extra closure dimension, which is why the
     # standard-mixer comparison uses the traceless part
-    table = maxcut_objective(path_graph(3))
-    h_p = np.diag(table.values.astype(complex))
+    values = maxcut_objective(path_graph(3)).values
     b = x_mixer_generator(3)
-    _, affine = lie_closure([1j * h_p, 1j * b])
-    _, traceless = lie_closure([1j * traceless_part(h_p), 1j * b])
+    _, affine = lie_closure([1j * np.diag(values), 1j * b])
+    _, traceless = lie_closure([1j * np.diag(values - values.mean()), 1j * b])
     assert affine.dimension == 10
     assert traceless.dimension == 9
 
